@@ -102,7 +102,6 @@ void MeasureDopPairMs(Engine* host, int dop_a, int dop_b, double* a_ms,
 void BM_Exchange_Dop1(benchmark::State& state) {
   auto* fx = bench::CachedFixture<ExchangeFixture>("exchange", BuildFixture);
   fx->host->options()->execution.dop = 1;
-  fx->host->options()->execution.exec_batch_rows = 1024;
   for (auto _ : state) {
     QueryResult r = bench::MustRun(fx->host.get(), kQuery);
     benchmark::DoNotOptimize(r);
@@ -116,7 +115,6 @@ void BM_Exchange_Dop1(benchmark::State& state) {
 
 void BM_Exchange_Dop4(benchmark::State& state) {
   auto* fx = bench::CachedFixture<ExchangeFixture>("exchange", BuildFixture);
-  fx->host->options()->execution.exec_batch_rows = 1024;
   fx->host->options()->execution.dop = 4;
   for (auto _ : state) {
     QueryResult r = bench::MustRun(fx->host.get(), kQuery);
@@ -167,7 +165,6 @@ void BM_Exchange_Dop4(benchmark::State& state) {
 void BM_Exchange_Sweep(benchmark::State& state) {
   auto* fx = bench::CachedFixture<ExchangeFixture>("exchange", BuildFixture);
   const int dop = static_cast<int>(state.range(0));
-  fx->host->options()->execution.exec_batch_rows = 1024;
   fx->host->options()->execution.dop = dop;
   for (auto _ : state) {
     QueryResult r = bench::MustRun(fx->host.get(), kQuery);

@@ -141,7 +141,6 @@ void MeasureModePairMs(Engine* host, const GovernorMode& mode_a,
 
 void BM_Governor_Admission(benchmark::State& state) {
   auto* fx = bench::CachedFixture<GovernorFixture>("governor", BuildFixture);
-  fx->host->options()->execution.exec_batch_rows = 1024;
   ApplyMode(fx->host.get(), kHuge);
   fx->host->options()->execution.dop = 4;
   for (auto _ : state) {
@@ -183,7 +182,6 @@ void BM_Governor_Admission(benchmark::State& state) {
 
 void BM_Governor_Spill(benchmark::State& state) {
   auto* fx = bench::CachedFixture<GovernorFixture>("governor", BuildFixture);
-  fx->host->options()->execution.exec_batch_rows = 1024;
   ApplyMode(fx->host.get(), kTight);
   fx->host->options()->execution.dop = 1;
   for (auto _ : state) {

@@ -13,7 +13,7 @@
 // interleaved run-by-run); the binary EXITS NON-ZERO above that, so the
 // ctest wiring turns a regression into a test failure. The design intent
 // this guards: registration is two O(log n) map operations per statement
-// and the live row-count flush rides the existing sampled profiling path —
+// and the live row counts ride the existing per-batch profiling path —
 // nothing per-row is added. Each case appends a record to
 // BENCH_requests.json via the shared bench_util writer.
 
@@ -63,7 +63,6 @@ std::unique_ptr<RequestsFixture> BuildFixture(const std::string&) {
     bench::MustRun(fx->host.get(), sql);
   }
   fx->host->options()->execution.dop = 4;
-  fx->host->options()->execution.exec_batch_rows = 1024;
   return fx;
 }
 

@@ -64,7 +64,6 @@ std::unique_ptr<WaitsFixture> BuildFixture(const std::string&) {
     bench::MustRun(fx->host.get(), sql);
   }
   fx->host->options()->execution.dop = 4;
-  fx->host->options()->execution.exec_batch_rows = 1024;
   return fx;
 }
 

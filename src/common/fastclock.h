@@ -20,8 +20,8 @@ inline int64_t NowNs() {
       .count();
 }
 
-/// Cheap per-call timestamp for hot-path instrumentation (per-row operator
-/// timing runs twice per Next() per operator). On x86-64 this is one RDTSC
+/// Cheap per-call timestamp for hot-path instrumentation (operator timing
+/// runs twice per NextBatch() per operator). On x86-64 this is one RDTSC
 /// (~7 ns, vs ~20-25 ns for steady_clock); elsewhere it falls back to
 /// NowNs(), making ToNs the identity.
 inline int64_t Ticks() {

@@ -109,7 +109,7 @@ void AddOpGrant(const PhysicalOp& op, const ExecOptions& exec,
       // Queue stash: depth batches of exec_batch_rows rows per partition
       // stream — the one footprint that scales with dop.
       const int64_t streams = std::max(1, op.dop);
-      const int64_t batch_rows = std::max(1, exec.exec_batch_rows);
+      const int64_t batch_rows = exec.batch_rows();
       *total += streams * kExchangeQueueDepth * batch_rows *
                 EstRowBytes(op.output_types);
       break;

@@ -144,38 +144,21 @@ Status ExchangeSegment::RunProducer(int p) {
   // Exchange workers count as parallel branches (parallel_workers()).
   ctx_->stats.parallel_branches.fetch_add(1, std::memory_order_relaxed);
   DHQP_RETURN_NOT_OK(tree->Open());
-  bool batched = ctx_->options.exec_batch_rows > 0;
-  int cadence = batched ? ctx_->options.exec_batch_rows
-                        : (ctx_->options.concat_worker_batch_rows > 0
-                               ? ctx_->options.concat_worker_batch_rows
-                               : 64);
+  const int batch_rows = ctx_->options.batch_rows();
   if (op_->exchange == ExchangeKind::kRepartitionHash) {
-    return PumpRepartition(tree.get(), batched, cadence);
+    return PumpRepartition(tree.get(), batch_rows);
   }
-  return PumpGatherOrDistribute(tree.get(), p, batched, cadence);
-}
-
-Result<bool> ExchangeSegment::PullBatch(ExecNode* tree, bool batched,
-                                        int cadence, RowBatch* batch) {
-  if (batched) return tree->NextBatch(batch, cadence);
-  batch->clear();
-  Row row;
-  while (static_cast<int>(batch->rows.size()) < cadence) {
-    DHQP_ASSIGN_OR_RETURN(bool has, tree->Next(&row));
-    if (!has) break;
-    batch->rows.push_back(std::move(row));
-  }
-  return !batch->rows.empty();
+  return PumpGatherOrDistribute(tree.get(), p, batch_rows);
 }
 
 Status ExchangeSegment::PumpGatherOrDistribute(ExecNode* tree, int p,
-                                               bool batched, int cadence) {
+                                               int batch_rows) {
   // Gather funnels into queue 0; distribute rotates whole batches, each
   // producer starting at its own offset to spread load.
   int target = op_->exchange == ExchangeKind::kGather ? 0 : p % consumers_;
   for (;;) {
     RowBatch batch = TakeRecycled();
-    DHQP_ASSIGN_OR_RETURN(bool has, PullBatch(tree, batched, cadence, &batch));
+    DHQP_ASSIGN_OR_RETURN(bool has, tree->NextBatch(&batch, batch_rows));
     if (!has) return Status::OK();
     if (!PushBatch(target, std::move(batch))) return Status::OK();
     if (op_->exchange == ExchangeKind::kDistribute) {
@@ -184,17 +167,16 @@ Status ExchangeSegment::PumpGatherOrDistribute(ExecNode* tree, int p,
   }
 }
 
-Status ExchangeSegment::PumpRepartition(ExecNode* tree, bool batched,
-                                        int cadence) {
+Status ExchangeSegment::PumpRepartition(ExecNode* tree, int batch_rows) {
   std::vector<RowBatch> accum(static_cast<size_t>(consumers_));
   RowBatch pulled;
   for (;;) {
-    DHQP_ASSIGN_OR_RETURN(bool has, PullBatch(tree, batched, cadence, &pulled));
+    DHQP_ASSIGN_OR_RETURN(bool has, tree->NextBatch(&pulled, batch_rows));
     if (!has) break;
     for (Row& row : pulled.rows) {
       size_t c = HashRowKeys(row, key_pos_) % static_cast<size_t>(consumers_);
       accum[c].rows.push_back(std::move(row));
-      if (static_cast<int>(accum[c].rows.size()) >= cadence) {
+      if (static_cast<int>(accum[c].rows.size()) >= batch_rows) {
         RowBatch full = std::move(accum[c]);
         accum[c] = TakeRecycled();
         if (!PushBatch(static_cast<int>(c), std::move(full))) {
@@ -346,14 +328,6 @@ Result<bool> ExchangeNode::FillCurrent() {
       return false;
     }
   }
-  return true;
-}
-
-Result<bool> ExchangeNode::Next(Row* out) {
-  if (done_) return false;
-  DHQP_ASSIGN_OR_RETURN(bool has, FillCurrent());
-  if (!has) return false;
-  *out = std::move(current_.rows[pos_++]);
   return true;
 }
 

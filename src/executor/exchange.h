@@ -82,14 +82,10 @@ class ExchangeSegment {
  private:
   void ProducerLoop(int p);
   Status RunProducer(int p);
-  Status PumpGatherOrDistribute(ExecNode* tree, int p, bool batched,
-                                int cadence);
-  Status PumpRepartition(ExecNode* tree, bool batched, int cadence);
-  /// Pulls the next worker batch from the fragment tree (NextBatch in
-  /// batch mode, a Next() loop in row mode — preserving each mode's
-  /// operator-driving contract). False at end of data.
-  Result<bool> PullBatch(ExecNode* tree, bool batched, int cadence,
-                         RowBatch* batch);
+  /// The pumps pull `batch_rows`-row batches from the producer's fragment
+  /// tree; repartition re-batches per consumer to the same size.
+  Status PumpGatherOrDistribute(ExecNode* tree, int p, int batch_rows);
+  Status PumpRepartition(ExecNode* tree, int batch_rows);
   void RecordError(const Status& status);
   void CloseAll();
   void JoinAll();
@@ -141,7 +137,6 @@ class ExchangeNode : public ExecNode {
                ExchangeSegmentRegistry* registry, int ordinal, int partition);
 
   Status Open() override;
-  Result<bool> Next(Row* out) override;
   Result<bool> NextBatch(RowBatch* out, int max_rows) override;
   Status Restart() override {
     return Status::NotSupported("exchange does not support Restart");

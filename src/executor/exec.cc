@@ -20,35 +20,6 @@
 
 namespace dhqp {
 
-// Default batch pull: loops Next(). Every operator works under a batching
-// consumer without modification; operators with a cheaper bulk path
-// override this.
-Result<bool> ExecNode::NextBatch(RowBatch* out, int max_rows) {
-  out->clear();
-  if (!deferred_batch_status_.ok()) {
-    Status st = std::move(deferred_batch_status_);
-    deferred_batch_status_ = Status::OK();
-    return st;
-  }
-  if (max_rows <= 0) return false;
-  Row row;
-  for (int i = 0; i < max_rows; ++i) {
-    Result<bool> has = Next(&row);
-    if (!has.ok()) {
-      // Defer a mid-batch error behind the rows already collected: a
-      // row-at-a-time consumer would have seen those rows first, and
-      // consumers above make skip/abort decisions based on what has
-      // surfaced (so the decision must not depend on the batch size).
-      if (out->rows.empty()) return has.status();
-      deferred_batch_status_ = has.status();
-      return true;
-    }
-    if (!*has) break;
-    out->rows.push_back(std::move(row));
-  }
-  return !out->rows.empty();
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -70,6 +41,40 @@ bool SliceRows(const std::vector<Row>& rows, size_t* pos, int max_rows,
   return true;
 }
 
+// Row-at-a-time view of a child's batch stream, for the operators that step
+// through their input one row at a time (hash-join probe, nested-loops and
+// merge join, stream aggregation). Rows move out of a reused buffer; an
+// empty buffer is refilled with up to `want` rows. A join that may stop
+// before its child's end of data pulls single rows where it stops on its
+// own (merge join, semi/anti inner side) and at most its caller's demand
+// elsewhere, so the rows it reads ahead — and, for a remote child, ships —
+// are bounded by what its caller asked for, not by the batch size. Reset()
+// drops buffered rows; call it whenever the child is opened or restarted.
+class RowCursor {
+ public:
+  explicit RowCursor(ExecNode* child) : child_(child) {}
+
+  Result<bool> Next(Row* out, int want) {
+    if (pos_ >= batch_.rows.size()) {
+      DHQP_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch_, want));
+      if (!has) return false;
+      pos_ = 0;
+    }
+    *out = std::move(batch_.rows[pos_++]);
+    return true;
+  }
+
+  void Reset() {
+    batch_.clear();
+    pos_ = 0;
+  }
+
+ private:
+  ExecNode* child_;
+  RowBatch batch_;
+  size_t pos_ = 0;
+};
+
 // Remote block-fetch granularity stays governed by remote_batch_rows no
 // matter what the local executor's batch size is, so wire-message counts
 // do not shift when exec_batch_rows changes.
@@ -78,6 +83,16 @@ int ClampRemoteBatch(int max_rows, const ExecOptions& options) {
     return options.remote_batch_rows;
   }
   return max_rows;
+}
+
+// One row pulled from a remote cursor, counted as shipped. Unprefetched
+// remote streams are drained this way: the provider's own settle cadence is
+// their wire contract, so pulling one row at a time keeps message (and
+// fault) ordinals independent of the local batch size.
+Result<bool> NextRemoteRow(Rowset* rowset, ExecStats* stats, Row* out) {
+  DHQP_ASSIGN_OR_RETURN(bool has, rowset->Next(out));
+  if (has) stats->rows_from_remote++;
+  return has;
 }
 
 // Evaluates a RangeSpec's bound expressions against the current parameters.
@@ -268,20 +283,6 @@ class ScanNode : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    if (partitions_ > 1) {
-      DHQP_ASSIGN_OR_RETURN(bool has, FillBlock());
-      if (!has) return false;
-      *out = std::move(buf_.rows[buf_pos_++]);
-      return true;
-    }
-    DHQP_ASSIGN_OR_RETURN(bool has, rowset_->Next(out));
-    if (has && op_->kind == PhysicalOpKind::kRemoteScan) {
-      ctx_->stats.rows_from_remote++;
-    }
-    return has;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     if (partitions_ > 1) {
       out->clear();
@@ -299,18 +300,20 @@ class ScanNode : public ExecNode {
     }
     // Forwards the rowset's own block fetch: one virtual call per batch
     // instead of one per row, and contiguous sources hand out slices.
-    if (op_->kind == PhysicalOpKind::kRemoteScan) {
-      // Without the prefetch pipeline the rowset's wire granularity is the
-      // provider's own settle cadence, which only row-at-a-time pulls
-      // preserve — block-fetching here would merge wire messages and make
-      // fault ordinals depend on the local batch size.
-      if (!ctx_->options.enable_remote_prefetch) {
-        return ExecNode::NextBatch(out, max_rows);
-      }
-      max_rows = ClampRemoteBatch(max_rows, ctx_->options);
+    if (op_->kind != PhysicalOpKind::kRemoteScan) {
+      return rowset_->NextBatch(out, max_rows);
     }
-    DHQP_ASSIGN_OR_RETURN(bool has, rowset_->NextBatch(out, max_rows));
-    if (has && op_->kind == PhysicalOpKind::kRemoteScan) {
+    // Without the prefetch pipeline, block-fetching here would merge wire
+    // messages (see NextRemoteRow).
+    if (!ctx_->options.enable_remote_prefetch) {
+      return FillBatch(out, max_rows, [this](Row* row) {
+        return NextRemoteRow(rowset_.get(), &ctx_->stats, row);
+      });
+    }
+    DHQP_ASSIGN_OR_RETURN(
+        bool has,
+        rowset_->NextBatch(out, ClampRemoteBatch(max_rows, ctx_->options)));
+    if (has) {
       ctx_->stats.rows_from_remote += static_cast<int64_t>(out->rows.size());
     }
     return has;
@@ -381,20 +384,13 @@ class IndexRangeNode : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    DHQP_ASSIGN_OR_RETURN(bool has, rowset_->Next(out));
-    if (has && op_->kind == PhysicalOpKind::kRemoteRange) {
-      ctx_->stats.rows_from_remote++;
-    }
-    return has;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    // Remote ranges are never prefetched: the raw linked rowset's settle
-    // cadence is the wire contract, so batch mode pulls row-at-a-time to
-    // keep message ordinals identical to row mode.
+    // Remote ranges are never prefetched, so they pull one row at a time
+    // (see NextRemoteRow).
     if (op_->kind == PhysicalOpKind::kRemoteRange) {
-      return ExecNode::NextBatch(out, max_rows);
+      return FillBatch(out, max_rows, [this](Row* row) {
+        return NextRemoteRow(rowset_.get(), &ctx_->stats, row);
+      });
     }
     return rowset_->NextBatch(out, max_rows);
   }
@@ -425,7 +421,15 @@ class RemoteFetchNode : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    return FillBatch(out, max_rows, [this](Row* row) { return Fetch(row); });
+  }
+
+  Status Restart() override { return Open(); }
+
+ private:
+  /// Next key, then its base row by bookmark (skipping vanished rows).
+  Result<bool> Fetch(Row* out) {
     Row key_row;
     while (true) {
       DHQP_ASSIGN_OR_RETURN(bool has, keys_->Next(&key_row));
@@ -443,9 +447,6 @@ class RemoteFetchNode : public ExecNode {
     }
   }
 
-  Status Restart() override { return Open(); }
-
- private:
   ExecContext* ctx_;
   Session* session_ = nullptr;
   std::unique_ptr<Rowset> keys_;
@@ -457,11 +458,6 @@ class ConstTableNode : public ExecNode {
   Status Open() override {
     pos_ = 0;
     return Status::OK();
-  }
-  Result<bool> Next(Row* out) override {
-    if (pos_ >= op_->const_rows.size()) return false;
-    *out = op_->const_rows[pos_++];
-    return true;
   }
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     return SliceRows(op_->const_rows, &pos_, max_rows, out);
@@ -479,8 +475,8 @@ class EmptyNode : public ExecNode {
  public:
   explicit EmptyNode(PhysicalOpPtr op) : ExecNode(std::move(op)) {}
   Status Open() override { return Status::OK(); }
-  Result<bool> Next(Row* out) override {
-    (void)out;
+  Result<bool> NextBatch(RowBatch* out, int) override {
+    out->clear();
     return false;
   }
   Status Restart() override { return Status::OK(); }
@@ -501,13 +497,14 @@ class FullTextLookupNode : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    if (pos_ >= matches_.size()) return false;
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
-    out->push_back(matches_[pos_].first);
-    out->push_back(Value::Double(matches_[pos_].second));
-    ++pos_;
-    return true;
+    while (pos_ < matches_.size() &&
+           static_cast<int>(out->rows.size()) < max_rows) {
+      const auto& [key, rank] = matches_[pos_++];
+      out->rows.push_back(Row{key, Value::Double(rank)});
+    }
+    return !out->rows.empty();
   }
 
   Status Restart() override {
@@ -553,22 +550,17 @@ class RemoteQueryNode : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    DHQP_ASSIGN_OR_RETURN(bool has, rowset_->Next(out));
-    if (has) ctx_->stats.rows_from_remote++;
-    return has;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     // Forwards the remote stream's block fetch instead of unbatching it
     // into single rows only to re-batch above. Only the prefetched (bulk)
     // path may block-fetch: its producer fixes the wire granularity at
-    // remote_batch_rows in both modes. Inline streams (parameterized
-    // dispatch, prefetch disabled) keep the provider's own settle cadence
-    // via row-at-a-time pulls, so fault ordinals are batch-size-invariant.
+    // remote_batch_rows. Inline streams (parameterized dispatch, prefetch
+    // disabled) keep the provider's own settle cadence (see NextRemoteRow).
     if (!op_->remote_param_names.empty() ||
         !ctx_->options.enable_remote_prefetch) {
-      return ExecNode::NextBatch(out, max_rows);
+      return FillBatch(out, max_rows, [this](Row* row) {
+        return NextRemoteRow(rowset_.get(), &ctx_->stats, row);
+      });
     }
     max_rows = ClampRemoteBatch(max_rows, ctx_->options);
     DHQP_ASSIGN_OR_RETURN(bool has, rowset_->NextBatch(out, max_rows));
@@ -594,20 +586,6 @@ class FilterNode : public ExecNode {
       : ExecNode(std::move(op)), child_(std::move(child)), ctx_(ctx) {}
 
   Status Open() override { return child_->Open(); }
-
-  Result<bool> Next(Row* out) override {
-    EvalEnv env;
-    env.col_pos = &child_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-      if (!has) return false;
-      env.row = out;
-      DHQP_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*op_->predicate, env));
-      if (pass) return true;
-    }
-  }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
@@ -666,11 +644,6 @@ class StartupFilterNode : public ExecNode {
     return child_->Restart();
   }
 
-  Result<bool> Next(Row* out) override {
-    if (!active_) return false;
-    return child_->Next(out);
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     if (!active_) {
       out->clear();
@@ -695,24 +668,6 @@ class ProjectNode : public ExecNode {
       : ExecNode(std::move(op)), child_(std::move(child)), ctx_(ctx) {}
 
   Status Open() override { return child_->Open(); }
-
-  Result<bool> Next(Row* out) override {
-    Row in;
-    DHQP_ASSIGN_OR_RETURN(bool has, child_->Next(&in));
-    if (!has) return false;
-    EvalEnv env;
-    env.col_pos = &child_->col_pos();
-    env.row = &in;
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    out->clear();
-    out->reserve(op_->exprs.size());
-    for (const ScalarExprPtr& e : op_->exprs) {
-      DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
-      out->push_back(std::move(v));
-    }
-    return true;
-  }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
@@ -765,14 +720,6 @@ class TopNode : public ExecNode {
     return child_->Open();
   }
 
-  Result<bool> Next(Row* out) override {
-    if (emitted_ >= op_->limit) return false;
-    DHQP_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    ++emitted_;
-    return true;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
     const int64_t left = op_->limit - emitted_;
@@ -814,15 +761,11 @@ class SortNode : public ExecNode {
     return Materialize();
   }
 
-  Result<bool> Next(Row* out) override {
-    if (spilled_) return MergeNext(out);
-    if (pos_ >= rows_.size()) return false;
-    *out = rows_[pos_++];
-    return true;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    if (spilled_) return ExecNode::NextBatch(out, max_rows);
+    if (spilled_) {
+      return FillBatch(out, max_rows,
+                       [this](Row* row) { return MergeNext(row); });
+    }
     return SliceRows(rows_, &pos_, max_rows, out);
   }
 
@@ -884,30 +827,18 @@ class SortNode : public ExecNode {
     mem_.ReleaseAll();
     mem_.Bind(profile_, ctx_->memory);
     DHQP_RETURN_NOT_OK(ResolveKeys());
-    auto take = [&](Row& r) -> Status {
-      const int64_t rb = RowMemBytes(r);
-      if (!rows_.empty() && GrantExceeded(ctx_, mem_.pending(), rb)) {
-        DHQP_RETURN_NOT_OK(SpillRun());
-      }
-      mem_.Add(rb);
-      rows_.push_back(std::move(r));
-      return Status::OK();
-    };
-    const int bs = ctx_->options.exec_batch_rows;
-    if (bs > 0) {
-      RowBatch batch;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch, bs));
-        if (!has) break;
-        for (Row& r : batch.rows) DHQP_RETURN_NOT_OK(take(r));
-      }
-    } else {
-      Row row;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
-        if (!has) break;
-        Row copy = row;
-        DHQP_RETURN_NOT_OK(take(copy));
+    RowBatch batch;
+    while (true) {
+      DHQP_ASSIGN_OR_RETURN(
+          bool has, child_->NextBatch(&batch, ctx_->options.batch_rows()));
+      if (!has) break;
+      for (Row& r : batch.rows) {
+        const int64_t rb = RowMemBytes(r);
+        if (!rows_.empty() && GrantExceeded(ctx_, mem_.pending(), rb)) {
+          DHQP_RETURN_NOT_OK(SpillRun());
+        }
+        mem_.Add(rb);
+        rows_.push_back(std::move(r));
       }
     }
     mem_.Flush();
@@ -998,17 +929,12 @@ class SpoolNode : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    DHQP_RETURN_NOT_OK(Fill());
-    if (file_ != nullptr) return file_->Next(out);
-    if (pos_ >= rows_.size()) return false;
-    *out = rows_[pos_++];
-    return true;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     DHQP_RETURN_NOT_OK(Fill());
-    if (file_ != nullptr) return ExecNode::NextBatch(out, max_rows);
+    if (file_ != nullptr) {
+      return FillBatch(out, max_rows,
+                       [this](Row* row) { return file_->Next(row); });
+    }
     return SliceRows(rows_, &pos_, max_rows, out);
   }
 
@@ -1049,22 +975,12 @@ class SpoolNode : public ExecNode {
       rows_.push_back(std::move(r));
       return Status::OK();
     };
-    const int bs = ctx_->options.exec_batch_rows;
-    if (bs > 0) {
-      RowBatch batch;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch, bs));
-        if (!has) break;
-        for (Row& r : batch.rows) DHQP_RETURN_NOT_OK(take(r));
-      }
-    } else {
-      Row row;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
-        if (!has) break;
-        Row copy = row;
-        DHQP_RETURN_NOT_OK(take(copy));
-      }
+    RowBatch batch;
+    while (true) {
+      DHQP_ASSIGN_OR_RETURN(
+          bool has, child_->NextBatch(&batch, ctx_->options.batch_rows()));
+      if (!has) break;
+      for (Row& r : batch.rows) DHQP_RETURN_NOT_OK(take(r));
     }
     mem_.Flush();
     if (file_ != nullptr) {
@@ -1152,47 +1068,6 @@ class ConcatNode : public ExecNode {
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    if (parallel_) return ParallelNext(out);
-    while (current_ < children_.size()) {
-      if (!opened_current_) {
-        if (children_[current_]->op().kind != PhysicalOpKind::kEmptyTable) {
-          ctx_->stats.partitions_opened++;
-        }
-        Status st = children_[current_]->Open();
-        if (!st.ok()) {
-          if (MaybeSkipMember(*children_[current_], st, /*rows_emitted=*/0)) {
-            ++current_;
-            continue;
-          }
-          return st;
-        }
-        opened_current_ = true;
-        current_rows_ = 0;
-      }
-      Row in;
-      Result<bool> has = children_[current_]->Next(&in);
-      if (!has.ok()) {
-        if (MaybeSkipMember(*children_[current_], has.status(),
-                            current_rows_)) {
-          ++current_;
-          opened_current_ = false;
-          continue;
-        }
-        return has.status();
-      }
-      if (*has) {
-        // Align branch columns to the concat's output positionally.
-        ++current_rows_;
-        *out = std::move(in);
-        return true;
-      }
-      ++current_;
-      opened_current_ = false;
-    }
-    return false;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     if (parallel_) return ParallelNextBatch(out, max_rows);
     out->clear();
@@ -1240,15 +1115,6 @@ class ConcatNode : public ExecNode {
   Status Restart() override { return Open(); }
 
  private:
-  /// Rows a worker buffers locally before publishing, to keep queue
-  /// synchronization off the per-row path
-  /// (ExecOptions::concat_worker_batch_rows guards against <= 0).
-  size_t WorkerBatchRows() const {
-    return ctx_->options.concat_worker_batch_rows > 0
-               ? static_cast<size_t>(ctx_->options.concat_worker_batch_rows)
-               : 64;
-  }
-
   bool DecideParallel() const {
     int dop = ctx_->options.concat_dop;
     if (dop <= 1 || children_.size() < 2) return false;
@@ -1317,61 +1183,28 @@ class ConcatNode : public ExecNode {
         RecordError(st);
         break;
       }
-      const size_t worker_batch = WorkerBatchRows();
-      const bool batched = ctx_->options.exec_batch_rows > 0;
-      RowBatch batch;
-      bool pushed_any = false;
-      RowBatch pull;
+      // Every batch the branch yields is published whole. A failing pull
+      // surfaces no rows (FillBatch defers mid-batch errors), so the
+      // member-skip rule sees exactly the rows already published — the
+      // same rule the sequential path applies.
+      int64_t rows_published = 0;
       while (true) {
-        Result<bool> has(false);
-        if (batched) {
-          // Pull whole worker batches through the branch's batch path,
-          // accumulating to the same publish cadence row-at-a-time uses —
-          // so whether rows have been published when an error arrives (the
-          // member-skip decision below) does not depend on the mode.
-          has = child->NextBatch(&pull, static_cast<int>(worker_batch));
-          if (has.ok() && *has) {
-            if (batch.rows.empty()) {
-              std::swap(batch, pull);
-            } else {
-              std::move(pull.rows.begin(), pull.rows.end(),
-                        std::back_inserter(batch.rows));
-            }
-            pull.clear();
-          }
-        } else {
-          Row row;
-          has = child->Next(&row);
-          if (has.ok() && *has) batch.rows.push_back(std::move(row));
-        }
+        RowBatch batch;
+        Result<bool> has =
+            child->NextBatch(&batch, ctx_->options.batch_rows());
         if (!has.ok()) {
-          // Skippable only while the branch's rows are all still local to
-          // this worker: once a batch is published it cannot be retracted,
-          // so a partially-consumed member must fail the whole query.
-          if (!pushed_any &&
-              MaybeSkipMember(*child, has.status(), /*rows_emitted=*/0)) {
-            batch.clear();
-            break;
-          }
+          if (MaybeSkipMember(*child, has.status(), rows_published)) break;
           RecordError(has.status());
           aborted = true;
           break;
         }
         if (!*has) break;
-        if (batch.rows.size() >= worker_batch) {
-          if (!queue_.Push(std::move(batch),
-                           [this](int64_t t) { ChargeQueueWait(t); })) {
-            aborted = true;
-            break;
-          }
-          pushed_any = true;
-          batch = RowBatch{};
+        rows_published += static_cast<int64_t>(batch.rows.size());
+        if (!queue_.Push(std::move(batch),
+                         [this](int64_t t) { ChargeQueueWait(t); })) {
+          aborted = true;
+          break;
         }
-      }
-      if (!aborted && !batch.empty() &&
-          !queue_.Push(std::move(batch),
-                       [this](int64_t t) { ChargeQueueWait(t); })) {
-        aborted = true;
       }
     }
     if (active_workers_.fetch_sub(1) == 1) queue_.Close();
@@ -1406,28 +1239,6 @@ class ConcatNode : public ExecNode {
     std::lock_guard<std::mutex> lock(ctx_->warnings_mu);
     ctx_->warnings.push_back("partitioned view: skipped unreachable member on " +
                              member + ": " + st.message());
-    return true;
-  }
-
-  Result<bool> ParallelNext(Row* out) {
-    if (!launched_) LaunchWorkers();
-    if (batch_pos_ >= batch_.rows.size()) {
-      RowBatch batch;
-      bool got = queue_.TryPop(&batch);
-      if (!got) {
-        got = queue_.Pop(&batch, [this](int64_t t) { ChargeQueueWait(t); });
-        if (got) ctx_->stats.prefetch_stalls++;
-      }
-      if (!got) {
-        JoinWorkers();
-        std::lock_guard<std::mutex> lock(error_mu_);
-        if (!first_error_.ok()) return first_error_;
-        return false;
-      }
-      batch_ = std::move(batch);
-      batch_pos_ = 0;
-    }
-    *out = std::move(batch_.rows[batch_pos_++]);
     return true;
   }
 
@@ -1513,7 +1324,8 @@ class HashJoinNode : public ExecNode {
       : ExecNode(std::move(op)),
         left_(std::move(left)),
         right_(std::move(right)),
-        ctx_(ctx) {}
+        ctx_(ctx),
+        probe_input_(left_.get()) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(left_->Open());
@@ -1521,35 +1333,26 @@ class HashJoinNode : public ExecNode {
     return Build();
   }
 
-  Result<bool> Next(Row* out) override {
-    EvalEnv env;
-    env.col_pos = &left_->col_pos();
-    env.col_pos2 = &right_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    return Step(env, out, /*batched=*/false);
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    out->clear();
-    if (max_rows <= 0) return false;
-    // One env setup per batch; probe input arrives through the batch path
-    // (Step refills probe_batch_ as needed).
+    // One env setup per batch; Step advances the probe side row by row,
+    // pulling at most this call's demand from left_.
     EvalEnv env;
     env.col_pos = &left_->col_pos();
     env.col_pos2 = &right_->col_pos();
     env.params = &ctx_->params;
     env.current_date = ctx_->current_date;
-    Row row;
-    for (int i = 0; i < max_rows; ++i) {
-      DHQP_ASSIGN_OR_RETURN(bool has, Step(env, &row, /*batched=*/true));
-      if (!has) break;
-      out->rows.push_back(std::move(row));
-    }
-    return !out->rows.empty();
+    return FillBatch(out, max_rows,
+                     [&](Row* row) { return Step(env, max_rows, row); });
   }
 
-  Result<bool> Step(EvalEnv& env, Row* out, bool batched) {
+  Status Restart() override {
+    DHQP_RETURN_NOT_OK(left_->Restart());
+    DHQP_RETURN_NOT_OK(right_->Restart());
+    return Build();
+  }
+
+ private:
+  Result<bool> Step(EvalEnv& env, int want, Row* out) {
     while (true) {
       if (have_probe_) {
         env.row = &probe_;
@@ -1601,22 +1404,10 @@ class HashJoinNode : public ExecNode {
       // Advance to the next probe row. Once the build side spilled, probe
       // input comes from the Grace partition files instead of left_ (which
       // was fully drained into them).
-      if (probe_from_file_) {
-        DHQP_ASSIGN_OR_RETURN(bool has, NextSpilledProbe(&probe_));
-        if (!has) return false;
-      } else if (batched) {
-        if (probe_pos_ >= probe_batch_.rows.size()) {
-          DHQP_ASSIGN_OR_RETURN(
-              bool more,
-              left_->NextBatch(&probe_batch_, ctx_->options.exec_batch_rows));
-          if (!more) return false;
-          probe_pos_ = 0;
-        }
-        probe_ = std::move(probe_batch_.rows[probe_pos_++]);
-      } else {
-        DHQP_ASSIGN_OR_RETURN(bool has, left_->Next(&probe_));
-        if (!has) return false;
-      }
+      DHQP_ASSIGN_OR_RETURN(bool has, probe_from_file_
+                                          ? NextSpilledProbe(&probe_)
+                                          : probe_input_.Next(&probe_, want));
+      if (!has) return false;
       have_probe_ = true;
       any_emitted_ = false;
       match_pos_ = 0;
@@ -1642,13 +1433,6 @@ class HashJoinNode : public ExecNode {
     }
   }
 
-  Status Restart() override {
-    DHQP_RETURN_NOT_OK(left_->Restart());
-    DHQP_RETURN_NOT_OK(right_->Restart());
-    return Build();
-  }
-
- private:
   Status Build() {
     table_.clear();
     mem_.ReleaseAll();
@@ -1658,8 +1442,7 @@ class HashJoinNode : public ExecNode {
     matches_ = &kNone;
     have_probe_ = false;
     any_emitted_ = false;
-    probe_batch_.clear();
-    probe_pos_ = 0;
+    probe_input_.Reset();
     spilling_ = false;
     probe_from_file_ = false;
     build_parts_.clear();
@@ -1697,21 +1480,12 @@ class HashJoinNode : public ExecNode {
       table_[key].push_back(std::move(row));
       return Status::OK();
     };
-    const int bs = ctx_->options.exec_batch_rows;
-    if (bs > 0) {
-      RowBatch batch;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, right_->NextBatch(&batch, bs));
-        if (!has) break;
-        for (Row& r : batch.rows) DHQP_RETURN_NOT_OK(insert(r));
-      }
-    } else {
-      Row row;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, right_->Next(&row));
-        if (!has) break;
-        DHQP_RETURN_NOT_OK(insert(row));
-      }
+    RowBatch batch;
+    while (true) {
+      DHQP_ASSIGN_OR_RETURN(
+          bool has, right_->NextBatch(&batch, ctx_->options.batch_rows()));
+      if (!has) break;
+      for (Row& r : batch.rows) DHQP_RETURN_NOT_OK(insert(r));
     }
     mem_.Flush();
     if (spilling_) return PartitionProbeInput();
@@ -1780,25 +1554,15 @@ class HashJoinNode : public ExecNode {
     env.params = &ctx_->params;
     env.current_date = ctx_->current_date;
     IndexKey key;
-    auto route = [&](const Row& row) -> Status {
-      DHQP_RETURN_NOT_OK(ProbeKeyOf(env, row, &key));
-      return probe_parts[static_cast<size_t>(SpillPartOf(key, 0))]->Append(
-          row);
-    };
-    const int bs = ctx_->options.exec_batch_rows;
-    if (bs > 0) {
-      RowBatch batch;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, left_->NextBatch(&batch, bs));
-        if (!has) break;
-        for (const Row& r : batch.rows) DHQP_RETURN_NOT_OK(route(r));
-      }
-    } else {
-      Row row;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, left_->Next(&row));
-        if (!has) break;
-        DHQP_RETURN_NOT_OK(route(row));
+    RowBatch batch;
+    while (true) {
+      DHQP_ASSIGN_OR_RETURN(
+          bool has, left_->NextBatch(&batch, ctx_->options.batch_rows()));
+      if (!has) break;
+      for (const Row& r : batch.rows) {
+        DHQP_RETURN_NOT_OK(ProbeKeyOf(env, r, &key));
+        DHQP_RETURN_NOT_OK(
+            probe_parts[static_cast<size_t>(SpillPartOf(key, 0))]->Append(r));
       }
     }
     for (int i = 0; i < kSpillFanout; ++i) {
@@ -1964,8 +1728,7 @@ class HashJoinNode : public ExecNode {
   std::map<IndexKey, std::vector<Row>, KeyLess> table_;
   OperatorMem mem_;
   Row probe_;
-  RowBatch probe_batch_;  ///< Batched probe input, reused across pulls.
-  size_t probe_pos_ = 0;
+  RowCursor probe_input_;  ///< Probe rows from left_ (before any spill).
   const std::vector<Row>* matches_ = nullptr;
   size_t match_pos_ = 0;
   bool have_probe_ = false;
@@ -1985,24 +1748,50 @@ class NestedLoopsJoinNode : public ExecNode {
       : ExecNode(std::move(op)),
         outer_(std::move(outer)),
         inner_(std::move(inner)),
-        ctx_(ctx) {}
+        ctx_(ctx),
+        outer_input_(outer_.get()),
+        inner_input_(inner_.get()),
+        // Semi and anti joins stop at the first qualifying inner row, so
+        // their inner side is pulled one row at a time: a full batch per
+        // outer row would read — and for a remote inner, ship — rows the
+        // join never looks at. Other joins drain the inner side.
+        inner_want_(op_->join_type == JoinType::kSemi ||
+                            op_->join_type == JoinType::kAnti
+                        ? 1
+                        : ctx->options.batch_rows()) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(outer_->Open());
+    outer_input_.Reset();
     inner_opened_ = false;
     have_outer_ = false;
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     EvalEnv env;
     env.col_pos = &outer_->col_pos();
     env.col_pos2 = &inner_->col_pos();
     env.params = &ctx_->params;
     env.current_date = ctx_->current_date;
+    return FillBatch(out, max_rows,
+                     [&](Row* row) { return Step(env, max_rows, row); });
+  }
+
+  Status Restart() override {
+    DHQP_RETURN_NOT_OK(outer_->Restart());
+    outer_input_.Reset();
+    have_outer_ = false;
+    return Status::OK();
+  }
+
+ private:
+  /// Next join row; pulls at most `want` (the caller's demand) outer rows
+  /// at a time.
+  Result<bool> Step(EvalEnv& env, int want, Row* out) {
     while (true) {
       if (!have_outer_) {
-        DHQP_ASSIGN_OR_RETURN(bool has, outer_->Next(&outer_row_));
+        DHQP_ASSIGN_OR_RETURN(bool has, outer_input_.Next(&outer_row_, want));
         if (!has) return false;
         have_outer_ = true;
         matched_ = false;
@@ -2020,9 +1809,10 @@ class NestedLoopsJoinNode : public ExecNode {
         } else {
           DHQP_RETURN_NOT_OK(inner_->Restart());
         }
+        inner_input_.Reset();
       }
-      Row inner_row;
-      DHQP_ASSIGN_OR_RETURN(bool has_inner, inner_->Next(&inner_row));
+      DHQP_ASSIGN_OR_RETURN(bool has_inner,
+                            inner_input_.Next(&inner_row_, inner_want_));
       if (!has_inner) {
         bool was_matched = matched_;
         have_outer_ = false;
@@ -2040,7 +1830,7 @@ class NestedLoopsJoinNode : public ExecNode {
         continue;
       }
       env.row = &outer_row_;
-      env.row2 = &inner_row;
+      env.row2 = &inner_row_;
       bool pass = true;
       if (op_->predicate != nullptr) {
         DHQP_ASSIGN_OR_RETURN(pass, EvalPredicate(*op_->predicate, env));
@@ -2057,22 +1847,19 @@ class NestedLoopsJoinNode : public ExecNode {
           continue;
         default:
           *out = outer_row_;
-          out->insert(out->end(), inner_row.begin(), inner_row.end());
+          out->insert(out->end(), inner_row_.begin(), inner_row_.end());
           return true;
       }
     }
   }
 
-  Status Restart() override {
-    DHQP_RETURN_NOT_OK(outer_->Restart());
-    have_outer_ = false;
-    return Status::OK();
-  }
-
- private:
   std::unique_ptr<ExecNode> outer_, inner_;
   ExecContext* ctx_;
+  RowCursor outer_input_;
+  RowCursor inner_input_;  ///< Reset on every inner (re)start.
+  int inner_want_;         ///< Inner rows pulled per refill.
   Row outer_row_;
+  Row inner_row_;
   bool have_outer_ = false;
   bool matched_ = false;
   bool inner_opened_ = false;
@@ -2086,30 +1873,51 @@ class MergeJoinNode : public ExecNode {
       : ExecNode(std::move(op)),
         left_(std::move(left)),
         right_(std::move(right)),
-        ctx_(ctx) {}
+        ctx_(ctx),
+        left_input_(left_.get()),
+        right_input_(right_.get()) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(left_->Open());
     DHQP_RETURN_NOT_OK(right_->Open());
-    left_done_ = right_done_ = false;
-    done_ = false;
-    have_left_ = false;
-    group_.clear();
-    group_pos_ = 0;
-    right_ahead_ = false;
+    Reset();
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    // Sticky end-of-stream: merge join can terminate while one side still
-    // has rows (the other ran out), so a post-EOF call must not advance
-    // the surviving child — batched callers probe once past the end.
-    if (done_) return false;
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     EvalEnv env;
     env.col_pos = &left_->col_pos();
     env.col_pos2 = &right_->col_pos();
     env.params = &ctx_->params;
     env.current_date = ctx_->current_date;
+    return FillBatch(out, max_rows, [&](Row* row) { return Step(env, row); });
+  }
+
+  Status Restart() override {
+    DHQP_RETURN_NOT_OK(left_->Restart());
+    DHQP_RETURN_NOT_OK(right_->Restart());
+    Reset();
+    return Status::OK();
+  }
+
+ private:
+  void Reset() {
+    left_input_.Reset();
+    right_input_.Reset();
+    right_done_ = false;
+    done_ = false;
+    have_left_ = false;
+    group_.clear();
+    group_pos_ = 0;
+    right_ahead_ = false;
+  }
+
+  /// Next join row. Both inputs are pulled one row at a time: the join
+  /// ends as soon as either side runs out, and must not have read ahead
+  /// into the other. Sticky end-of-stream: a post-EOF call must not
+  /// advance the surviving child.
+  Result<bool> Step(EvalEnv& env, Row* out) {
+    if (done_) return false;
     while (true) {
       // Emit pending (left row x buffered right group) combinations.
       while (have_left_ && group_pos_ < group_.size()) {
@@ -2126,7 +1934,7 @@ class MergeJoinNode : public ExecNode {
         return true;
       }
       // Advance left.
-      DHQP_ASSIGN_OR_RETURN(bool has, left_->Next(&left_row_));
+      DHQP_ASSIGN_OR_RETURN(bool has, left_input_.Next(&left_row_, 1));
       if (!has) {
         done_ = true;
         return false;
@@ -2142,7 +1950,7 @@ class MergeJoinNode : public ExecNode {
       group_pos_ = 0;
       while (true) {
         if (!right_ahead_) {
-          DHQP_ASSIGN_OR_RETURN(bool rhas, right_->Next(&right_row_));
+          DHQP_ASSIGN_OR_RETURN(bool rhas, right_input_.Next(&right_row_, 1));
           if (!rhas) {
             right_done_ = true;
             break;
@@ -2177,19 +1985,6 @@ class MergeJoinNode : public ExecNode {
     }
   }
 
-  Status Restart() override {
-    DHQP_RETURN_NOT_OK(left_->Restart());
-    DHQP_RETURN_NOT_OK(right_->Restart());
-    left_done_ = right_done_ = false;
-    done_ = false;
-    have_left_ = false;
-    group_.clear();
-    group_pos_ = 0;
-    right_ahead_ = false;
-    return Status::OK();
-  }
-
- private:
   Result<IndexKey> KeyOf(const Row& row, bool left, EvalEnv env) {
     env.row = left ? &row : nullptr;
     env.row2 = left ? nullptr : &row;
@@ -2203,10 +1998,11 @@ class MergeJoinNode : public ExecNode {
 
   std::unique_ptr<ExecNode> left_, right_;
   ExecContext* ctx_;
+  RowCursor left_input_, right_input_;
   Row left_row_, right_row_;
   bool have_left_ = false, right_ahead_ = false;
-  bool left_done_ = false, right_done_ = false;
-  bool done_ = false;  ///< Sticky EOF; post-EOF Next must not touch children.
+  bool right_done_ = false;
+  bool done_ = false;  ///< Sticky EOF; later steps must not touch children.
   std::vector<Row> group_;
   IndexKey group_key_;
   size_t group_pos_ = 0;
@@ -2276,19 +2072,12 @@ class HashAggregateNode : public ExecNode {
     return Aggregate();
   }
 
-  Result<bool> Next(Row* out) override {
-    while (true) {
-      if (pos_ < results_.size()) {
-        *out = results_[pos_++];
-        return true;
-      }
-      if (pending_.empty()) return false;
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    // Spilled partitions are re-aggregated one at a time as the groups
+    // already served run out.
+    while (pos_ >= results_.size() && !pending_.empty()) {
       DHQP_RETURN_NOT_OK(ProcessPendingPartition());
     }
-  }
-
-  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    if (spilled_) return ExecNode::NextBatch(out, max_rows);
     return SliceRows(results_, &pos_, max_rows, out);
   }
 
@@ -2314,7 +2103,6 @@ class HashAggregateNode : public ExecNode {
   Status Aggregate() {
     results_.clear();
     pos_ = 0;
-    spilled_ = false;
     pending_.clear();
     mem_.ReleaseAll();
     mem_.Bind(profile_, ctx_->memory);
@@ -2361,70 +2149,44 @@ class HashAggregateNode : public ExecNode {
       }
       return parts[static_cast<size_t>(SpillPartOf(key, 0))]->Append(row);
     };
-    const int bs = ctx_->options.exec_batch_rows;
-    if (bs > 0) {
-      // Batched input: group positions are resolved once (the row loop pays
-      // a map lookup per group column per row), aggregate arguments are
-      // evaluated column-at-a-time, and the scalar (no GROUP BY) case keeps
-      // a direct pointer to its single accumulator group.
-      std::vector<int> gpos;
-      gpos.reserve(op_->group_by.size());
-      for (int g : op_->group_by) gpos.push_back(child_->col_pos().at(g));
-      std::vector<Accumulator>* scalar_accs = nullptr;
-      if (op_->group_by.empty()) {
-        auto [it, inserted] = groups.try_emplace(IndexKey{});
-        it->second.resize(op_->aggregates.size());
-        scalar_accs = &it->second;
+    // Group positions are resolved once, aggregate arguments are evaluated
+    // column-at-a-time per batch, and the scalar (no GROUP BY) case keeps a
+    // direct pointer to its single accumulator group.
+    std::vector<int> gpos;
+    gpos.reserve(op_->group_by.size());
+    for (int g : op_->group_by) gpos.push_back(child_->col_pos().at(g));
+    std::vector<Accumulator>* scalar_accs = nullptr;
+    if (op_->group_by.empty()) {
+      auto [it, inserted] = groups.try_emplace(IndexKey{});
+      it->second.resize(op_->aggregates.size());
+      scalar_accs = &it->second;
+    }
+    const Value one = Value::Int64(1);  // Placeholder for COUNT(*).
+    RowBatch batch;
+    std::vector<std::vector<Value>> arg_cols(op_->aggregates.size());
+    IndexKey key;
+    while (true) {
+      DHQP_ASSIGN_OR_RETURN(
+          bool has, child_->NextBatch(&batch, ctx_->options.batch_rows()));
+      if (!has) break;
+      for (size_t i = 0; i < op_->aggregates.size(); ++i) {
+        if (op_->aggregates[i].arg == nullptr) continue;
+        arg_cols[i].clear();
+        DHQP_RETURN_NOT_OK(EvalExprBatch(*op_->aggregates[i].arg, env, batch,
+                                         /*sel=*/nullptr, &arg_cols[i]));
       }
-      const Value one = Value::Int64(1);  // Placeholder for COUNT(*).
-      RowBatch batch;
-      std::vector<std::vector<Value>> arg_cols(op_->aggregates.size());
-      IndexKey key;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch, bs));
-        if (!has) break;
-        for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-          if (op_->aggregates[i].arg == nullptr) continue;
-          arg_cols[i].clear();
-          DHQP_RETURN_NOT_OK(EvalExprBatch(*op_->aggregates[i].arg, env,
-                                           batch, /*sel=*/nullptr,
-                                           &arg_cols[i]));
+      for (size_t r = 0; r < batch.rows.size(); ++r) {
+        std::vector<Accumulator>* accs = scalar_accs;
+        if (accs == nullptr) {
+          const Row& row = batch.rows[r];
+          key.clear();
+          for (int p : gpos) key.push_back(row[static_cast<size_t>(p)]);
+          DHQP_RETURN_NOT_OK(accs_for(key, row, &accs));
+          if (accs == nullptr) continue;  // Routed to a spill partition.
         }
-        for (size_t r = 0; r < batch.rows.size(); ++r) {
-          std::vector<Accumulator>* accs = scalar_accs;
-          if (accs == nullptr) {
-            const Row& row = batch.rows[r];
-            key.clear();
-            for (int p : gpos) key.push_back(row[static_cast<size_t>(p)]);
-            DHQP_RETURN_NOT_OK(accs_for(key, row, &accs));
-            if (accs == nullptr) continue;  // Routed to a spill partition.
-          }
-          for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-            const AggregateItem& item = op_->aggregates[i];
-            const Value& v = item.arg != nullptr ? arg_cols[i][r] : one;
-            DHQP_RETURN_NOT_OK(Accumulate(item, v, &(*accs)[i]));
-          }
-        }
-      }
-    } else {
-      Row row;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
-        if (!has) break;
-        env.row = &row;
-        IndexKey key;
-        for (int g : op_->group_by) {
-          key.push_back(row[static_cast<size_t>(child_->col_pos().at(g))]);
-        }
-        std::vector<Accumulator>* accs = nullptr;
-        DHQP_RETURN_NOT_OK(accs_for(key, row, &accs));
-        if (accs == nullptr) continue;  // Routed to a spill partition.
         for (size_t i = 0; i < op_->aggregates.size(); ++i) {
           const AggregateItem& item = op_->aggregates[i];
-          Value v = Value::Int64(1);  // Placeholder for COUNT(*).
-          if (item.arg != nullptr) {
-            DHQP_ASSIGN_OR_RETURN(v, EvalExpr(*item.arg, env));
-          }
+          const Value& v = item.arg != nullptr ? arg_cols[i][r] : one;
           DHQP_RETURN_NOT_OK(Accumulate(item, v, &(*accs)[i]));
         }
       }
@@ -2439,7 +2201,6 @@ class HashAggregateNode : public ExecNode {
       DHQP_RETURN_NOT_OK(p->FinishWrite());
       if (p->rows() > 0) {
         RecordSpill(ctx_, profile_, *p);
-        spilled_ = true;
         pending_.push_back(PendingPart{std::move(p), 0});
       }
     }
@@ -2541,9 +2302,7 @@ class HashAggregateNode : public ExecNode {
   std::vector<Row> results_;
   OperatorMem mem_;
   size_t pos_ = 0;
-  // Grace-spill state.
-  bool spilled_ = false;
-  std::deque<PendingPart> pending_;
+  std::deque<PendingPart> pending_;  ///< Grace partitions not yet served.
 };
 
 // Stream aggregation over input sorted by the group columns.
@@ -2551,25 +2310,43 @@ class StreamAggregateNode : public ExecNode {
  public:
   StreamAggregateNode(PhysicalOpPtr op, std::unique_ptr<ExecNode> child,
                       ExecContext* ctx)
-      : ExecNode(std::move(op)), child_(std::move(child)), ctx_(ctx) {}
+      : ExecNode(std::move(op)),
+        child_(std::move(child)),
+        ctx_(ctx),
+        input_(child_.get()) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(child_->Open());
-    done_ = false;
-    have_pending_ = false;
-    emitted_scalar_ = false;
-    in_batch_.clear();
-    in_pos_ = 0;
+    Reset();
     return Status::OK();
   }
 
-  Result<bool> Next(Row* out) override {
-    if (done_) return false;
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     EvalEnv env;
     env.col_pos = &child_->col_pos();
     env.params = &ctx_->params;
     env.current_date = ctx_->current_date;
+    return FillBatch(out, max_rows,
+                     [&](Row* row) { return NextGroup(env, row); });
+  }
 
+  Status Restart() override {
+    DHQP_RETURN_NOT_OK(child_->Restart());
+    Reset();
+    return Status::OK();
+  }
+
+ private:
+  void Reset() {
+    input_.Reset();
+    done_ = false;
+    have_pending_ = false;
+    emitted_scalar_ = false;
+  }
+
+  /// Accumulates the next run of equal group keys into one output row.
+  Result<bool> NextGroup(EvalEnv& env, Row* out) {
+    if (done_) return false;
     IndexKey current_key;
     std::vector<Accumulator> accs(op_->aggregates.size());
     bool have_group = false;
@@ -2596,7 +2373,8 @@ class StreamAggregateNode : public ExecNode {
     }
     Row row;
     while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has, NextInputRow(&row));
+      DHQP_ASSIGN_OR_RETURN(bool has,
+                            input_.Next(&row, ctx_->options.batch_rows()));
       if (!has) {
         done_ = true;
         break;
@@ -2636,17 +2414,6 @@ class StreamAggregateNode : public ExecNode {
     return true;
   }
 
-  Status Restart() override {
-    DHQP_RETURN_NOT_OK(child_->Restart());
-    done_ = false;
-    have_pending_ = false;
-    emitted_scalar_ = false;
-    in_batch_.clear();
-    in_pos_ = 0;
-    return Status::OK();
-  }
-
- private:
   IndexKey KeyOf(const Row& row) const {
     IndexKey key;
     for (int g : op_->group_by) {
@@ -2655,28 +2422,10 @@ class StreamAggregateNode : public ExecNode {
     return key;
   }
 
-  /// Input pull: batched through in_batch_ when exec_batch_rows > 0 (one
-  /// child NextBatch per batch instead of one virtual Next per row),
-  /// otherwise the classic row pull.
-  Result<bool> NextInputRow(Row* out) {
-    const int bs = ctx_->options.exec_batch_rows;
-    if (bs > 0) {
-      if (in_pos_ >= in_batch_.rows.size()) {
-        DHQP_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_batch_, bs));
-        if (!has) return false;
-        in_pos_ = 0;
-      }
-      *out = std::move(in_batch_.rows[in_pos_++]);
-      return true;
-    }
-    return child_->Next(out);
-  }
-
   std::unique_ptr<ExecNode> child_;
   ExecContext* ctx_;
+  RowCursor input_;
   Row pending_;
-  RowBatch in_batch_;  ///< Batched input buffer, reused across pulls.
-  size_t in_pos_ = 0;
   bool have_pending_ = false;
   bool done_ = false;
   bool emitted_scalar_ = false;
@@ -2699,38 +2448,28 @@ bool IsRemoteOp(PhysicalOpKind kind) {
 }
 
 // Decorator recording actual execution stats for one operator occurrence.
-// Wrapping (instead of instrumenting every node class) keeps the ~20 node
+// Wrapping (instead of instrumenting every node class) keeps the node
 // implementations untouched and guarantees uniform accounting. Timing is
 // inclusive (children are timed inside the parent's interval) and uses
-// fastclock ticks so the per-row cost stays within the observability
-// bench's overhead budget. For remote operators the wrapper also installs
-// the profile's charge sink on the calling thread, so link traffic —
-// including retries and injected faults — lands on exactly this operator.
+// fastclock ticks; every NextBatch call is timed, the batch amortizing the
+// two clock reads. For remote operators the wrapper also installs the
+// profile's charge sink on the calling thread, so link traffic — including
+// retries and injected faults — lands on exactly this operator.
 //
-// The per-row path samples: Next is timed on 1 of every
-// ExecOptions::profile_sample_every calls (rounded down to a power of two)
-// and the estimate is scaled up at flush time (like SQL Server's sampled
-// actual-plan CPU timing) — two RDTSC reads per row per operator would
-// alone blow the <=5% overhead budget on deep plans. The batch path times
-// every NextBatch call instead: the batch amortizes the two clock reads, so
-// timing is exact there, not sampled. Row counts are always exact. Counts
-// accumulate in plain members (each exec node is driven by one thread at a
-// time; parallel Concat branches are distinct nodes) and flush into the
-// shared profile atomics periodically — every NextBatch call, every 64th
-// Next call — so dm_exec_requests reads live, monotonically non-decreasing
-// row counts mid-query; the destructor flushes the remainder plus the
-// sampled-time estimate, which the executor joins/happens-before the
-// profile being rendered.
+// Row and batch counts go to the shared profile atomics on every call, so
+// dm_exec_requests reads live, monotonically non-decreasing row counts
+// mid-query. NextBatch time accumulates in a plain member (each exec node
+// is driven by one thread at a time; parallel Concat branches and exchange
+// workers own distinct nodes) and is flushed by the destructor, which the
+// executor joins/happens-before the profile being rendered.
 class ProfiledNode : public ExecNode {
  public:
-  ProfiledNode(std::unique_ptr<ExecNode> inner, OperatorProfile* profile,
-               int sample_every)
+  ProfiledNode(std::unique_ptr<ExecNode> inner, OperatorProfile* profile)
       : ExecNode(inner->op_ptr()),
         inner_(std::move(inner)),
         prof_(profile),
         sink_(IsRemoteOp(op_->kind) ? &profile->link_charges : nullptr),
-        wait_sink_(IsRemoteOp(op_->kind) ? &profile->wait_tally : nullptr),
-        sample_mask_(FloorPow2(sample_every) - 1) {}
+        wait_sink_(IsRemoteOp(op_->kind) ? &profile->wait_tally : nullptr) {}
 
   ~ProfiledNode() override {
     // The profile tree (owned by ExecContext) outlives the exec tree, so
@@ -2739,14 +2478,7 @@ class ProfiledNode : public ExecNode {
     inner_.reset();
     prof_->close_ticks.fetch_add(fastclock::Ticks() - t0,
                                  std::memory_order_relaxed);
-    FlushLiveCounts();
-    if (timed_calls_ > 0) {
-      // Scale the sampled interval sum to the full call count.
-      prof_->next_ticks.fetch_add(
-          sampled_ticks_ * static_cast<int64_t>(next_calls_) /
-              static_cast<int64_t>(timed_calls_),
-          std::memory_order_relaxed);
-    }
+    prof_->next_ticks.fetch_add(next_ticks_, std::memory_order_relaxed);
   }
 
   Status Open() override {
@@ -2760,40 +2492,17 @@ class ProfiledNode : public ExecNode {
     return st;
   }
 
-  Result<bool> Next(Row* out) override {
-    net::ScopedChargeSink charge(sink_);
-    waits::ScopedOperatorTally waits(wait_sink_);
-    if ((next_calls_++ & sample_mask_) == 0) {
-      const int64_t t0 = fastclock::Ticks();
-      Result<bool> result = inner_->Next(out);
-      sampled_ticks_ += fastclock::Ticks() - t0;
-      ++timed_calls_;
-      if (result.ok() && result.value()) ++rows_;
-      if ((next_calls_ & kLiveFlushMask) == 0) FlushLiveCounts();
-      return result;
-    }
-    Result<bool> result = inner_->Next(out);
-    if (result.ok() && result.value()) ++rows_;
-    if ((next_calls_ & kLiveFlushMask) == 0) FlushLiveCounts();
-    return result;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     net::ScopedChargeSink charge(sink_);
     waits::ScopedOperatorTally waits(wait_sink_);
-    // Every batch call is timed (no sampling): the clock reads amortize
-    // over the whole batch. next_calls_/timed_calls_ feed the same flush
-    // arithmetic, which degenerates to "sum of all intervals" here.
     const int64_t t0 = fastclock::Ticks();
     Result<bool> result = inner_->NextBatch(out, max_rows);
-    sampled_ticks_ += fastclock::Ticks() - t0;
-    ++next_calls_;
-    ++timed_calls_;
-    ++exec_batches_;
-    if (result.ok() && result.value()) {
-      rows_ += static_cast<int64_t>(out->rows.size());
+    next_ticks_ += fastclock::Ticks() - t0;
+    prof_->exec_batches.fetch_add(1, std::memory_order_relaxed);
+    if (result.ok() && *result) {
+      prof_->rows_out.fetch_add(static_cast<int64_t>(out->rows.size()),
+                                std::memory_order_relaxed);
     }
-    FlushLiveCounts();
     return result;
   }
 
@@ -2809,42 +2518,11 @@ class ProfiledNode : public ExecNode {
   }
 
  private:
-  /// Live-monitoring flush cadence for the row-at-a-time path: one pair of
-  /// fetch_adds per 64 rows keeps dm_exec_requests at most 64 rows stale
-  /// per operator without measurable per-row cost.
-  static constexpr uint32_t kLiveFlushMask = 63;
-
-  void FlushLiveCounts() {
-    if (rows_ != 0) {
-      prof_->rows_out.fetch_add(rows_, std::memory_order_relaxed);
-      rows_ = 0;
-    }
-    if (exec_batches_ != 0) {
-      prof_->exec_batches.fetch_add(exec_batches_, std::memory_order_relaxed);
-      exec_batches_ = 0;
-    }
-  }
-
-  /// Largest power of two <= n (1 for n <= 1): sampling uses a bitmask.
-  static uint32_t FloorPow2(int n) {
-    uint32_t p = 1;
-    while (n >= 2) {
-      n >>= 1;
-      p <<= 1;
-    }
-    return p;
-  }
-
   std::unique_ptr<ExecNode> inner_;
   OperatorProfile* prof_;
   net::LinkChargeSink* sink_;  ///< Non-null only for remote operators.
   waits::WaitTally* wait_sink_;  ///< Ditto: link waits land on this operator.
-  uint32_t sample_mask_;       ///< Row-mode Next timing: 1-in-(mask+1).
-  int64_t rows_ = 0;
-  int64_t exec_batches_ = 0;  ///< NextBatch calls served to the consumer.
-  uint32_t next_calls_ = 0;
-  uint32_t timed_calls_ = 0;
-  int64_t sampled_ticks_ = 0;
+  int64_t next_ticks_ = 0;     ///< NextBatch time, flushed on destruction.
 };
 
 // Constructs the bare node for `plan` from already-built children (the
@@ -2978,8 +2656,8 @@ Result<std::unique_ptr<ExecNode>> BuildTreeRec(
         /*partition=*/0));
     if (prof != nullptr) {
       node->set_profile(prof);
-      return std::unique_ptr<ExecNode>(new ProfiledNode(
-          std::move(node), prof, ctx->options.profile_sample_every));
+      return std::unique_ptr<ExecNode>(
+          new ProfiledNode(std::move(node), prof));
     }
     return node;
   }
@@ -3000,8 +2678,7 @@ Result<std::unique_ptr<ExecNode>> BuildTreeRec(
       auto node, BuildNode(plan, std::move(children), ctx, /*frag=*/nullptr));
   if (prof != nullptr) {
     node->set_profile(prof);
-    return std::unique_ptr<ExecNode>(new ProfiledNode(
-        std::move(node), prof, ctx->options.profile_sample_every));
+    return std::unique_ptr<ExecNode>(new ProfiledNode(std::move(node), prof));
   }
   return node;
 }
@@ -3009,9 +2686,8 @@ Result<std::unique_ptr<ExecNode>> BuildTreeRec(
 // Builds one worker's exec-node instance of a fragment subtree, walking the
 // plan and the consumer-built profile tree (BuildProfileRec) in lockstep so
 // every worker's instance of an operator attaches to that operator's ONE
-// shared profile slot — per-instance counters flush additively, and each
-// instance scales its own sampled Next timings by its own call counts
-// before flushing, so the merge never double-counts. `next_exchange`
+// shared profile slot — each instance adds its own counts and times, so the
+// merge never double-counts. `next_exchange`
 // numbers kExchange occurrences in walk order: the registry key under
 // which sibling workers attach to one shared nested segment (every worker
 // walks the same plan in the same order, so ordinals agree). The walk does
@@ -3042,8 +2718,7 @@ Result<std::unique_ptr<ExecNode>> BuildWorkerRec(
   }
   if (prof != nullptr) {
     node->set_profile(prof);
-    return std::unique_ptr<ExecNode>(new ProfiledNode(
-        std::move(node), prof, ctx->options.profile_sample_every));
+    return std::unique_ptr<ExecNode>(new ProfiledNode(std::move(node), prof));
   }
   return node;
 }
@@ -3087,28 +2762,18 @@ Result<std::unique_ptr<VectorRowset>> ExecutePlan(const PhysicalOpPtr& plan,
     schema.AddColumn(ColumnDef{plan->output_names[i], plan->output_types[i],
                                true});
   }
+  // Batch sink: one virtual call per batch; the buffer is reused
+  // (clear-and-refill) across pulls, rows move out of it.
   std::vector<Row> rows;
-  const int bs = ctx->options.exec_batch_rows;
-  if (bs > 0) {
-    // Batch sink: one virtual call per batch; the buffer is reused
-    // (clear-and-refill) across pulls, rows move out of it.
-    RowBatch batch;
-    while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has, root->NextBatch(&batch, bs));
-      if (!has) break;
-      ctx->stats.exec_batches++;
-      ctx->stats.exec_batch_rows += static_cast<int64_t>(batch.rows.size());
-      ctx->stats.rows_output += static_cast<int64_t>(batch.rows.size());
-      for (Row& r : batch.rows) rows.push_back(std::move(r));
-    }
-  } else {
-    Row row;
-    while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has, root->Next(&row));
-      if (!has) break;
-      rows.push_back(row);
-      ctx->stats.rows_output++;
-    }
+  RowBatch batch;
+  while (true) {
+    DHQP_ASSIGN_OR_RETURN(
+        bool has, root->NextBatch(&batch, ctx->options.batch_rows()));
+    if (!has) break;
+    ctx->stats.exec_batches++;
+    ctx->stats.exec_batch_rows += static_cast<int64_t>(batch.rows.size());
+    ctx->stats.rows_output += static_cast<int64_t>(batch.rows.size());
+    for (Row& r : batch.rows) rows.push_back(std::move(r));
   }
   return std::make_unique<VectorRowset>(std::move(schema), std::move(rows));
 }

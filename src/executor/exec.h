@@ -41,8 +41,7 @@ struct ExecStats {
   std::atomic<int64_t> spool_rescans{0};  ///< Rescans served from spools.
   std::atomic<int64_t> rows_output{0};
   std::atomic<int64_t> exec_batches{0};    ///< Batches the top-level sink
-                                           ///< pulled (0 in row-at-a-time
-                                           ///< mode).
+                                           ///< pulled.
   std::atomic<int64_t> exec_batch_rows{0};  ///< Rows delivered through those
                                             ///< batches; ratio to
                                             ///< exec_batches gives the
@@ -118,22 +117,15 @@ struct ExecOptions {
   /// Rows per block fetch (Rowset::NextBatch) on remote streams — the
   /// IRowset::GetNextRows cRows argument.
   int remote_batch_rows = 512;
-  /// Rows per batch in the *local* executor: when > 0 every operator with a
-  /// native batch path streams RowBatches through ExecNode::NextBatch and
-  /// predicates/scalars evaluate over whole batches (selection vectors),
-  /// amortizing the per-row virtual dispatch the Volcano model pays.
-  /// 0 = classic row-at-a-time Next(), preserved bit-for-bit for A/B runs.
-  /// Results are identical either way (the batch differential suite holds
-  /// this); remote block-fetch granularity stays remote_batch_rows.
+  /// Rows per batch in the *local* executor: operators stream RowBatches of
+  /// up to this many rows through ExecNode::NextBatch, and predicates and
+  /// scalars evaluate over whole batches (selection vectors), amortizing the
+  /// per-row virtual dispatch of the Volcano model. The same size is the
+  /// publish unit of exchange producers and parallel Concat workers.
+  /// Results are identical at every size (the batch differential suite
+  /// holds this); remote block-fetch granularity stays remote_batch_rows.
+  /// Values below 1 mean one-row batches (see batch_rows()).
   int exec_batch_rows = 1024;
-  /// Rows a parallel Concat worker buffers locally before publishing to the
-  /// consumer queue, keeping queue synchronization off the per-row path.
-  int concat_worker_batch_rows = 64;
-  /// Sample rate for per-operator Next()-call timing in row-at-a-time mode
-  /// (1 of every N calls is RDTSC-timed and scaled back up); rounded down
-  /// to a power of two. Batch mode times every NextBatch call instead —
-  /// the batch amortizes the clock reads. Must be >= 1.
-  int profile_sample_every = 16;
   /// Batches buffered ahead of the consumer (double buffering and beyond).
   int prefetch_queue_depth = 4;
   /// Max Concat branches (partitioned-view members) drained concurrently;
@@ -151,6 +143,9 @@ struct ExecOptions {
   /// behind EXPLAIN ANALYZE. Cheap (RDTSC-based timing, relaxed atomics)
   /// but not free; the observability bench measures the overhead.
   bool collect_operator_stats = true;
+
+  /// exec_batch_rows clamped to a usable batch size (>= 1).
+  int batch_rows() const { return exec_batch_rows > 0 ? exec_batch_rows : 1; }
 };
 
 /// Shared execution state for one query. Not copyable (warnings_mu);
@@ -192,9 +187,9 @@ struct ExecContext {
   int spill_depth_cap = 4;
 };
 
-/// A Volcano-style executor node: Open() prepares, Next() streams rows,
-/// Restart() rewinds (re-evaluating correlation parameters — the mechanism
-/// behind parameterized remote queries).
+/// A batch-at-a-time executor node: Open() prepares, NextBatch() streams
+/// rows, Restart() rewinds (re-evaluating correlation parameters — the
+/// mechanism behind parameterized remote queries).
 class ExecNode {
  public:
   explicit ExecNode(PhysicalOpPtr op) : op_(std::move(op)) {
@@ -205,22 +200,12 @@ class ExecNode {
   virtual ~ExecNode() = default;
 
   virtual Status Open() = 0;
-  virtual Result<bool> Next(Row* out) = 0;
+  /// Fills `out` (cleared first) with up to `max_rows` rows. Same contract
+  /// as Rowset::NextBatch — false only at end of data (out left empty); a
+  /// partial batch returns true. A failing call surfaces no rows. Open and
+  /// Restart reset any rows an operator buffered from its children.
+  virtual Result<bool> NextBatch(RowBatch* out, int max_rows) = 0;
   virtual Status Restart() = 0;
-
-  /// Batch-at-a-time pull: fills `out` (cleared first) with up to `max_rows`
-  /// rows. Same contract as Rowset::NextBatch — false only at end of data
-  /// (out left empty); a partial batch returns true. The default loops
-  /// Next(), so every operator works unmodified under a batching consumer;
-  /// hot operators override it with native batch paths. A consumer must
-  /// drive a given child through either Next or NextBatch between rewinds,
-  /// not both interleaved (Open/Restart reset any internal batch buffers).
-  /// A mid-batch error from Next() is deferred: the rows collected so far
-  /// are returned and the error surfaces on the following call — exactly
-  /// the order a row-at-a-time consumer observes it in, which is what keeps
-  /// error-handling decisions (e.g. Concat's member-skip rule) independent
-  /// of the batch size.
-  virtual Result<bool> NextBatch(RowBatch* out, int max_rows);
 
   const PhysicalOp& op() const { return *op_; }
   /// Shared plan node (the profiling wrapper shares its inner node's op).
@@ -234,14 +219,43 @@ class ExecNode {
   OperatorProfile* profile() const { return profile_; }
 
  protected:
+  /// NextBatch for operators that produce one row at a time — join and
+  /// stream-aggregate state machines, spill-file merges, bookmark fetches,
+  /// and remote cursors whose wire cadence must stay the provider's own.
+  /// Calls `next_row(Row*) -> Result<bool>` until `max_rows` rows are
+  /// collected or it reports end of data. A mid-batch error is deferred:
+  /// the rows collected so far are returned and the error surfaces on the
+  /// following call, so rows and errors reach the consumer in the same
+  /// order at every batch size — which keeps decisions such as Concat's
+  /// member-skip rule independent of the batch size.
+  template <typename NextRow>
+  Result<bool> FillBatch(RowBatch* out, int max_rows, NextRow&& next_row) {
+    out->clear();
+    if (!deferred_status_.ok()) {
+      Status st = std::move(deferred_status_);
+      deferred_status_ = Status::OK();
+      return st;
+    }
+    Row row;
+    while (static_cast<int>(out->rows.size()) < max_rows) {
+      Result<bool> has = next_row(&row);
+      if (!has.ok()) {
+        if (out->rows.empty()) return has.status();
+        deferred_status_ = has.status();
+        return true;
+      }
+      if (!*has) break;
+      out->rows.push_back(std::move(row));
+    }
+    return !out->rows.empty();
+  }
+
   PhysicalOpPtr op_;
   std::map<int, int> col_pos_;
   OperatorProfile* profile_ = nullptr;
 
  private:
-  /// Error raised by Next() mid-way through a default NextBatch fill,
-  /// surfaced on the following call (see NextBatch).
-  Status deferred_batch_status_;
+  Status deferred_status_;  ///< Mid-batch error held back by FillBatch.
 };
 
 /// Builds an executable tree from a physical plan.

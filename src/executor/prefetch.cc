@@ -205,7 +205,8 @@ Result<bool> PrefetchingRowset::NextBatch(RowBatch* out, int max_rows) {
     return true;
   }
   // The consumer asked for less than is buffered (or resumes mid-batch
-  // after a row-mode pull): hand out exactly max_rows and keep the tail.
+  // after a one-row Next pull): hand out exactly max_rows and keep the
+  // tail.
   const size_t take = std::min(avail, static_cast<size_t>(max_rows));
   out->rows.reserve(take);
   for (size_t i = 0; i < take; ++i) {

@@ -62,11 +62,9 @@ inline int64_t RowMemBytes(const Row& row) {
 /// subplans, so profiles hang off the exec tree, not the plan). Counters
 /// are atomic: parallel Concat branches and prefetch producer threads
 /// update an operator's profile concurrently with the consumer. Times are
-/// accumulated in fastclock ticks (cheap per-row) and converted to ns on
-/// read; they are *inclusive* — a parent's Next time contains its
-/// children's, like Showplan subtree costs. Next-call time is *sampled*
-/// (1-in-N calls timed, scaled back up at flush), so `next_ticks` is an
-/// estimate; row/open/restart counts are always exact.
+/// accumulated in fastclock ticks and converted to ns on read; they are
+/// *inclusive* — a parent's NextBatch time contains its children's, like
+/// Showplan subtree costs. Every call is timed and every count is exact.
 struct OperatorProfile {
   int id = 0;                ///< Pre-order operator id; matches EXPLAIN.
   std::string name;          ///< PhysicalOp::Describe() snapshot.
@@ -77,10 +75,9 @@ struct OperatorProfile {
   std::atomic<int64_t> rows_out{0};
   std::atomic<int64_t> batches{0};   ///< Remote block fetches delivered here.
   std::atomic<int64_t> exec_batches{0};  ///< Local executor NextBatch calls
-                                         ///< served (0 in row-at-a-time
-                                         ///< mode); distinct from `batches`,
-                                         ///< which counts remote wire
-                                         ///< blocks.
+                                         ///< served; distinct from
+                                         ///< `batches`, which counts remote
+                                         ///< wire blocks.
   std::atomic<int64_t> opens{0};
   std::atomic<int64_t> restarts{0};  ///< Rescans (rewinds) of this operator.
   std::atomic<int64_t> open_ticks{0};

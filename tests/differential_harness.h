@@ -6,7 +6,8 @@
 // mode-invariant surface agrees: result multiset, warnings, outcome code,
 // and the stats that must not depend on how the plan was driven. Used by
 // the batch-size suite (batch_exec_test.cc), the DOP suite
-// (exchange_exec_test.cc), and the chaos schedules (dop x fault replay).
+// (exchange_exec_test.cc), the spill and wait suites, and the optimizer
+// ablation suite (differential_test.cc, through the query generator).
 
 #include <algorithm>
 #include <string>
@@ -41,10 +42,10 @@ inline std::string JoinWarnings(const QueryResult& r) {
 }
 
 /// One execution mode of the differential cross: parallelism degree and
-/// local batch size.
+/// local batch size (the production default unless a suite varies it).
 struct ExecMode {
   int dop = 1;
-  int batch_rows = 0;
+  int batch_rows = ExecOptions{}.exec_batch_rows;
 
   std::string Label() const {
     return "dop=" + std::to_string(dop) +
@@ -105,7 +106,7 @@ inline Observation Observe(Engine* host, const std::string& sql,
   return obs;
 }
 
-/// Back-compat entry point for the batch suite: serial, vary batch size.
+/// Serial execution at one batch size (the batch suite's axis).
 inline Observation Observe(Engine* host, const std::string& sql,
                            int batch_rows) {
   return Observe(host, sql, ExecMode{/*dop=*/1, batch_rows});
@@ -175,9 +176,9 @@ struct QuerySource {
 /// Seeded generator of distributed queries over a pool of tables that all
 /// share an integer join column `a`: random joins on `a`, random range
 /// predicates with constants in [0, max_const], occasional GROUP BY
-/// aggregates. Same shape as the optimizer differential suite. Only integer
-/// columns are touched, so results are exact under any evaluation order —
-/// what makes the fingerprints comparable across dop.
+/// aggregates. Only integer columns are touched, so results are exact
+/// under any evaluation order — what makes the fingerprints comparable
+/// across plans, dop, batch sizes and memory budgets.
 class DifferentialQueryGenerator {
  public:
   DifferentialQueryGenerator(uint64_t seed, std::vector<QuerySource> pool,

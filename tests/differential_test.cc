@@ -5,96 +5,14 @@
 // broadest correctness net over the optimizer/executor/decoder stack:
 // whatever plan shape wins, the answer must not change.
 
-#include <algorithm>
+#include <set>
 
 #include "src/common/rng.h"
+#include "tests/differential_harness.h"
 #include "tests/test_util.h"
 
 namespace dhqp {
 namespace {
-
-class QueryGenerator {
- public:
-  explicit QueryGenerator(uint64_t seed) : rng_(seed) {}
-
-  std::string Next() {
-    // FROM: one to three of {t1, t2 (local), rsrv...r (remote)}.
-    struct Src {
-      const char* sql;
-      const char* alias;
-    };
-    std::vector<Src> pool = {{"t1", "t1"}, {"t2", "t2"},
-                             {"rsrv.db.dbo.r", "r"}};
-    int n = static_cast<int>(rng_.Uniform(1, 3));
-    std::vector<Src> from;
-    for (int i = 0; i < n; ++i) {
-      from.push_back(pool[static_cast<size_t>(rng_.Uniform(0, 2))]);
-      // Deduplicate aliases.
-      for (int j = 0; j < i; ++j) {
-        if (std::string(from.back().alias) == from[static_cast<size_t>(j)].alias) {
-          from.pop_back();
-          --i;
-          break;
-        }
-      }
-      n = std::min<int>(n, 3);
-    }
-
-    std::string sql = "SELECT ";
-    bool aggregate = rng_.Uniform(0, 3) == 0;
-    std::string group_col = std::string(from[0].alias) + ".a";
-    if (aggregate) {
-      sql += group_col + ", COUNT(*), SUM(" + from[0].alias + ".a)";
-    } else {
-      sql += "*";
-    }
-    sql += " FROM ";
-    for (size_t i = 0; i < from.size(); ++i) {
-      if (i) sql += ", ";
-      sql += std::string(from[i].sql) + " " +
-             (std::string(from[i].alias) == from[i].sql ? "" : from[i].alias);
-    }
-    // WHERE: join conjuncts chaining on `a` plus random range predicates.
-    std::vector<std::string> conjuncts;
-    for (size_t i = 1; i < from.size(); ++i) {
-      conjuncts.push_back(std::string(from[i - 1].alias) + ".a = " +
-                          from[i].alias + ".a");
-    }
-    int preds = static_cast<int>(rng_.Uniform(0, 2));
-    for (int i = 0; i < preds; ++i) {
-      const Src& src = from[static_cast<size_t>(
-          rng_.Uniform(0, static_cast<int64_t>(from.size()) - 1))];
-      const char* ops[] = {"<", "<=", ">", ">=", "=", "<>"};
-      conjuncts.push_back(std::string(src.alias) + ".a " +
-                          ops[rng_.Uniform(0, 5)] + " " +
-                          std::to_string(rng_.Uniform(0, 120)));
-    }
-    if (!conjuncts.empty()) {
-      sql += " WHERE ";
-      for (size_t i = 0; i < conjuncts.size(); ++i) {
-        if (i) sql += " AND ";
-        sql += conjuncts[i];
-      }
-    }
-    if (aggregate) {
-      sql += " GROUP BY " + group_col;
-    }
-    return sql;
-  }
-
- private:
-  Rng rng_;
-};
-
-// Sorted multiset fingerprint of a result.
-std::string Fingerprint(const QueryResult& r) {
-  std::vector<std::string> rows;
-  for (const Row& row : r.rowset->rows()) rows.push_back(RowToString(row));
-  std::sort(rows.begin(), rows.end());
-  std::string out;
-  for (const std::string& s : rows) out += s + "\n";
-  return out;
-}
 
 OptimizerOptions EverythingOff() {
   OptimizerOptions off;
@@ -145,7 +63,9 @@ TEST_P(DifferentialTest, FullVsAblatedOptimizerAgree) {
   fill(&host, "t2", 40, 2);
   fill(remote.engine.get(), "r", 80, 2);
 
-  QueryGenerator generator(GetParam());
+  // FROM: one to three of {t1, t2 (local), rsrv...r (remote)}.
+  DifferentialQueryGenerator generator(
+      GetParam(), {{"t1", "t1"}, {"t2", "t2"}, {"rsrv.db.dbo.r", "r"}});
   for (int q = 0; q < 25; ++q) {
     std::string sql = generator.Next();
     host.options()->optimizer = OptimizerOptions{};

@@ -1,7 +1,8 @@
 // DOP-differential coverage for intra-query parallelism: every query runs
-// under dop in {1, 2, 8} x exec_batch_rows in {0, 1024} and must produce
-// identical result multisets, warnings, and outcomes — with dop=1/batch=0
-// (the exact pre-PR serial executor) as the baseline. The corpus is
+// under dop in {1, 2, 8} x exec_batch_rows in {3, 1024} and must produce
+// identical result multisets, warnings, and outcomes — with the serial
+// executor at the default batch size as the baseline. Three-row batches
+// push many small batches through the exchange queues. The corpus is
 // integer-only so results are exact under any evaluation order; tables are
 // sized past the optimizer's exchange break-even so dop>1 actually chooses
 // parallel plans (asserted, not assumed). Also covers: serial plans at
@@ -21,8 +22,9 @@
 namespace dhqp {
 namespace {
 
+// The first mode is the baseline.
 const ExecMode kModes[] = {
-    {1, 0}, {1, 1024}, {2, 0}, {2, 1024}, {8, 0}, {8, 1024},
+    {1, 1024}, {1, 3}, {2, 3}, {2, 1024}, {8, 3}, {8, 1024},
 };
 
 constexpr int kBig1Rows = 8000;
@@ -78,10 +80,10 @@ const char* kCorpus[] = {
 TEST_F(ExchangeExecTest, CorpusIsDopAndBatchSizeInvariant) {
   bool any_parallel_plan = false;
   for (const char* sql : kCorpus) {
-    Observation base = Observe(&host_, sql, ExecMode{1, 0});
+    Observation base = Observe(&host_, sql, kModes[0]);
     EXPECT_EQ(base.exchange_ops, 0) << sql << " (dop=1 plan must be serial)";
-    for (const ExecMode& mode : kModes) {
-      if (mode.dop == 1 && mode.batch_rows == 0) continue;
+    for (size_t m = 1; m < std::size(kModes); ++m) {
+      const ExecMode& mode = kModes[m];
       Observation obs = Observe(&host_, sql, mode);
       ExpectEquivalent(base, obs, sql, mode.Label());
       if (mode.dop == 1) {
@@ -143,9 +145,9 @@ TEST_P(ExchangeDifferentialTest, GeneratedQueriesAgreeAcrossDopAndBatch) {
       /*max_const=*/kBig1Rows);
   for (int q = 0; q < 12; ++q) {
     std::string sql = generator.Next();
-    Observation base = Observe(&host, sql, ExecMode{1, 0});
-    for (const ExecMode& mode : kModes) {
-      if (mode.dop == 1 && mode.batch_rows == 0) continue;
+    Observation base = Observe(&host, sql, kModes[0]);
+    for (size_t m = 1; m < std::size(kModes); ++m) {
+      const ExecMode& mode = kModes[m];
       Observation obs = Observe(&host, sql, mode);
       // Remote row counts may differ only through semi-join early
       // termination, which the generator never produces — but plan shape

@@ -1,7 +1,7 @@
 // Direct executor-node tests: construct physical operators by hand and
-// drive them through Open/Next/Restart — independent of the optimizer's
-// plan choices (merge join with duplicate runs, spool rescan behaviour,
-// startup-filter gating, sort stability).
+// drive them through Open/NextBatch/Restart — independent of the
+// optimizer's plan choices (merge join with duplicate runs, spool rescan
+// behaviour, startup-filter gating, sort stability).
 
 #include "tests/test_util.h"
 
@@ -24,6 +24,19 @@ PhysicalOpBuilder ConstLeaf(std::vector<int> cols,
 }
 
 Row R2(int64_t a, int64_t b) { return {Value::Int64(a), Value::Int64(b)}; }
+
+// Drains an opened node in small batches.
+std::vector<Row> Drain(ExecNode* node) {
+  std::vector<Row> rows;
+  RowBatch batch;
+  while (true) {
+    auto has = node->NextBatch(&batch, /*max_rows=*/2);
+    EXPECT_TRUE(has.ok()) << has.status().ToString();
+    if (!has.ok() || !*has) break;
+    for (Row& row : batch.rows) rows.push_back(std::move(row));
+  }
+  return rows;
+}
 
 class ExecNodesTest : public ::testing::Test {
  protected:
@@ -118,19 +131,15 @@ TEST_F(ExecNodesTest, StartupFilterGatesAndReevaluates) {
   auto node = BuildExecTree(guard, &ctx_);
   ASSERT_TRUE(node.ok());
   ASSERT_OK((*node)->Open());
-  Row row;
-  auto next = (*node)->Next(&row);
-  ASSERT_TRUE(next.ok());
-  EXPECT_FALSE(*next);  // Guard false: child never produces.
+  EXPECT_TRUE(Drain(node->get()).empty());  // Guard false: child never runs.
   EXPECT_EQ(ctx_.stats.startup_skips, 1);
 
   // Restart with a passing parameter (what NL correlation does).
   ctx_.params["@p"] = Value::Int64(9);
   ASSERT_OK((*node)->Restart());
-  next = (*node)->Next(&row);
-  ASSERT_TRUE(next.ok());
-  EXPECT_TRUE(*next);
-  EXPECT_EQ(RowToString(row), "(1, 10)");
+  std::vector<Row> rows = Drain(node->get());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(RowToString(rows[0]), "(1, 10)");
 }
 
 TEST_F(ExecNodesTest, SpoolServesRescansFromMaterialization) {
@@ -144,15 +153,10 @@ TEST_F(ExecNodesTest, SpoolServesRescansFromMaterialization) {
   auto node = BuildExecTree(spool, &ctx_);
   ASSERT_TRUE(node.ok());
   ASSERT_OK((*node)->Open());
-  Row row;
-  int count = 0;
-  while (*(*node)->Next(&row)) ++count;
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(Drain(node->get()).size(), 2u);
   ASSERT_OK((*node)->Restart());
   EXPECT_EQ(ctx_.stats.spool_rescans, 1);
-  count = 0;
-  while (*(*node)->Next(&row)) ++count;
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(Drain(node->get()).size(), 2u);
 }
 
 TEST_F(ExecNodesTest, TopBoundsOutput) {

@@ -590,9 +590,9 @@ TEST_F(DegradationTest, KnobOnSkipsUnreachableMemberAndReports) {
 TEST_F(DegradationTest, KnobOnStillFailsWhenMemberDiesMidStream) {
   // The member answers the open + first block, then the link dies: rows
   // already surfaced cannot be retracted, so skipping would be a silent
-  // partial — the query must fail even with the knob on.
+  // partial — the query must fail even with the knob on, whether members
+  // run sequentially or on parallel Concat workers.
   host_.options()->execution.skip_unreachable_members = true;
-  host_.options()->execution.concat_dop = 1;
   host_.options()->execution.enable_remote_prefetch = false;
   // Grow the member past one wire block (64 rows) so the scan spans several
   // settles: ordinal 0 is the open/execute message, ordinal 1 the first
@@ -604,11 +604,14 @@ TEST_F(DegradationTest, KnobOnStillFailsWhenMemberDiesMidStream) {
                 "INSERT INTO part (id, v) VALUES (" +
                     std::to_string(1000 + i) + ", " + std::to_string(i) + ")");
   }
-  servers_[1].injector->Reset();
-  servers_[1].injector->LinkDownAfter(2);
-  auto result = host_.Execute(kQuery);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNetworkError);
+  for (int dop : {1, 4}) {
+    host_.options()->execution.concat_dop = dop;
+    servers_[1].injector->Reset();
+    servers_[1].injector->LinkDownAfter(2);
+    auto result = host_.Execute(kQuery);
+    ASSERT_FALSE(result.ok()) << "dop=" << dop;
+    EXPECT_EQ(result.status().code(), StatusCode::kNetworkError);
+  }
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ void ApplyBudget(Engine* engine, const BudgetMode& mode) {
   engine->options()->max_grant_per_query_bytes = mode.per_query;
 }
 
-const ExecMode kModes[] = {{1, 0}, {1, 1024}, {4, 0}, {4, 1024}};
+const ExecMode kModes[] = {{1, 3}, {1, 1024}, {4, 3}, {4, 1024}};
 
 constexpr int kBig1Rows = 8000;
 constexpr int kBig2Rows = 6000;
@@ -156,12 +156,11 @@ const char* kCorpus[] = {
 };
 
 TEST_F(SpillExecTest, CorpusIsBudgetInvariant) {
-  // Baseline: unlimited memory, serial, row-at-a-time — the exact pre-PR
-  // executor.
+  // Baseline: unlimited memory, serial, default batch size.
   std::vector<Observation> baseline;
   ApplyBudget(&host_, kUnlimited);
   for (const char* sql : kCorpus) {
-    baseline.push_back(Observe(&host_, sql, ExecMode{1, 0}));
+    baseline.push_back(Observe(&host_, sql, ExecMode{}));
     EXPECT_TRUE(baseline.back().ok) << sql;
   }
 
@@ -179,7 +178,7 @@ TEST_F(SpillExecTest, CorpusIsBudgetInvariant) {
     // The budget run was not vacuous: re-drive the corpus serially and
     // demand real spill activity under this regime.
     host_.options()->execution.dop = 1;
-    host_.options()->execution.exec_batch_rows = 0;
+    host_.options()->execution.exec_batch_rows = ExecMode{}.batch_rows;
     int64_t spills = 0;
     int64_t spill_bytes = 0;
     int64_t spill_waits = 0;
@@ -209,13 +208,13 @@ TEST_F(SpillExecTest, GeneratedQueriesAgreeAcrossBudgets) {
     for (int i = 0; i < 8; ++i) {
       const std::string sql = gen.Next();
       ApplyBudget(&host_, kUnlimited);
-      Observation base = Observe(&host_, sql, ExecMode{1, 0});
+      Observation base = Observe(&host_, sql, ExecMode{});
       for (const BudgetMode& bm : kBudgets) {
         ApplyBudget(&host_, bm);
         for (int dop : {1, 4}) {
           const std::string label =
               std::string(bm.label) + " dop=" + std::to_string(dop);
-          Observation obs = Observe(&host_, sql, ExecMode{dop, 0});
+          Observation obs = Observe(&host_, sql, ExecMode{dop});
           ExpectEquivalent(base, obs, sql, label);
           ExpectWaitsSane(obs, sql, label);
         }

@@ -189,7 +189,6 @@ class WaitsTest : public ::testing::Test {
 TEST_F(WaitsTest, ChaosDop4ReportsWaitsInDmOsWaitStats) {
   waits::ResetGlobal();
   host_.options()->execution.dop = 4;
-  host_.options()->execution.exec_batch_rows = 1024;
   host_.options()->execution.enable_remote_prefetch = true;
   // Make the prefetch queue the bottleneck: a depth-1 queue fed in small
   // batches forces a genuine producer/consumer handoff on (nearly) every
@@ -439,17 +438,16 @@ TEST_F(WaitsTest, WorkerThreadsNameTheirTraceTracks) {
 // ---------------------------------------------------------------------------
 
 TEST_F(WaitsTest, WaitAccountingIsSaneAcrossDopAndBatchModes) {
-  const ExecMode modes[] = {{1, 0}, {1, 1024}, {4, 0}, {4, 1024}};
+  const ExecMode modes[] = {{1, 3}, {4, 3}, {4, 1024}};
   const char* corpus[] = {
       "SELECT b, COUNT(*), SUM(c) FROM big1 GROUP BY b",
       "SELECT big1.b, COUNT(*) FROM big1 JOIN rsrv.db.dbo.r rr "
       "ON big1.a = rr.a GROUP BY big1.b",
   };
   for (const char* sql : corpus) {
-    Observation base = Observe(&host_, sql, ExecMode{1, 0});
-    ExpectWaitsSane(base, sql, "dop=1 exec_batch_rows=0");
+    Observation base = Observe(&host_, sql, ExecMode{});
+    ExpectWaitsSane(base, sql, ExecMode{}.Label());
     for (const ExecMode& mode : modes) {
-      if (mode.dop == 1 && mode.batch_rows == 0) continue;
       Observation obs = Observe(&host_, sql, mode);
       ExpectEquivalent(base, obs, sql, mode.Label(),
                        /*compare_remote_rows=*/false);
