@@ -8,7 +8,6 @@
 #include <memory>
 #include <string>
 
-#include "src/common/metrics.h"
 #include "src/connectors/engine_provider.h"
 #include "src/connectors/linked_provider.h"
 #include "src/core/engine.h"
@@ -84,17 +83,6 @@ inline void AppendBenchRecord(const std::string& bench,
                 static_cast<long long>(stats.rows),
                 static_cast<long long>(stats.bytes));
   AppendJsonRecord("BENCH_remote.json", bench, case_name, wall_ms, extra);
-}
-
-/// Metrics-backed record: embeds a full metrics::Registry snapshot so a
-/// bench case's counters/histograms (exec.*, link.*, engine.*) land in the
-/// same record as its wall time. Call metrics::Registry::Global().ResetAll()
-/// before the measured section for a per-case snapshot.
-inline void AppendMetricsRecord(const std::string& file,
-                                const std::string& bench,
-                                const std::string& case_name, double wall_ms) {
-  AppendJsonRecord(file, bench, case_name, wall_ms,
-                   "\"metrics\":" + metrics::Registry::Global().SnapshotJson());
 }
 
 /// Fixture cache: benchmarks with Args() re-enter the same function; heavy

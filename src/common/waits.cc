@@ -1,6 +1,5 @@
 #include "src/common/waits.h"
 
-#include <atomic>
 #include <mutex>
 #include <string>
 
@@ -17,8 +16,6 @@ constexpr const char* kNames[kNumWaitTypes] = {
     "PLAN_CACHE_MUTEX",    "QUERY_STORE_MUTEX",  "RESOURCE_SEMAPHORE",
     "SPILL_IO",
 };
-
-std::atomic<bool> g_enabled{true};
 
 thread_local WaitTally* t_query_tally = nullptr;
 
@@ -66,25 +63,12 @@ WaitTotals Snapshot(const WaitTally& tally) {
   return out;
 }
 
-void SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
 void RecordWait(WaitType type, int64_t elapsed_ticks, WaitTally* op) {
-#ifdef DHQP_DISABLE_WAITS
-  (void)type;
-  (void)elapsed_ticks;
-  (void)op;
-#else
-  if (!Enabled()) return;
   if (elapsed_ticks < 0) elapsed_ticks = 0;
   GlobalHistograms()[static_cast<int>(type)]->Observe(
       fastclock::ToNs(elapsed_ticks));
   if (t_query_tally != nullptr) t_query_tally->Add(type, elapsed_ticks);
   if (op != nullptr) op->Add(type, elapsed_ticks);
-#endif
 }
 
 ScopedQueryTally::ScopedQueryTally(WaitTally* tally) : prev_(t_query_tally) {

@@ -96,12 +96,6 @@ struct WaitTotals {
 
 WaitTotals Snapshot(const WaitTally& tally);
 
-/// Runtime kill switch (on by default). When off, RecordWait is a no-op —
-/// the bench_waits gate compares enabled vs disabled to bound the
-/// instrumentation overhead. Compile out entirely with -DDHQP_DISABLE_WAITS.
-void SetEnabled(bool enabled);
-bool Enabled();
-
 /// Charges one completed wait of `type` lasting `elapsed_ticks` fastclock
 /// ticks to (a) the global per-type histogram in metrics::Registry, (b) the
 /// calling thread's installed per-query tally, and (c) `op` when non-null

@@ -211,6 +211,76 @@ OptimizerContext Engine::MakeOptimizerContext(ColumnRegistry* registry) {
   return ctx;
 }
 
+// Publishes one statement's ExecStats into the process-wide metrics
+// registry ("exec.*"). Instrument pointers are resolved once (registrations
+// are permanent).
+static void PublishExecMetrics(const ExecStats& stats) {
+  struct Instruments {
+    metrics::Counter* rows_output;
+    metrics::Counter* rows_from_remote;
+    metrics::Counter* remote_commands;
+    metrics::Counter* remote_opens;
+    metrics::Counter* remote_fetches;
+    metrics::Counter* remote_batches;
+    metrics::Counter* prefetch_stalls;
+    metrics::Counter* startup_skips;
+    metrics::Counter* partitions_opened;
+    metrics::Counter* parallel_branches;
+    metrics::Counter* exchange_batches;
+    metrics::Counter* spool_rescans;
+    metrics::Counter* exec_batches;
+    metrics::Counter* remote_retries;
+    metrics::Counter* remote_timeouts;
+    metrics::Counter* faults_injected;
+    metrics::Counter* members_skipped;
+    metrics::Counter* spills;
+    metrics::Counter* spill_bytes;
+  };
+  static const Instruments in = [] {
+    metrics::Registry& reg = metrics::Registry::Global();
+    Instruments i;
+    i.rows_output = reg.GetCounter("exec.rows_output");
+    i.rows_from_remote = reg.GetCounter("exec.rows_from_remote");
+    i.remote_commands = reg.GetCounter("exec.remote_commands");
+    i.remote_opens = reg.GetCounter("exec.remote_opens");
+    i.remote_fetches = reg.GetCounter("exec.remote_fetches");
+    i.remote_batches = reg.GetCounter("exec.remote_batches");
+    i.prefetch_stalls = reg.GetCounter("exec.prefetch_stalls");
+    i.startup_skips = reg.GetCounter("exec.startup_skips");
+    i.partitions_opened = reg.GetCounter("exec.partitions_opened");
+    i.parallel_branches = reg.GetCounter("exec.parallel_branches");
+    i.exchange_batches = reg.GetCounter("exec.exchange_batches");
+    i.spool_rescans = reg.GetCounter("exec.spool_rescans");
+    i.exec_batches = reg.GetCounter("exec.batches");
+    i.remote_retries = reg.GetCounter("exec.remote_retries");
+    i.remote_timeouts = reg.GetCounter("exec.remote_timeouts");
+    i.faults_injected = reg.GetCounter("exec.faults_injected");
+    i.members_skipped = reg.GetCounter("exec.members_skipped");
+    i.spills = reg.GetCounter("exec.spills");
+    i.spill_bytes = reg.GetCounter("exec.spill_bytes");
+    return i;
+  }();
+  in.rows_output->Add(stats.rows_output);
+  in.rows_from_remote->Add(stats.rows_from_remote);
+  in.remote_commands->Add(stats.remote_commands);
+  in.remote_opens->Add(stats.remote_opens);
+  in.remote_fetches->Add(stats.remote_fetches);
+  in.remote_batches->Add(stats.remote_batches);
+  in.prefetch_stalls->Add(stats.prefetch_stalls);
+  in.startup_skips->Add(stats.startup_skips);
+  in.partitions_opened->Add(stats.partitions_opened);
+  in.parallel_branches->Add(stats.parallel_branches);
+  in.exchange_batches->Add(stats.exchange_batches);
+  in.spool_rescans->Add(stats.spool_rescans);
+  in.exec_batches->Add(stats.exec_batches);
+  in.remote_retries->Add(stats.remote_retries);
+  in.remote_timeouts->Add(stats.remote_timeouts);
+  in.faults_injected->Add(stats.faults_injected);
+  in.members_skipped->Add(stats.members_skipped);
+  in.spills->Add(stats.spills);
+  in.spill_bytes->Add(stats.spill_bytes);
+}
+
 Result<QueryResult> Engine::Execute(
     const std::string& sql, const std::map<std::string, Value>& params) {
   StatementInfo info;
@@ -231,13 +301,12 @@ Result<QueryResult> Engine::Execute(
   // its whole lifetime. The request state owns the per-query wait tally
   // (worker threads — prefetch, exchange, Concat — capture and re-install
   // it, so every blocked interval on the statement's behalf rolls up here
-  // and is readable mid-flight); when monitoring is disabled the scope
-  // degrades to an inline tally and registers nothing.
+  // and is readable mid-flight).
   sysview::RequestScope request(options_.name, activity::Current(), sql,
                                 options_.execution.dop);
   const int64_t start_ns = fastclock::NowNs();
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    waits::ScopedQueryTally tally(request.wait_tally());
+    waits::ScopedQueryTally tally(&request.state()->waits);
     return ExecuteInternal(sql, params, &info);
   }();
   if (!result.ok() && result.status().code() == StatusCode::kNetworkError) {
@@ -248,7 +317,7 @@ Result<QueryResult> Engine::Execute(
     // holds a raw Session pointer.
     catalog_->DropRemoteSessions();
   }
-  const waits::WaitTotals wait_totals = waits::Snapshot(*request.wait_tally());
+  const waits::WaitTotals wait_totals = waits::Snapshot(request.state()->waits);
   if (result.ok()) {
     result->wait_totals = wait_totals;
     result->activity_id = activity::Current();
@@ -298,16 +367,18 @@ void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
 
   in.statements->Increment();
   if (!ok) in.failures->Increment();
+  // One latency sample per counted statement: the same end-to-end duration
+  // the query store records (parse through result shaping, governor queue
+  // included).
+  in.query_ns->Observe(duration_ns);
+  if (qr != nullptr) PublishExecMetrics(qr->exec_stats);
 
   const bool is_dml = info.statement_type == "insert" ||
                       info.statement_type == "update" ||
                       info.statement_type == "delete";
   if (qr != nullptr && is_dml) {
-    // PR 3 only instrumented SELECT (via RunCachedPlan); DML latency and
-    // volume land here so exec.* covers every statement shape.
     in.dml_statements->Increment();
     in.dml_rows_affected->Add(qr->rows_affected);
-    in.query_ns->Observe(duration_ns);
   }
 
   if (qr != nullptr && options_.slow_query_ns > 0 &&
@@ -320,7 +391,7 @@ void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
     std::string warning(head);
     if (qr->profile != nullptr) {
       // The est-vs-actual profile is the first thing a slow-query
-      // investigation wants; append it when the execution collected one.
+      // investigation wants; every executed SELECT carries one.
       warning += "\n" + RenderOperatorProfile(*qr->profile);
     }
     qr->warnings.push_back(std::move(warning));
@@ -330,7 +401,6 @@ void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
     in.warnings->Add(static_cast<int64_t>(qr->warnings.size()));
   }
 
-  if (!options_.enable_query_store) return;
   sysview::ExecutionRecord rec;
   rec.fingerprint = sysview::FingerprintStatement(sql);
   rec.statement = sql.substr(0, sysview::ExecutionRecord::kMaxStatementLen);
@@ -382,18 +452,12 @@ Result<QueryResult> Engine::ExecuteInternal(
       }
       const std::string cache_key = sys ? "" : sql;
       if (stmt->explain_analyze) {
-        // EXPLAIN ANALYZE SELECT ...: execute with operator profiling
-        // forced on, then render estimated-vs-actual per operator.
-        const bool saved = options_.execution.collect_operator_stats;
-        options_.execution.collect_operator_stats = true;
-        Result<QueryResult> executed = ExecuteSelect(
-            *stmt->select, params, /*execute=*/true, cache_key, info);
-        options_.execution.collect_operator_stats = saved;
-        DHQP_RETURN_NOT_OK(executed.status());
-        QueryResult result = std::move(executed).value();
-        if (result.profile == nullptr) {
-          return Status::Internal("EXPLAIN ANALYZE produced no profile");
-        }
+        // EXPLAIN ANALYZE SELECT ...: execute, then render the profile's
+        // estimated-vs-actual per operator.
+        DHQP_ASSIGN_OR_RETURN(
+            QueryResult result,
+            ExecuteSelect(*stmt->select, params, /*execute=*/true, cache_key,
+                          info));
         Schema schema;
         schema.AddColumn(ColumnDef{"plan", DataType::kString, false});
         std::vector<Row> rows;
@@ -599,82 +663,6 @@ Result<std::string> Engine::Explain(const std::string& sql,
   return out;
 }
 
-// Publishes one query's ExecStats deltas into the process-wide metrics
-// registry ("exec.*"), plus the end-to-end latency histogram. Instrument
-// pointers are resolved once (registrations are permanent).
-static void PublishExecMetrics(const ExecStats& stats, int64_t query_ns) {
-  struct Instruments {
-    metrics::Counter* rows_output;
-    metrics::Counter* rows_from_remote;
-    metrics::Counter* remote_commands;
-    metrics::Counter* remote_opens;
-    metrics::Counter* remote_fetches;
-    metrics::Counter* remote_batches;
-    metrics::Counter* prefetch_stalls;
-    metrics::Counter* startup_skips;
-    metrics::Counter* partitions_opened;
-    metrics::Counter* parallel_branches;
-    metrics::Counter* exchange_batches;
-    metrics::Counter* spool_rescans;
-    metrics::Counter* exec_batches;
-    metrics::Counter* exec_batch_rows;
-    metrics::Counter* remote_retries;
-    metrics::Counter* remote_timeouts;
-    metrics::Counter* faults_injected;
-    metrics::Counter* members_skipped;
-    metrics::Counter* spills;
-    metrics::Counter* spill_bytes;
-    metrics::Histogram* query_ns;
-  };
-  static const Instruments in = [] {
-    metrics::Registry& reg = metrics::Registry::Global();
-    Instruments i;
-    i.rows_output = reg.GetCounter("exec.rows_output");
-    i.rows_from_remote = reg.GetCounter("exec.rows_from_remote");
-    i.remote_commands = reg.GetCounter("exec.remote_commands");
-    i.remote_opens = reg.GetCounter("exec.remote_opens");
-    i.remote_fetches = reg.GetCounter("exec.remote_fetches");
-    i.remote_batches = reg.GetCounter("exec.remote_batches");
-    i.prefetch_stalls = reg.GetCounter("exec.prefetch_stalls");
-    i.startup_skips = reg.GetCounter("exec.startup_skips");
-    i.partitions_opened = reg.GetCounter("exec.partitions_opened");
-    i.parallel_branches = reg.GetCounter("exec.parallel_branches");
-    i.exchange_batches = reg.GetCounter("exec.exchange_batches");
-    i.spool_rescans = reg.GetCounter("exec.spool_rescans");
-    i.exec_batches = reg.GetCounter("exec.batches");
-    i.exec_batch_rows = reg.GetCounter("exec.batch_rows");
-    i.remote_retries = reg.GetCounter("exec.remote_retries");
-    i.remote_timeouts = reg.GetCounter("exec.remote_timeouts");
-    i.faults_injected = reg.GetCounter("exec.faults_injected");
-    i.members_skipped = reg.GetCounter("exec.members_skipped");
-    i.spills = reg.GetCounter("exec.spills");
-    i.spill_bytes = reg.GetCounter("exec.spill_bytes");
-    i.query_ns = reg.GetHistogram("engine.query_ns");
-    return i;
-  }();
-  in.rows_output->Add(stats.rows_output);
-  in.rows_from_remote->Add(stats.rows_from_remote);
-  in.remote_commands->Add(stats.remote_commands);
-  in.remote_opens->Add(stats.remote_opens);
-  in.remote_fetches->Add(stats.remote_fetches);
-  in.remote_batches->Add(stats.remote_batches);
-  in.prefetch_stalls->Add(stats.prefetch_stalls);
-  in.startup_skips->Add(stats.startup_skips);
-  in.partitions_opened->Add(stats.partitions_opened);
-  in.parallel_branches->Add(stats.parallel_branches);
-  in.exchange_batches->Add(stats.exchange_batches);
-  in.spool_rescans->Add(stats.spool_rescans);
-  in.exec_batches->Add(stats.exec_batches);
-  in.exec_batch_rows->Add(stats.exec_batch_rows);
-  in.remote_retries->Add(stats.remote_retries);
-  in.remote_timeouts->Add(stats.remote_timeouts);
-  in.faults_injected->Add(stats.faults_injected);
-  in.members_skipped->Add(stats.members_skipped);
-  in.spills->Add(stats.spills);
-  in.spill_bytes->Add(stats.spill_bytes);
-  in.query_ns->Observe(query_ns);
-}
-
 Result<QueryResult> Engine::RunCachedPlan(
     const CachedPlan& cached, const std::map<std::string, Value>& params) {
   trace::Span span("engine.execute");
@@ -702,22 +690,21 @@ Result<QueryResult> Engine::RunCachedPlan(
   }
   // Surface the grant on dm_exec_requests while the statement runs; cleared
   // on every exit path (the row may outlive execution in the registry).
+  // Execute registered the request this plan runs under.
+  sysview::RequestState* const req = sysview::CurrentRequest();
   struct GrantFields {
     sysview::RequestState* req;
     ~GrantFields() {
-      if (req == nullptr) return;
       req->requested_grant_bytes.store(0, std::memory_order_relaxed);
       req->granted_bytes.store(0, std::memory_order_relaxed);
     }
-  } grant_fields{sysview::CurrentRequest()};
-  if (grant_fields.req != nullptr && grant.active()) {
-    grant_fields.req->requested_grant_bytes.store(grant.requested_bytes(),
-                                                  std::memory_order_relaxed);
-    grant_fields.req->granted_bytes.store(grant.granted_bytes(),
-                                          std::memory_order_relaxed);
+  } grant_fields{req};
+  if (grant.active()) {
+    req->requested_grant_bytes.store(grant.requested_bytes(),
+                                     std::memory_order_relaxed);
+    req->granted_bytes.store(grant.granted_bytes(), std::memory_order_relaxed);
   }
   sysview::SetCurrentPhase(sysview::RequestPhase::kExecute);
-  const int64_t start_ns = fastclock::NowNs();
   ExecContext ectx;
   ectx.catalog = catalog_.get();
   ectx.fulltext = &fulltext_;
@@ -725,12 +712,9 @@ Result<QueryResult> Engine::RunCachedPlan(
   ectx.current_date = options_.current_date;
   ectx.options = options_.execution;
   // Buffering operators and queue stashes charge the request's query-wide
-  // tracker, so dm_exec_requests reports one live memory_bytes per query.
-  ectx.memory = sysview::CurrentRequestMemory();
-  // Grant enforcement reads the query tracker; when request monitoring is
-  // off, a statement-local tracker stands in so the governor still bites.
-  MemTracker local_mem;
-  if (ectx.memory == nullptr && grant.active()) ectx.memory = &local_mem;
+  // tracker, so dm_exec_requests reports one live memory_bytes per query;
+  // grant enforcement reads the same tracker.
+  ectx.memory = &req->memory;
   ectx.grant_bytes = grant.active() ? grant.granted_bytes() : 0;
   ectx.spill_dir = options_.spill_directory;
   const LinkFaultTotals before = SumLinkFaults(catalog_.get());
@@ -744,15 +728,12 @@ Result<QueryResult> Engine::RunCachedPlan(
   ectx.stats.remote_timeouts =
       std::max<int64_t>(0, after.timeouts - before.timeouts);
   ectx.stats.faults_injected = std::max<int64_t>(0, after.faults - before.faults);
-  PublishExecMetrics(ectx.stats, fastclock::NowNs() - start_ns);
   // Peak query memory: visible as exec.memory_bytes after the statement
   // (the live view is dm_exec_requests). Last-writer-wins is the usual
-  // gauge semantic; skipped for non-monitored statements.
-  if (sysview::RequestState* req = sysview::CurrentRequest()) {
-    static metrics::Gauge* mem_gauge =
-        metrics::Registry::Global().GetGauge("exec.memory_bytes");
-    mem_gauge->Set(req->memory.peak());
-  }
+  // gauge semantic.
+  static metrics::Gauge* mem_gauge =
+      metrics::Registry::Global().GetGauge("exec.memory_bytes");
+  mem_gauge->Set(req->memory.peak());
 
   // Align output columns with the statement's select-list order/names (the
   // plan may carry extra hidden columns or a different physical order).

@@ -37,13 +37,12 @@ struct EngineOptions {
   bool enable_plan_cache = true;
   size_t plan_cache_capacity = 256;
   /// Query Store: every completed statement is recorded (per-execution ring
-  /// + per-fingerprint aggregates) and exposed through the sys DMVs.
-  /// Queries against the DMVs themselves are never recorded.
-  bool enable_query_store = true;
+  /// of this many entries + per-fingerprint aggregates) and exposed through
+  /// the sys DMVs. Queries against the DMVs themselves are never recorded.
   size_t query_store_capacity = 256;
   /// Slow-query log threshold: a statement whose end-to-end time reaches
   /// this gets a warning appended to its QueryResult (with the
-  /// estimated-vs-actual operator profile when collected) and counts toward
+  /// estimated-vs-actual operator profile for a SELECT) and counts toward
   /// exec.slow_queries. 0 disables.
   int64_t slow_query_ns = 0;
   /// Workload governor: memory-grant admission control. A statement's grant
@@ -85,8 +84,8 @@ struct QueryResult {
   /// Empty on a clean run.
   std::vector<std::string> warnings;
   /// Per-operator actual execution stats (the STATISTICS PROFILE analog),
-  /// populated for executed SELECTs when
-  /// ExecOptions::collect_operator_stats is on. Null otherwise.
+  /// populated for every executed SELECT — serial, parallel, spilled or
+  /// EXPLAIN ANALYZE. Null for DDL, DML and compile-only EXPLAIN.
   std::shared_ptr<OperatorProfile> profile;
   /// Per-query wait accounting: every blocked interval any thread spent on
   /// this statement's behalf (queue stalls, link wire time, retry backoff,
@@ -112,8 +111,7 @@ class Engine {
   Catalog* catalog() { return catalog_.get(); }
   fulltext::FullTextService* fulltext() { return &fulltext_; }
   EngineOptions* options() { return &options_; }
-  /// This engine's Query Store (always present; empty when
-  /// EngineOptions::enable_query_store is off).
+  /// This engine's Query Store.
   sysview::QueryStore* query_store() { return &query_store_; }
 
   /// Registers a linked server (§2.1): `source` becomes addressable in
@@ -188,10 +186,12 @@ class Engine {
                                       const std::map<std::string, Value>& params,
                                       StatementInfo* info);
 
-  /// Post-execution hook: slow-query warning, exec.* metrics (warnings, DML
-  /// counters, DML latency), and the query-store record (stamped with the
-  /// statement's activity id and wait totals). DMV-touching statements are
-  /// excluded — observing the store must not grow it.
+  /// Post-execution hook: slow-query warning, exec.* metrics (statement and
+  /// DML counters, the ExecStats counters, warnings) with one
+  /// engine.query_ns sample of `duration_ns`, and the query-store record
+  /// (stamped with the statement's activity id and wait totals).
+  /// DMV-touching statements are excluded — observing the system must not
+  /// grow what it observes.
   void FinishStatement(const std::string& sql, int64_t duration_ns,
                        const StatementInfo& info,
                        const waits::WaitTotals& wait_totals,

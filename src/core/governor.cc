@@ -1,7 +1,6 @@
 #include "src/core/governor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 #include "src/common/fastclock.h"
@@ -13,8 +12,6 @@ namespace dhqp {
 namespace governor {
 
 namespace {
-
-std::atomic<bool> g_enabled{true};
 
 /// Statement text kept per grant is capped like the request registry's —
 /// dm_exec_query_memory_grants is a monitoring surface, not a SQL archive.
@@ -155,18 +152,6 @@ Governor& Governor::Global() {
   return *governor;
 }
 
-void Governor::SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-  // Wake waiters so a mid-queue disable admits them unlimited.
-  Governor& g = Global();
-  std::lock_guard<std::mutex> lock(g.mu_);
-  g.cv_.notify_all();
-}
-
-bool Governor::Enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
 uint64_t Governor::FrontTicketLocked() const {
   uint64_t front = 0;
   for (const auto& [id, e] : entries_) {
@@ -187,7 +172,7 @@ MemoryGrant Governor::Acquire(const GovernorOptions& opts,
                               const std::string& engine,
                               const std::string& activity_id,
                               const std::string& statement, int dop) {
-  if (!Enabled() || opts.max_server_memory_bytes <= 0) return MemoryGrant();
+  if (opts.max_server_memory_bytes <= 0) return MemoryGrant();
 
   const int64_t budget = opts.max_server_memory_bytes;
   int64_t per_query = opts.max_grant_per_query_bytes > 0
@@ -213,7 +198,6 @@ MemoryGrant Governor::Acquire(const GovernorOptions& opts,
   e.enqueue_ns = fastclock::NowNs();
 
   auto fits = [&]() {
-    if (!Enabled()) return true;  // Kill switch flipped mid-wait.
     if (opts.max_concurrent_grants > 0 &&
         active_grants_ >= opts.max_concurrent_grants) {
       return false;
@@ -247,14 +231,6 @@ MemoryGrant Governor::Acquire(const GovernorOptions& opts,
     }
     --queued_;
     waits::RecordWait(waits::WaitType::kResourceSemaphore, timer.Elapsed());
-  }
-
-  // Kill switch flipped while queued: admit unlimited, drop the entry.
-  if (!Enabled()) {
-    entries_.erase(id);
-    UpdateGaugesLocked();
-    cv_.notify_all();
-    return MemoryGrant();
   }
 
   e.granted_bytes = e.requested_bytes;

@@ -44,10 +44,11 @@ int64_t EstimateGrantBytes(const PhysicalOpPtr& plan, const ExecOptions& exec);
 class Governor;
 
 /// RAII memory grant. Inactive (granted_bytes() == 0 means unlimited) when
-/// the governor is off; otherwise holds `granted_bytes` of the process
-/// budget until released. Released exactly once: explicitly via Release()
-/// or by the destructor — whichever comes first — so every exit path out of
-/// execution, including fault aborts, returns the memory to the semaphore.
+/// the engine sets no memory budget; otherwise holds `granted_bytes` of the
+/// process budget until released. Released exactly once: explicitly via
+/// Release() or by the destructor — whichever comes first — so every exit
+/// path out of execution, including fault aborts, returns the memory to the
+/// semaphore.
 class MemoryGrant {
  public:
   MemoryGrant() = default;
@@ -60,7 +61,7 @@ class MemoryGrant {
 
   /// True when this grant holds budget (the governor admitted it).
   bool active() const { return governor_ != nullptr; }
-  /// Bytes granted; 0 = unlimited (governor off).
+  /// Bytes granted; 0 = unlimited (no budget).
   int64_t granted_bytes() const { return granted_bytes_; }
   /// Bytes originally requested (before any timeout degradation).
   int64_t requested_bytes() const { return requested_bytes_; }
@@ -112,16 +113,10 @@ class Governor {
  public:
   static Governor& Global();
 
-  /// Runtime kill switch (on by default). When off, Acquire returns
-  /// inactive (unlimited) grants immediately and current waiters are
-  /// admitted unlimited.
-  static void SetEnabled(bool enabled);
-  static bool Enabled();
-
   /// Blocks until the statement is admitted; always succeeds (timeout
   /// degrades the request, never fails it). The identity fields feed
-  /// dm_exec_query_memory_grants. Returns an inactive grant when the
-  /// governor is off or `opts` carries no budget.
+  /// dm_exec_query_memory_grants. Returns an inactive grant when `opts`
+  /// carries no budget.
   MemoryGrant Acquire(const GovernorOptions& opts, int64_t estimate_bytes,
                       const std::string& engine,
                       const std::string& activity_id,

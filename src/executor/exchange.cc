@@ -81,7 +81,7 @@ ExchangeSegment::~ExchangeSegment() {
   // under Top) die with the queues — settle their charge.
   const int64_t leftover = queued_bytes_.exchange(0, std::memory_order_relaxed);
   if (leftover > 0) {
-    if (exchange_profile_ != nullptr) exchange_profile_->mem.Release(leftover);
+    exchange_profile_->mem.Release(leftover);
     if (ctx_->memory != nullptr) ctx_->memory->Release(leftover);
   }
 }
@@ -89,14 +89,14 @@ ExchangeSegment::~ExchangeSegment() {
 void ExchangeSegment::ChargeQueueMem(int64_t bytes) {
   if (bytes <= 0) return;
   queued_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (exchange_profile_ != nullptr) exchange_profile_->mem.Add(bytes);
+  exchange_profile_->mem.Add(bytes);
   if (ctx_->memory != nullptr) ctx_->memory->Add(bytes);
 }
 
 void ExchangeSegment::ReleaseQueueMem(int64_t bytes) {
   if (bytes <= 0) return;
   queued_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  if (exchange_profile_ != nullptr) exchange_profile_->mem.Release(bytes);
+  exchange_profile_->mem.Release(bytes);
   if (ctx_->memory != nullptr) ctx_->memory->Release(bytes);
 }
 
@@ -141,7 +141,7 @@ Status ExchangeSegment::RunProducer(int p) {
   DHQP_ASSIGN_OR_RETURN(
       std::unique_ptr<ExecNode> tree,
       BuildFragmentTree(op_->children[0], ctx_, child_profile_, frag));
-  // Exchange workers count as parallel branches (parallel_workers()).
+  // Exchange workers count as parallel branches.
   ctx_->stats.parallel_branches.fetch_add(1, std::memory_order_relaxed);
   DHQP_RETURN_NOT_OK(tree->Open());
   const int batch_rows = ctx_->options.batch_rows();
@@ -202,9 +202,7 @@ Result<bool> ExchangeSegment::Pop(int partition, RowBatch* out) {
     ctx_->stats.prefetch_stalls.fetch_add(1, std::memory_order_relaxed);
     got = queue.Pop(out, [this](int64_t ticks) {
       waits::RecordWait(waits::WaitType::kExchangeQueuePop, ticks,
-                        exchange_profile_ != nullptr
-                            ? &exchange_profile_->wait_tally
-                            : nullptr);
+                        &exchange_profile_->wait_tally);
     });
   }
   if (got) {
@@ -241,9 +239,7 @@ bool ExchangeSegment::PushBatch(int queue, RowBatch&& batch) {
   const bool pushed = queues_[static_cast<size_t>(queue)]->Push(
       std::move(batch), [this](int64_t ticks) {
         waits::RecordWait(waits::WaitType::kExchangeQueuePush, ticks,
-                          exchange_profile_ != nullptr
-                              ? &exchange_profile_->wait_tally
-                              : nullptr);
+                          &exchange_profile_->wait_tally);
       });
   if (!pushed) {
     ReleaseQueueMem(bytes);

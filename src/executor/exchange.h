@@ -48,14 +48,14 @@ class ExchangeSegmentRegistry {
 class ExchangeSegment {
  public:
   /// `op` is the kExchange plan node; `child_profile` is the profile slot
-  /// of op->children[0] (null when stats collection is off), shared by
-  /// every producer's tree so per-worker stats merge additively.
-  /// `exchange_profile` is the exchange operator's own slot: queue waits on
-  /// either side of the segment (producer full-stalls, consumer
-  /// empty-stalls) are attributed to the exchange itself.
+  /// of op->children[0], shared by every producer's tree so per-worker
+  /// stats merge additively. `exchange_profile` is the exchange operator's
+  /// own slot: queue waits on either side of the segment (producer
+  /// full-stalls, consumer empty-stalls) and the queued batches' memory are
+  /// attributed to the exchange itself.
   ExchangeSegment(PhysicalOpPtr op, ExecContext* ctx,
                   OperatorProfile* child_profile,
-                  OperatorProfile* exchange_profile = nullptr);
+                  OperatorProfile* exchange_profile);
   ~ExchangeSegment();
 
   ExchangeSegment(const ExchangeSegment&) = delete;

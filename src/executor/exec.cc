@@ -120,9 +120,9 @@ Result<IndexRange> EvalRangeSpec(const RangeSpec& spec, ExecContext* ctx) {
 
 // Wraps a remote result stream in the async block-fetch pipeline when the
 // context enables it: the producer thread pays the link's latency while the
-// consumer keeps working on earlier batches. `profile` (nullable) receives
-// batch counts and — via the producer thread's charge sink — the link
-// traffic the pipeline generates on behalf of the owning operator.
+// consumer keeps working on earlier batches. `profile` receives batch
+// counts and — via the producer thread's charge sink — the link traffic the
+// pipeline generates on behalf of the owning operator.
 std::unique_ptr<Rowset> MaybePrefetch(std::unique_ptr<Rowset> rowset,
                                       ExecContext* ctx,
                                       OperatorProfile* profile) {
@@ -142,7 +142,7 @@ class OperatorMem {
   ~OperatorMem() { ReleaseAll(); }
 
   void Bind(OperatorProfile* profile, MemTracker* query) {
-    op_ = profile != nullptr ? &profile->mem : nullptr;
+    op_ = &profile->mem;
     query_ = query;
   }
   void Add(int64_t bytes) {
@@ -151,7 +151,7 @@ class OperatorMem {
   }
   void Flush() {
     if (pending_ == 0) return;
-    if (op_ != nullptr) op_->Add(pending_);
+    op_->Add(pending_);
     if (query_ != nullptr) query_->Add(pending_);
     held_ += pending_;
     pending_ = 0;
@@ -159,7 +159,7 @@ class OperatorMem {
   void ReleaseAll() {
     pending_ = 0;
     if (held_ == 0) return;
-    if (op_ != nullptr) op_->Release(held_);
+    op_->Release(held_);
     if (query_ != nullptr) query_->Release(held_);
     held_ = 0;
   }
@@ -198,16 +198,8 @@ void RecordSpill(ExecContext* ctx, OperatorProfile* profile,
                  const spill::SpillFile& file) {
   ctx->stats.spills++;
   ctx->stats.spill_bytes += file.bytes();
-  if (profile != nullptr) {
-    profile->spills++;
-    profile->spill_bytes += file.bytes();
-  }
-}
-
-// The operator wait slot spill I/O is attributed to (null when stats
-// collection is off).
-waits::WaitTally* SpillTally(OperatorProfile* profile) {
-  return profile != nullptr ? &profile->wait_tally : nullptr;
+  profile->spills++;
+  profile->spill_bytes += file.bytes();
 }
 
 // Grace partitioning fanout per recursion level.
@@ -245,8 +237,8 @@ Status MakeSpillParts(ExecContext* ctx, OperatorProfile* profile,
                       std::vector<std::unique_ptr<spill::SpillFile>>* parts) {
   parts->clear();
   for (int i = 0; i < kSpillFanout; ++i) {
-    DHQP_ASSIGN_OR_RETURN(
-        auto f, spill::SpillFile::Create(ctx->spill_dir, SpillTally(profile)));
+    DHQP_ASSIGN_OR_RETURN(auto f, spill::SpillFile::Create(
+                                      ctx->spill_dir, &profile->wait_tally));
     parts->push_back(std::move(f));
   }
   return Status::OK();
@@ -807,8 +799,8 @@ class SortNode : public ExecNode {
   Status SpillRun() {
     SortRows();
     DHQP_ASSIGN_OR_RETURN(
-        auto run, spill::SpillFile::Create(ctx_->spill_dir,
-                                           SpillTally(profile_)));
+        auto run,
+        spill::SpillFile::Create(ctx_->spill_dir, &profile_->wait_tally));
     for (const Row& r : rows_) DHQP_RETURN_NOT_OK(run->Append(r));
     DHQP_RETURN_NOT_OK(run->FinishWrite());
     RecordSpill(ctx_, profile_, *run);
@@ -953,8 +945,8 @@ class SpoolNode : public ExecNode {
   /// Spool rescans reread the file (Rewind) instead of re-executing.
   Status StartSpill() {
     DHQP_ASSIGN_OR_RETURN(
-        file_, spill::SpillFile::Create(ctx_->spill_dir,
-                                        SpillTally(profile_)));
+        file_,
+        spill::SpillFile::Create(ctx_->spill_dir, &profile_->wait_tally));
     for (const Row& r : rows_) DHQP_RETURN_NOT_OK(file_->Append(r));
     rows_.clear();
     mem_.ReleaseAll();
@@ -1164,7 +1156,7 @@ class ConcatNode : public ExecNode {
   /// operator.
   void ChargeQueueWait(int64_t ticks) {
     waits::RecordWait(waits::WaitType::kConcatQueue, ticks,
-                      profile_ != nullptr ? &profile_->wait_tally : nullptr);
+                      &profile_->wait_tally);
   }
 
   void WorkerLoop() {
@@ -2626,18 +2618,16 @@ void BuildProfileRec(const PhysicalOpPtr& plan, int* next_id,
 }
 
 // Recursive builder: assigns pre-order operator ids (matching the EXPLAIN
-// rendering), grows the profile tree in `slot` when profiling is on, and
-// wraps every node in a ProfiledNode. Runs in the serial region of the
-// plan; an exchange ends the recursion — its child subtree gets profile
-// slots only (BuildProfileRec) and executes on the segment's producers.
+// rendering), grows the profile tree in `slot`, and wraps every node in a
+// ProfiledNode. Runs in the serial region of the plan; an exchange ends the
+// recursion — its child subtree gets profile slots only (BuildProfileRec)
+// and executes on the segment's producers.
 Result<std::unique_ptr<ExecNode>> BuildTreeRec(
     const PhysicalOpPtr& plan, ExecContext* ctx, int* next_id,
     std::unique_ptr<OperatorProfile>* slot) {
-  OperatorProfile* prof = nullptr;
-  if (slot != nullptr) {
-    *slot = MakeProfileSlot(plan, next_id);
-    prof = slot->get();
-  }
+  *slot = MakeProfileSlot(plan, next_id);
+  OperatorProfile* prof = slot->get();
+  std::unique_ptr<ExecNode> node;
   if (plan->kind == PhysicalOpKind::kExchange) {
     if (plan->dop > 1) {
       // A multi-consumer exchange only makes sense inside a fragment where
@@ -2645,42 +2635,26 @@ Result<std::unique_ptr<ExecNode>> BuildTreeRec(
       // partition 0 only and the rest would wedge the producers.
       return Status::Internal("multi-consumer exchange in serial plan region");
     }
-    OperatorProfile* child_prof = nullptr;
-    if (prof != nullptr) {
+    prof->children.emplace_back();
+    BuildProfileRec(plan->children[0], next_id, &prof->children.back());
+    node.reset(new ExchangeNode(plan, ctx, prof->children.back().get(),
+                                /*registry=*/nullptr, /*ordinal=*/0,
+                                /*partition=*/0));
+  } else {
+    std::vector<std::unique_ptr<ExecNode>> children;
+    for (const PhysicalOpPtr& child : plan->children) {
       prof->children.emplace_back();
-      BuildProfileRec(plan->children[0], next_id, &prof->children.back());
-      child_prof = prof->children.back().get();
+      // The slot is used only within this call, before the next
+      // emplace_back can invalidate it.
+      DHQP_ASSIGN_OR_RETURN(auto built, BuildTreeRec(child, ctx, next_id,
+                                                     &prof->children.back()));
+      children.push_back(std::move(built));
     }
-    std::unique_ptr<ExecNode> node(new ExchangeNode(
-        plan, ctx, child_prof, /*registry=*/nullptr, /*ordinal=*/0,
-        /*partition=*/0));
-    if (prof != nullptr) {
-      node->set_profile(prof);
-      return std::unique_ptr<ExecNode>(
-          new ProfiledNode(std::move(node), prof));
-    }
-    return node;
+    DHQP_ASSIGN_OR_RETURN(
+        node, BuildNode(plan, std::move(children), ctx, /*frag=*/nullptr));
   }
-  std::vector<std::unique_ptr<ExecNode>> children;
-  for (const PhysicalOpPtr& child : plan->children) {
-    std::unique_ptr<OperatorProfile>* child_slot = nullptr;
-    if (prof != nullptr) {
-      prof->children.emplace_back();
-      child_slot = &prof->children.back();
-    }
-    // child_slot is used only within this call, before the next
-    // emplace_back can invalidate it.
-    DHQP_ASSIGN_OR_RETURN(auto node,
-                          BuildTreeRec(child, ctx, next_id, child_slot));
-    children.push_back(std::move(node));
-  }
-  DHQP_ASSIGN_OR_RETURN(
-      auto node, BuildNode(plan, std::move(children), ctx, /*frag=*/nullptr));
-  if (prof != nullptr) {
-    node->set_profile(prof);
-    return std::unique_ptr<ExecNode>(new ProfiledNode(std::move(node), prof));
-  }
-  return node;
+  node->set_profile(prof);
+  return std::unique_ptr<ExecNode>(new ProfiledNode(std::move(node), prof));
 }
 
 // Builds one worker's exec-node instance of a fragment subtree, walking the
@@ -2699,28 +2673,22 @@ Result<std::unique_ptr<ExecNode>> BuildWorkerRec(
   std::unique_ptr<ExecNode> node;
   if (plan->kind == PhysicalOpKind::kExchange) {
     const int ordinal = (*next_exchange)++;
-    OperatorProfile* child_prof =
-        prof != nullptr ? prof->children[0].get() : nullptr;
-    node.reset(new ExchangeNode(plan, ctx, child_prof, frag.exchanges,
-                                ordinal, frag.partition));
+    node.reset(new ExchangeNode(plan, ctx, prof->children[0].get(),
+                                frag.exchanges, ordinal, frag.partition));
   } else {
     std::vector<std::unique_ptr<ExecNode>> children;
     for (size_t i = 0; i < plan->children.size(); ++i) {
-      OperatorProfile* child_prof =
-          prof != nullptr ? prof->children[i].get() : nullptr;
       DHQP_ASSIGN_OR_RETURN(
-          auto child, BuildWorkerRec(plan->children[i], ctx, child_prof, frag,
+          auto child, BuildWorkerRec(plan->children[i], ctx,
+                                     prof->children[i].get(), frag,
                                      next_exchange));
       children.push_back(std::move(child));
     }
     DHQP_ASSIGN_OR_RETURN(node,
                           BuildNode(plan, std::move(children), ctx, &frag));
   }
-  if (prof != nullptr) {
-    node->set_profile(prof);
-    return std::unique_ptr<ExecNode>(new ProfiledNode(std::move(node), prof));
-  }
-  return node;
+  node->set_profile(prof);
+  return std::unique_ptr<ExecNode>(new ProfiledNode(std::move(node), prof));
 }
 
 }  // namespace
@@ -2732,9 +2700,6 @@ Result<std::unique_ptr<ExecNode>> BuildWorkerRec(
 Result<std::unique_ptr<ExecNode>> BuildExecTree(const PhysicalOpPtr& plan,
                                                 ExecContext* ctx) {
   int next_id = 1;
-  if (!ctx->options.collect_operator_stats) {
-    return BuildTreeRec(plan, ctx, &next_id, nullptr);
-  }
   std::unique_ptr<OperatorProfile> root;
   DHQP_ASSIGN_OR_RETURN(auto tree, BuildTreeRec(plan, ctx, &next_id, &root));
   ctx->profile = std::shared_ptr<OperatorProfile>(std::move(root));
@@ -2753,9 +2718,7 @@ Result<std::unique_ptr<VectorRowset>> ExecutePlan(const PhysicalOpPtr& plan,
   DHQP_ASSIGN_OR_RETURN(auto root, BuildExecTree(plan, ctx));
   // Publish the profile tree to the in-flight request *before* Open so
   // dm_exec_requests sees live row counts from the first batch onward.
-  if (ctx->profile != nullptr) {
-    sysview::PublishCurrentRequestProfile(ctx->profile);
-  }
+  sysview::PublishCurrentRequestProfile(ctx->profile);
   DHQP_RETURN_NOT_OK(root->Open());
   Schema schema;
   for (size_t i = 0; i < plan->output_cols.size(); ++i) {
@@ -2771,7 +2734,6 @@ Result<std::unique_ptr<VectorRowset>> ExecutePlan(const PhysicalOpPtr& plan,
         bool has, root->NextBatch(&batch, ctx->options.batch_rows()));
     if (!has) break;
     ctx->stats.exec_batches++;
-    ctx->stats.exec_batch_rows += static_cast<int64_t>(batch.rows.size());
     ctx->stats.rows_output += static_cast<int64_t>(batch.rows.size());
     for (Row& r : batch.rows) rows.push_back(std::move(r));
   }

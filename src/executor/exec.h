@@ -33,19 +33,15 @@ struct ExecStats {
   std::atomic<int64_t> partitions_opened{0};  ///< Concat branches executed.
   std::atomic<int64_t> parallel_branches{0};  ///< Subtrees drained on worker
                                               ///< threads: parallel Concat
-                                              ///< branches AND exchange
-                                              ///< workers (see
-                                              ///< parallel_workers()).
+                                              ///< branches and exchange
+                                              ///< workers.
   std::atomic<int64_t> exchange_batches{0};   ///< RowBatches moved through
                                               ///< exchange queues.
   std::atomic<int64_t> spool_rescans{0};  ///< Rescans served from spools.
   std::atomic<int64_t> rows_output{0};
-  std::atomic<int64_t> exec_batches{0};    ///< Batches the top-level sink
-                                           ///< pulled.
-  std::atomic<int64_t> exec_batch_rows{0};  ///< Rows delivered through those
-                                            ///< batches; ratio to
-                                            ///< exec_batches gives the
-                                            ///< effective batch size.
+  std::atomic<int64_t> exec_batches{0};  ///< Batches the top-level sink
+                                         ///< pulled; rows_output over this
+                                         ///< is the effective batch size.
   std::atomic<int64_t> remote_retries{0};   ///< Link message resends.
   std::atomic<int64_t> remote_timeouts{0};  ///< Per-message deadline misses.
   std::atomic<int64_t> faults_injected{0};  ///< Attempts failed by the fault
@@ -75,7 +71,6 @@ struct ExecStats {
     spool_rescans = other.spool_rescans.load();
     rows_output = other.rows_output.load();
     exec_batches = other.exec_batches.load();
-    exec_batch_rows = other.exec_batch_rows.load();
     remote_retries = other.remote_retries.load();
     remote_timeouts = other.remote_timeouts.load();
     faults_injected = other.faults_injected.load();
@@ -84,12 +79,6 @@ struct ExecStats {
     spill_bytes = other.spill_bytes.load();
     return *this;
   }
-
-  /// Total subtrees drained on worker threads this execution — parallel
-  /// Concat branches plus exchange producer workers. Historically named
-  /// parallel_branches (kept for compatibility); this accessor is the
-  /// preferred spelling now that exchange workers count too.
-  int64_t parallel_workers() const { return parallel_branches.load(); }
 };
 
 // ExecStats is copied field by field above because atomics are not
@@ -97,7 +86,7 @@ struct ExecStats {
 // ctor/operator= and the expected field count here — this guard is what
 // keeps a new counter from silently reading as zero in QueryResult
 // snapshots.
-static_assert(sizeof(ExecStats) == 20 * sizeof(std::atomic<int64_t>),
+static_assert(sizeof(ExecStats) == 19 * sizeof(std::atomic<int64_t>),
               "ExecStats field list changed: update the hand-written copy "
               "routine and this assert together");
 
@@ -138,11 +127,6 @@ struct ExecOptions {
   /// already emitted rows still fails the query — never a silent partial
   /// member. Off by default: partial answers must be opted into.
   bool skip_unreachable_members = false;
-  /// Collect per-operator actual execution stats (rows, wall time, remote
-  /// traffic) into an OperatorProfile tree — the STATISTICS PROFILE analog
-  /// behind EXPLAIN ANALYZE. Cheap (RDTSC-based timing, relaxed atomics)
-  /// but not free; the observability bench measures the overhead.
-  bool collect_operator_stats = true;
 
   /// exec_batch_rows clamped to a usable batch size (>= 1).
   int batch_rows() const { return exec_batch_rows > 0 ? exec_batch_rows : 1; }
@@ -162,22 +146,22 @@ struct ExecContext {
   /// workers append concurrently.
   std::mutex warnings_mu;
   std::vector<std::string> warnings;
-  /// Per-operator actual stats tree, populated by BuildExecTree when
-  /// options.collect_operator_stats is set. Shared so QueryResult can keep
+  /// Per-operator actual stats tree (rows, wall time, remote traffic, waits,
+  /// memory — the STATISTICS PROFILE analog behind EXPLAIN ANALYZE), grown
+  /// by BuildExecTree for every execution. Shared so QueryResult can keep
   /// it after the context dies; MUST outlive the exec tree (close times are
   /// recorded as nodes destruct).
   std::shared_ptr<OperatorProfile> profile;
   /// Query-wide memory tracker (the current request's, wired by
-  /// RunCachedPlan; null when monitoring is off). Buffering operators and
+  /// RunCachedPlan; null for a bare executor run). Buffering operators and
   /// queue stashes charge it alongside their per-operator slot so
   /// dm_exec_requests can report one live memory_bytes per query. Must
   /// outlive the exec tree — releases happen as nodes destruct.
   MemTracker* memory = nullptr;
   /// Workload-governor memory grant: when > 0, buffering operators spill
   /// (Grace partitions, external merge runs) instead of letting `memory`
-  /// grow past this many bytes. Enforcement needs a non-null `memory`
-  /// tracker — RunCachedPlan wires a query-local fallback when request
-  /// monitoring is off. 0 = unlimited (exact pre-governor behavior).
+  /// grow past this many bytes. Enforcement reads the `memory` tracker.
+  /// 0 = unlimited (exact pre-governor behavior).
   int64_t grant_bytes = 0;
   /// Directory for spill temp files; empty = the platform temp dir.
   std::string spill_dir;
@@ -275,11 +259,10 @@ struct FragmentContext {
 
 /// Builds an executable tree for one worker of an exchange fragment.
 /// Unlike BuildExecTree, exec nodes attach to the EXISTING profile subtree
-/// `profile` (created by the consumer-side build; may be null when stats
-/// collection is off) instead of creating new slots — per-worker instances
-/// of an operator aggregate additively into one shared OperatorProfile, so
-/// EXPLAIN ANALYZE totals stay truthful at any dop. Called by
-/// ExchangeSegment from its producer threads.
+/// `profile` (created by the consumer-side build) instead of creating new
+/// slots — per-worker instances of an operator aggregate additively into
+/// one shared OperatorProfile, so EXPLAIN ANALYZE totals stay truthful at
+/// any dop. Called by ExchangeSegment from its producer threads.
 Result<std::unique_ptr<ExecNode>> BuildFragmentTree(
     const PhysicalOpPtr& plan, ExecContext* ctx, OperatorProfile* profile,
     const FragmentContext& frag);

@@ -53,7 +53,7 @@ struct ExecutionRecord {
   std::string activity_id;
   /// Per-type wait accounting snapshotted at record time.
   waits::WaitTotals waits;
-  /// Operator profile of the execution when collected; shared with
+  /// Operator profile of an executed SELECT (null for DDL/DML); shared with
   /// QueryResult. Quiescent once recorded (the executor joined its threads),
   /// so readers may load its atomics freely.
   std::shared_ptr<OperatorProfile> profile;

@@ -15,8 +15,6 @@ namespace {
 /// surface, not a SQL archive (the query store keeps full text).
 constexpr size_t kMaxStatementChars = 512;
 
-std::atomic<bool> g_enabled{true};
-
 thread_local RequestState* t_current_request = nullptr;
 
 }  // namespace
@@ -54,18 +52,9 @@ RequestRegistry& RequestRegistry::Global() {
   return *registry;
 }
 
-void RequestRegistry::SetEnabled(bool enabled) {
-  g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool RequestRegistry::Enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
 std::shared_ptr<RequestState> RequestRegistry::Register(
     const std::string& engine, const std::string& activity_id,
     const std::string& statement, int dop) {
-  if (!Enabled()) return nullptr;
   auto state = std::make_shared<RequestState>();
   state->request_id = next_id_.fetch_add(1, std::memory_order_relaxed);
   state->engine = engine;
@@ -97,16 +86,14 @@ RequestScope::RequestScope(const std::string& engine,
     : state_(RequestRegistry::Global().Register(engine, activity_id, statement,
                                                 dop)),
       prev_(t_current_request) {
-  if (state_ != nullptr) t_current_request = state_.get();
+  t_current_request = state_.get();
 }
 
 RequestScope::~RequestScope() {
-  if (state_ != nullptr) {
-    state_->phase.store(static_cast<int>(RequestPhase::kFinished),
-                        std::memory_order_relaxed);
-    RequestRegistry::Global().Unregister(state_->request_id);
-    t_current_request = prev_;
-  }
+  state_->phase.store(static_cast<int>(RequestPhase::kFinished),
+                      std::memory_order_relaxed);
+  RequestRegistry::Global().Unregister(state_->request_id);
+  t_current_request = prev_;
 }
 
 RequestState* CurrentRequest() { return t_current_request; }
@@ -126,10 +113,6 @@ void PublishCurrentRequestProfile(
     const std::shared_ptr<const OperatorProfile>& profile) {
   if (t_current_request == nullptr) return;
   t_current_request->set_profile(profile);
-}
-
-MemTracker* CurrentRequestMemory() {
-  return t_current_request != nullptr ? &t_current_request->memory : nullptr;
 }
 
 int64_t RowsProcessed(const OperatorProfile& root) {

@@ -59,9 +59,9 @@ struct RequestState {
   MemTracker memory;
 
   /// Workload-governor grant accounting, written when the statement passes
-  /// admission and cleared on release. Zero while the governor is disabled
-  /// or before the statement reaches the grant gate; dm_exec_requests and
-  /// dm_exec_query_memory_grants read these mid-flight.
+  /// admission and cleared on release. Zero when the engine sets no memory
+  /// budget or before the statement reaches the grant gate;
+  /// dm_exec_requests and dm_exec_query_memory_grants read these mid-flight.
   std::atomic<int64_t> requested_grant_bytes{0};
   std::atomic<int64_t> granted_bytes{0};
 
@@ -88,12 +88,6 @@ struct RequestState {
 class RequestRegistry {
  public:
   static RequestRegistry& Global();
-
-  /// Runtime kill switch (on by default): when off, Register returns null
-  /// and Engine::Execute falls back to an inline wait tally — the
-  /// bench_requests gate compares the two to bound monitoring overhead.
-  static void SetEnabled(bool enabled);
-  static bool Enabled();
 
   std::shared_ptr<RequestState> Register(const std::string& engine,
                                          const std::string& activity_id,
@@ -125,21 +119,14 @@ class RequestScope {
   RequestScope& operator=(const RequestScope&) = delete;
 
   RequestState* state() const { return state_.get(); }
-  /// The statement's wait sink: the registered state's tally, or an inline
-  /// fallback when monitoring is disabled (wait totals still reach
-  /// QueryResult either way).
-  waits::WaitTally* wait_tally() {
-    return state_ != nullptr ? &state_->waits : &fallback_waits_;
-  }
 
  private:
   std::shared_ptr<RequestState> state_;
   RequestState* prev_ = nullptr;
-  waits::WaitTally fallback_waits_;
 };
 
-/// The calling thread's innermost registered request (null when monitoring
-/// is off or no statement is executing).
+/// The calling thread's innermost registered request (null when no
+/// statement is executing on it).
 RequestState* CurrentRequest();
 
 /// Phase transition for the thread's current request; no-op without one.
@@ -153,10 +140,6 @@ void MarkCurrentRequestExcluded();
 /// dm_exec_requests can read live row counts. Called by ExecutePlan.
 void PublishCurrentRequestProfile(
     const std::shared_ptr<const OperatorProfile>& profile);
-
-/// The thread's current request's query-wide memory tracker (null without
-/// one) — what RunCachedPlan wires into ExecContext::memory.
-MemTracker* CurrentRequestMemory();
 
 /// Live rows produced so far, summed over every operator in the tree.
 /// Monotonically non-decreasing while the query runs: profile counters

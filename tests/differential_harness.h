@@ -63,9 +63,8 @@ struct Observation {
   int64_t rows_output = 0;
   int64_t rows_from_remote = 0;
   int64_t exec_batches = 0;
-  int64_t exec_batch_rows = 0;
-  int64_t parallel_workers = 0;  ///< Exchange workers + Concat branches.
-  int exchange_ops = 0;          ///< Exchange operators in the chosen plan.
+  int64_t parallel_branches = 0;  ///< Exchange workers + Concat branches.
+  int exchange_ops = 0;           ///< Exchange operators in the chosen plan.
   waits::WaitTotals wait_totals;          ///< Per-query wait accounting.
   waits::WaitTotals profile_wait_totals;  ///< Sum over the operator tree.
 };
@@ -96,10 +95,11 @@ inline Observation Observe(Engine* host, const std::string& sql,
   obs.rows_output = result->exec_stats.rows_output;
   obs.rows_from_remote = result->exec_stats.rows_from_remote;
   obs.exec_batches = result->exec_stats.exec_batches;
-  obs.exec_batch_rows = result->exec_stats.exec_batch_rows;
-  obs.parallel_workers = result->exec_stats.parallel_workers();
+  obs.parallel_branches = result->exec_stats.parallel_branches;
   obs.exchange_ops = CountOps(result->plan, PhysicalOpKind::kExchange);
   obs.wait_totals = result->wait_totals;
+  // Every executed SELECT carries its profile, whatever the mode.
+  EXPECT_NE(result->profile, nullptr) << sql << " (" << mode.Label() << ")";
   if (result->profile != nullptr) {
     SumProfileWaits(*result->profile, &obs.profile_wait_totals);
   }

@@ -6,8 +6,9 @@
 // integer-only so results are exact under any evaluation order; tables are
 // sized past the optimizer's exchange break-even so dop>1 actually chooses
 // parallel plans (asserted, not assumed). Also covers: serial plans at
-// dop=1 (no Exchange anywhere), remote subtrees pinned serial, and profile
-// truthfulness when per-worker stats merge into shared operator slots.
+// dop=1 and, at dop=4, below the exchange break-even (no Exchange
+// anywhere), remote subtrees pinned serial, and profile truthfulness when
+// per-worker stats merge into shared operator slots.
 
 #include <algorithm>
 #include <functional>
@@ -92,8 +93,8 @@ TEST_F(ExchangeExecTest, CorpusIsDopAndBatchSizeInvariant) {
       if (obs.exchange_ops > 0) {
         any_parallel_plan = true;
         // The workers really ran: every exchange has at least one producer.
-        EXPECT_GT(obs.parallel_workers, 0) << sql << " (" << mode.Label()
-                                           << ")";
+        EXPECT_GT(obs.parallel_branches, 0) << sql << " (" << mode.Label()
+                                            << ")";
       }
     }
   }
@@ -110,6 +111,23 @@ TEST_F(ExchangeExecTest, SerialPlansRenderWithoutExchange) {
     auto text = host_.Explain(sql);
     ASSERT_TRUE(text.ok()) << sql;
     EXPECT_EQ(text.value().find("Exchange"), std::string::npos) << sql;
+  }
+  // Must stay serial: below the exchange break-even, dop>1 buys nothing,
+  // so a six-row table plans without Exchange at dop=4 too.
+  MustExecute(&host_, "CREATE TABLE tiny (a INT PRIMARY KEY, b INT)");
+  MustExecute(&host_,
+              "INSERT INTO tiny VALUES (1,1),(2,1),(3,2),(4,2),(5,3),(6,3)");
+  host_.options()->execution.dop = 4;
+  const char* kTinyShapes[] = {
+      "SELECT b, COUNT(*) FROM tiny GROUP BY b",
+      "SELECT a FROM tiny WHERE b > 1",
+      "SELECT x.a, y.a FROM tiny x JOIN tiny y ON x.b = y.b",
+  };
+  for (const char* sql : kTinyShapes) {
+    auto text = host_.Explain(sql);
+    ASSERT_TRUE(text.ok()) << sql;
+    EXPECT_EQ(text.value().find("Exchange"), std::string::npos)
+        << sql << "\n" << text.value();
   }
 }
 
@@ -167,14 +185,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExchangeDifferentialTest,
 // totals stay truthful at any dop — the partitioned scan instances sum to
 // exactly the table's row count, the plan root to the result's.
 TEST_F(ExchangeExecTest, OperatorProfileTotalsAreTruthfulUnderDop) {
-  host_.options()->execution.collect_operator_stats = true;
   const std::string sql = "SELECT b, COUNT(*), SUM(c) FROM big1 GROUP BY b";
   QueryResult serial = MustExecute(&host_, sql);
 
   Observation obs = Observe(&host_, sql, ExecMode{4, 1024});
   ASSERT_TRUE(obs.ok);
   ASSERT_GT(obs.exchange_ops, 0) << "query did not parallelize at dop=4";
-  EXPECT_GT(obs.parallel_workers, 0);
+  EXPECT_GT(obs.parallel_branches, 0);
 
   QueryResult parallel = MustExecute(&host_, sql);  // Same mode, kept result.
   ASSERT_NE(parallel.profile, nullptr);

@@ -150,6 +150,7 @@ TEST_F(ObservabilityTest, ExplainAnalyzeShowsEstimatedVsActual) {
 
   QueryResult analyzed = MustExecute(&host_, "EXPLAIN ANALYZE " + query);
   ASSERT_NE(analyzed.rowset, nullptr);
+  ASSERT_NE(analyzed.profile, nullptr);
   std::string plan = ResultText(analyzed);
   // Per-operator lines with ids, estimates vs. actuals and wall time.
   EXPECT_NE(plan.find("#1 "), std::string::npos) << plan;

@@ -8,8 +8,8 @@
 // concurrent over-budget submission, queued statements surface in
 // dm_exec_query_memory_grants with RESOURCE_SEMAPHORE waits and the
 // kQueued request phase, the grant-timeout path degrades to the minimum
-// grant instead of starving, the kill switch admits queued statements
-// unlimited, and seeded link faults mid-spill never leak a grant.
+// grant instead of starving, and seeded link faults mid-spill never leak a
+// grant.
 
 #include <algorithm>
 #include <atomic>
@@ -535,44 +535,6 @@ TEST(GovernorQueueTest, TimeoutDegradesToMinGrantAndCompletes) {
     }
   }
   EXPECT_GE(sem_tasks, 1);
-}
-
-// Kill switch: disabling the governor mid-queue admits the waiting
-// statement with an unlimited grant (it runs without spilling), and
-// re-enabling restores admission control.
-TEST(GovernorQueueTest, KillSwitchAdmitsQueuedStatementsUnlimited) {
-  constexpr int64_t kBudget = 256 << 10;
-  Engine engine(WorkerOptions(kBudget));
-  engine.options()->grant_timeout_ms = 60000;
-  MustExecute(&engine, "CREATE TABLE big1 (a INT PRIMARY KEY, b INT, c INT)");
-  Fill(&engine, "big1", kBig1Rows, 3);
-
-  governor::GovernorOptions gopts;
-  gopts.max_server_memory_bytes = kBudget;
-  governor::MemoryGrant held = governor::Governor::Global().Acquire(
-      gopts, /*estimate_bytes=*/64 << 20, "holder", "act-hold2", "HOLD", 1);
-  ASSERT_TRUE(held.active());
-
-  QueryResult result;
-  std::thread worker(
-      [&] { result = MustExecute(&engine, "SELECT a FROM big1 ORDER BY c"); });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (governor::Governor::Global().queued_statements() == 0) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  governor::Governor::SetEnabled(false);
-  worker.join();
-  governor::Governor::SetEnabled(true);
-  held.Release();
-
-  EXPECT_EQ(static_cast<int64_t>(result.exec_stats.rows_output), kBig1Rows);
-  // Admitted unlimited: no grant cap, so nothing spilled.
-  EXPECT_EQ(static_cast<int64_t>(result.exec_stats.spills), 0);
-  EXPECT_EQ(governor::Governor::Global().active_grants(), 0);
-  EXPECT_EQ(governor::Governor::Global().total_granted_bytes(), 0);
 }
 
 }  // namespace

@@ -236,12 +236,23 @@ TEST_F(SysViewTest, QueryStatsAggregateMatchesExecStatsUnderChaos) {
 
 TEST_F(SysViewTest, DmvQueriesAreExcludedFromStoreCacheAndCounters) {
   MustExecute(&host_, "SELECT a, b FROM rsrv.d.s.t");
+  // A host-local table, so the closing SELECT below is the only statement
+  // publishing into the process-wide registry (a linked engine's statement
+  // would publish too).
+  MustExecute(&host_, "CREATE TABLE loc (a INT PRIMARY KEY, b INT)");
+  MustExecute(&host_, "INSERT INTO loc VALUES (1,10),(2,20),(3,30)");
   sysview::QueryStore* store = host_.query_store();
   const int64_t recorded_before = store->total_recorded();
   const size_t cache_before = host_.PlanCacheSnapshot().size();
   const int64_t statements_before = CounterValue("exec.statements");
   const int64_t hits_before = CounterValue("engine.plan_cache.hit");
   const int64_t misses_before = CounterValue("engine.plan_cache.miss");
+  const int64_t rows_before = CounterValue("exec.rows_output");
+  const int64_t batches_before = CounterValue("exec.batches");
+  metrics::Histogram* query_ns =
+      metrics::Registry::Global().GetHistogram("engine.query_ns");
+  const int64_t samples_before = query_ns->Count();
+  const int64_t ns_before = query_ns->Sum();
 
   // Every shape of DMV read: bare scan, filtered scan, projection, repeat.
   MustExecute(&host_, "SELECT server, messages FROM sys..dm_link_stats");
@@ -260,10 +271,22 @@ TEST_F(SysViewTest, DmvQueriesAreExcludedFromStoreCacheAndCounters) {
   EXPECT_EQ(CounterValue("exec.statements"), statements_before);
   EXPECT_EQ(CounterValue("engine.plan_cache.hit"), hits_before);
   EXPECT_EQ(CounterValue("engine.plan_cache.miss"), misses_before);
+  EXPECT_EQ(CounterValue("exec.rows_output"), rows_before);
+  EXPECT_EQ(CounterValue("exec.batches"), batches_before);
+  EXPECT_EQ(query_ns->Count(), samples_before);
 
-  // The store still records ordinary statements afterwards.
-  MustExecute(&host_, "SELECT b FROM rsrv.d.s.t WHERE a = 1");
+  // The store and the counters still take ordinary statements afterwards:
+  // exactly this SELECT's ExecStats, and one latency sample equal to the
+  // duration its store record carries.
+  QueryResult r = MustExecute(&host_, "SELECT b FROM loc WHERE a >= 2");
   EXPECT_EQ(store->total_recorded(), recorded_before + 1);
+  EXPECT_EQ(CounterValue("exec.statements"), statements_before + 1);
+  EXPECT_EQ(CounterValue("exec.rows_output"),
+            rows_before + r.exec_stats.rows_output);
+  EXPECT_EQ(CounterValue("exec.batches"),
+            batches_before + r.exec_stats.exec_batches);
+  ASSERT_EQ(query_ns->Count(), samples_before + 1);
+  EXPECT_EQ(query_ns->Sum() - ns_before, store->Snapshot().back().duration_ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,8 +378,8 @@ TEST(SlowQueryTest, ThresholdAppendsWarningWithProfileAndCounts) {
   QueryResult r = MustExecute(&engine, "SELECT a FROM t WHERE a >= 2");
   ASSERT_EQ(r.warnings.size(), 1u);
   EXPECT_NE(r.warnings[0].find("slow query:"), std::string::npos);
-  // collect_operator_stats defaults on, so the est-vs-actual profile rides
-  // along — the first thing a slow-query investigation wants.
+  // The est-vs-actual profile rides along — the first thing a slow-query
+  // investigation wants.
   EXPECT_NE(r.warnings[0].find("#1 "), std::string::npos);
   EXPECT_EQ(CounterValue("exec.slow_queries"), slow_before + 1);
   EXPECT_EQ(CounterValue("exec.warnings"), warn_before + 1);

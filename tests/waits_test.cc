@@ -69,19 +69,6 @@ TEST(WaitsUnitTest, ZeroDurationWaitsStillCount) {
   EXPECT_EQ(GlobalCount("RETRY_BACKOFF"), 1);
 }
 
-TEST(WaitsUnitTest, DisabledRecordsNothing) {
-  waits::ResetGlobal();
-  waits::WaitTally query;
-  waits::SetEnabled(false);
-  {
-    waits::ScopedQueryTally scope(&query);
-    waits::RecordWait(waits::WaitType::kConcatQueue, 1234);
-  }
-  waits::SetEnabled(true);
-  EXPECT_EQ(query.total_count(), 0);
-  EXPECT_EQ(GlobalCount("CONCAT_QUEUE"), 0);
-}
-
 TEST(WaitsUnitTest, SnapshotAndTopType) {
   waits::WaitTally tally;
   tally.Add(waits::WaitType::kPrefetchQueue, 10);
@@ -302,7 +289,6 @@ TEST_F(WaitsTest, ExplainAnalyzeAttributesWaitsToRemoteOperators) {
 // Profile-tree wait attribution never exceeds what the query recorded.
 TEST_F(WaitsTest, OperatorAttributionIsBoundedByQueryTotals) {
   host_.options()->execution.enable_remote_prefetch = true;
-  host_.options()->execution.collect_operator_stats = true;
   QueryResult r = MustExecute(
       &host_,
       "SELECT big1.b, COUNT(*) FROM big1 JOIN rsrv.db.dbo.r rr "
