@@ -244,9 +244,12 @@ int64_t SpillsOf(const OperatorProfile& p) {
 std::vector<Row> FillRequests(Engine* engine) {
   std::vector<Row> rows;
   const std::string self_activity = activity::Current();
+  const std::vector<std::shared_ptr<sysview::RequestState>> requests =
+      sysview::RequestRegistry::Global().Snapshot();
+  // Read after the snapshot, so a request that registers meanwhile cannot
+  // show a start time later than "now".
   const int64_t now_ns = fastclock::NowNs();
-  for (const std::shared_ptr<sysview::RequestState>& req :
-       sysview::RequestRegistry::Global().Snapshot()) {
+  for (const std::shared_ptr<sysview::RequestState>& req : requests) {
     if (req->exclude.load(std::memory_order_relaxed)) continue;
     if (!self_activity.empty() && req->activity_id == self_activity) continue;
     if (req->engine != engine->name()) continue;

@@ -9,7 +9,6 @@
 #include "src/common/trace.h"
 #include "src/common/waits.h"
 #include "src/connectors/dmv_provider.h"
-#include "src/connectors/linked_provider.h"
 #include "src/core/governor.h"
 #include "src/optimizer/normalize.h"
 #include "src/optimizer/optimizer.h"
@@ -109,15 +108,6 @@ Result<std::vector<Row>> ShapeRows(const Schema& schema,
   return out;
 }
 
-// Sums the fault-related link counters over every linked server reachable
-// through a LinkedDataSource. Links are shared across queries, so per-query
-// ExecStats are computed as before/after deltas around ExecutePlan.
-struct LinkFaultTotals {
-  int64_t retries = 0;
-  int64_t timeouts = 0;
-  int64_t faults = 0;
-};
-
 // Locks `mu`, charging contention to the wait-statistics subsystem as
 // `type`. Uncontended acquisition — the overwhelmingly common case — takes
 // the try_lock fast path and records nothing.
@@ -130,21 +120,6 @@ std::unique_lock<std::mutex> LockRecordingWait(std::mutex& mu,
     waits::RecordWait(type, timer.Elapsed());
   }
   return lock;
-}
-
-LinkFaultTotals SumLinkFaults(Catalog* catalog) {
-  LinkFaultTotals totals;
-  const size_t n = catalog->LinkedServerNames().size();
-  for (size_t i = 0; i < n; ++i) {
-    auto* linked =
-        dynamic_cast<LinkedDataSource*>(catalog->ServerSource(static_cast<int>(i)));
-    if (linked == nullptr) continue;
-    net::LinkStats stats = linked->link()->stats();
-    totals.retries += stats.retries;
-    totals.timeouts += stats.timeouts;
-    totals.faults += stats.faults;
-  }
-  return totals;
 }
 
 }  // namespace
@@ -199,12 +174,16 @@ Status Engine::CreateFullTextIndex(const std::string& catalog_name,
   return Status::OK();
 }
 
-OptimizerContext Engine::MakeOptimizerContext(ColumnRegistry* registry) {
+OptimizerOptions Engine::EffectiveOptimizerOptions() const {
   OptimizerOptions opts = options_.optimizer;
   // dop is the one exec knob the optimizer sees: it gates the exchange
   // enforcer, so it must flow into compilation (and the plan-cache key).
   opts.max_dop = options_.execution.dop;
-  OptimizerContext ctx(catalog_.get(), registry, opts);
+  return opts;
+}
+
+OptimizerContext Engine::MakeOptimizerContext(ColumnRegistry* registry) {
+  OptimizerContext ctx(catalog_.get(), registry, EffectiveOptimizerOptions());
   for (const FullTextCatalogInfo& info : fulltext_catalogs_) {
     ctx.AddFullTextCatalog(info);
   }
@@ -717,17 +696,17 @@ Result<QueryResult> Engine::RunCachedPlan(
   ectx.memory = &req->memory;
   ectx.grant_bytes = grant.active() ? grant.granted_bytes() : 0;
   ectx.spill_dir = options_.spill_directory;
-  const LinkFaultTotals before = SumLinkFaults(catalog_.get());
   DHQP_ASSIGN_OR_RETURN(auto rowset, ExecutePlan(cached.plan, &ectx));
-  // Per-query fault accounting: links are charged below the executor (and
-  // shared across queries), so the deltas land here. Exact because
-  // ExecutePlan joins all worker threads before returning; clamped in case
-  // a bench reset the link counters mid-delta.
-  const LinkFaultTotals after = SumLinkFaults(catalog_.get());
-  ectx.stats.remote_retries = std::max<int64_t>(0, after.retries - before.retries);
-  ectx.stats.remote_timeouts =
-      std::max<int64_t>(0, after.timeouts - before.timeouts);
-  ectx.stats.faults_injected = std::max<int64_t>(0, after.faults - before.faults);
+  // Per-query fault accounting: each remote operator's link-charge sink
+  // holds the retries, timeouts and faults of its own messages, so the
+  // statement's totals are the sum over its profile tree — blind to other
+  // statements sharing the links, and exact because ExecutePlan joined
+  // every worker before returning.
+  for (const FlatOperator& f : FlattenOperatorProfile(*ectx.profile)) {
+    ectx.stats.remote_retries += f.op->link_charges.retries.load();
+    ectx.stats.remote_timeouts += f.op->link_charges.timeouts.load();
+    ectx.stats.faults_injected += f.op->link_charges.faults.load();
+  }
   // Peak query memory: visible as exec.memory_bytes after the statement
   // (the live view is dm_exec_requests). Last-writer-wins is the usual
   // gauge semantic.
@@ -782,23 +761,11 @@ Result<QueryResult> Engine::ExecuteSelect(
     bool execute, const std::string& cache_key, StatementInfo* info) {
   // Plan-cache hit: re-execute the compiled plan with fresh parameters.
   // Startup filters keep parameterized plans correct for any value (§4.1.5).
-  // Optimizer toggles are part of the key: a plan compiled under different
+  // Optimizer settings are part of the key: a plan compiled under different
   // options (the ablation benches flip them) must not be reused.
   bool use_cache = execute && options_.enable_plan_cache && !cache_key.empty();
   if (info != nullptr) info->plan_cacheable = use_cache;
-  std::string full_key;
-  if (use_cache) {
-    const OptimizerOptions& oo = options_.optimizer;
-    char opts_fp[32];
-    std::snprintf(opts_fp, sizeof(opts_fp), "%d%d%d%d%d%d%d%d%d%d.%d|",
-                  oo.enable_join_reorder, oo.enable_remote_pushdown,
-                  oo.enable_parameterization, oo.enable_spool_enforcer,
-                  oo.enable_remote_statistics, oo.enable_startup_filters,
-                  oo.enable_static_pruning, oo.enable_index_paths,
-                  oo.enable_fulltext_index, oo.multi_phase,
-                  options_.execution.dop);
-    full_key = std::string(opts_fp) + cache_key;
-  }
+  const PlanKey full_key{cache_key, EffectiveOptimizerOptions()};
   if (use_cache) {
     // The entry is copied out under the lock (the members are shared_ptrs
     // and small vectors) so a concurrent DMV snapshot — or a capacity

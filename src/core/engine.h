@@ -230,8 +230,21 @@ class Engine {
   /// plan still match; returns true if everything checked out.
   Result<bool> ValidateRemoteSchemas(const PhysicalOpPtr& plan);
 
+  /// The optimizer settings a statement compiles under: the engine's
+  /// OptimizerOptions with max_dop taken from ExecOptions::dop.
+  OptimizerOptions EffectiveOptimizerOptions() const;
+
   /// Builds the per-query optimizer context (options, full-text catalogs).
   OptimizerContext MakeOptimizerContext(ColumnRegistry* registry);
+
+  /// Plan-cache key: the statement text plus every optimizer setting that
+  /// compiled the plan. The comparison is defaulted, so a setting added to
+  /// OptimizerOptions later joins the key without an edit here.
+  struct PlanKey {
+    std::string statement;
+    OptimizerOptions options;
+    auto operator<=>(const PlanKey&) const = default;
+  };
 
   /// A compiled SELECT ready for repeated execution.
   struct CachedPlan {
@@ -261,7 +274,7 @@ class Engine {
   /// Guards plan_cache_ (and entry hit counts): executions mutate it while
   /// a concurrent DMV scan snapshots it.
   mutable std::mutex plan_cache_mu_;
-  std::map<std::string, CachedPlan> plan_cache_;
+  std::map<PlanKey, CachedPlan> plan_cache_;
   sysview::QueryStore query_store_;
 };
 

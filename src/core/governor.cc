@@ -57,8 +57,6 @@ int64_t EstRowBytes(const std::vector<DataType>& types) {
 /// Per-group accumulator footprint allowance for hash aggregation
 /// (Accumulator + vector overhead; DISTINCT sets are not estimable here).
 constexpr int64_t kAccumulatorBytes = 64;
-/// Exchange queues buffer up to this many batches per partition stream.
-constexpr int64_t kExchangeQueueDepth = 4;
 
 void AddOpGrant(const PhysicalOp& op, const ExecOptions& exec,
                 int64_t* total) {
@@ -107,7 +105,7 @@ void AddOpGrant(const PhysicalOp& op, const ExecOptions& exec,
       // stream — the one footprint that scales with dop.
       const int64_t streams = std::max(1, op.dop);
       const int64_t batch_rows = exec.batch_rows();
-      *total += streams * kExchangeQueueDepth * batch_rows *
+      *total += streams * exec.queue_depth() * batch_rows *
                 EstRowBytes(op.output_types);
       break;
     }

@@ -12,10 +12,10 @@
 
 namespace dhqp {
 
-/// A bounded blocking queue connecting asynchronous rowset producers
-/// (prefetch threads, parallel partitioned-view branches) to the Volcano
-/// consumer. Closing wakes everyone: producers see Push fail and stop;
-/// consumers drain the remaining items and then see Pop fail.
+/// A bounded blocking queue: the blocking core of BatchQueue (worker.h),
+/// which connects query workers to the Volcano consumer. Closing wakes
+/// everyone: producers see Push fail and stop; consumers drain the
+/// remaining items and then see Pop fail.
 template <typename T>
 class BoundedQueue {
  public:
@@ -85,16 +85,6 @@ class BoundedQueue {
     return popped;
   }
 
-  /// Non-blocking Pop; false when nothing is immediately available.
-  bool TryPop(T* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-
   /// No more Pushes will succeed; Pops drain what is buffered.
   void Close() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -103,24 +93,11 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
   /// Buffered item count — an instantaneous reading for metrics (queue
   /// depth histograms); it can be stale by the time the caller uses it.
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();
-  }
-
-  /// Reopens an empty state. Callers must have joined all producers and
-  /// consumers first; this is single-threaded by contract.
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    items_.clear();
-    closed_ = false;
   }
 
  private:

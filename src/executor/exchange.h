@@ -6,11 +6,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
-#include "src/executor/bounded_queue.h"
 #include "src/executor/exec.h"
+#include "src/executor/worker.h"
 
 namespace dhqp {
 
@@ -37,14 +36,13 @@ class ExchangeSegmentRegistry {
   std::map<int, std::shared_ptr<ExchangeSegment>> segments_;
 };
 
-/// The shared half of one exchange operator occurrence: P producer threads
+/// The shared half of one exchange operator occurrence: P query workers
 /// each run their own fragment instance (built via BuildFragmentTree) and
-/// route whole RowBatches into C bounded queues — queue index 0 for gather,
-/// round-robin for distribute, HashRowKeys % C for repartition. Buffers
-/// recycle through a bounded stash so the steady state allocates nothing.
-/// The last producer out closes every queue; a producer error closes them
-/// early (fail-fast) and surfaces to consumers after the queues drain —
-/// the same rows-then-error order a serial consumer observes.
+/// route whole RowBatches into C BatchQueues — queue index 0 for gather,
+/// round-robin for distribute, HashRowKeys % C for repartition. The last
+/// producer out closes every queue; a producer error fails them all early
+/// (fail-fast) and surfaces to each consumer after its queue drains — the
+/// same rows-then-error order a serial consumer observes.
 class ExchangeSegment {
  public:
   /// `op` is the kExchange plan node; `child_profile` is the profile slot
@@ -65,18 +63,15 @@ class ExchangeSegment {
   /// from Open and the first one wins.
   void Start();
 
-  /// Blocking pop for consumer stream `partition`. True with a batch;
-  /// false at end of data; the first producer error after the drain.
-  Result<bool> Pop(int partition, RowBatch* out);
-
-  /// Returns a drained buffer to the recycle stash (capacity preserved).
-  void Recycle(RowBatch&& batch);
+  /// Serves consumer stream `partition` (see BatchQueue::NextBatch).
+  Result<bool> NextBatch(int partition, RowBatch* out, int max_rows) {
+    return queues_[static_cast<size_t>(partition)]->NextBatch(out, max_rows);
+  }
 
   /// Closes all queues and joins the producers. Safe to call repeatedly;
   /// runs in the destructor for early-abandoned segments (e.g. under Top).
   void Stop();
 
-  int producers() const { return producers_; }
   int consumers() const { return consumers_; }
 
  private:
@@ -86,42 +81,21 @@ class ExchangeSegment {
   /// tree; repartition re-batches per consumer to the same size.
   Status PumpGatherOrDistribute(ExecNode* tree, int p, int batch_rows);
   Status PumpRepartition(ExecNode* tree, int batch_rows);
-  void RecordError(const Status& status);
-  void CloseAll();
-  void JoinAll();
-  RowBatch TakeRecycled();
   /// False when the queue closed (consumer gone or a peer errored).
   bool PushBatch(int queue, RowBatch&& batch);
-  /// Memory accounting for rows parked in the queues: producers charge on
-  /// push, consumers release on pop, the destructor releases whatever a
-  /// closed queue still held. Charged to the exchange operator's profile
-  /// slot and the query tracker.
-  void ChargeQueueMem(int64_t bytes);
-  void ReleaseQueueMem(int64_t bytes);
 
   PhysicalOpPtr op_;
   ExecContext* ctx_;
   OperatorProfile* child_profile_;
-  OperatorProfile* exchange_profile_;
   int producers_;
   int consumers_;
   std::vector<int> key_pos_;  ///< exchange_keys positions in child output.
-  std::vector<std::unique_ptr<BoundedQueue<RowBatch>>> queues_;
+  std::vector<std::unique_ptr<BatchQueue>> queues_;
   ExchangeSegmentRegistry nested_;  ///< Exchanges inside the fragment.
-  std::vector<std::thread> threads_;
   std::mutex start_mu_;
-  bool started_ = false;
+  bool started_ = false;  ///< Guarded by start_mu_.
   std::atomic<int> active_{0};
-  std::mutex error_mu_;
-  Status first_error_;
-  std::mutex join_mu_;
-  bool joined_ = false;
-  std::mutex recycle_mu_;
-  std::vector<RowBatch> recycle_;
-  size_t recycle_cap_;
-  /// Bytes currently parked in the queues (not yet popped); what the
-  /// destructor must release for abandoned segments.
-  std::atomic<int64_t> queued_bytes_{0};
+  QueryWorkers workers_;
 };
 
 /// Consumer-side exchange operator: one instance per consumer stream,
@@ -137,24 +111,20 @@ class ExchangeNode : public ExecNode {
                ExchangeSegmentRegistry* registry, int ordinal, int partition);
 
   Status Open() override;
-  Result<bool> NextBatch(RowBatch* out, int max_rows) override;
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    return segment_->NextBatch(partition_, out, max_rows);
+  }
   Status Restart() override {
     return Status::NotSupported("exchange does not support Restart");
   }
 
  private:
-  /// Ensures current_ has unserved rows; sets done_ at end of data.
-  Result<bool> FillCurrent();
-
   ExecContext* ctx_;
   OperatorProfile* child_profile_;
   ExchangeSegmentRegistry* registry_;
   int ordinal_;
   int partition_;
   std::shared_ptr<ExchangeSegment> segment_;
-  RowBatch current_;
-  size_t pos_ = 0;
-  bool done_ = false;
 };
 
 }  // namespace dhqp

@@ -4,17 +4,15 @@
 #include <atomic>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <set>
-#include <thread>
 #include <vector>
 
-#include "src/common/activity.h"
-#include "src/common/trace.h"
 #include "src/common/waits.h"
-#include "src/executor/bounded_queue.h"
 #include "src/executor/exchange.h"
 #include "src/executor/prefetch.h"
 #include "src/executor/spill.h"
+#include "src/executor/worker.h"
 #include "src/storage/btree.h"
 #include "src/sysview/requests.h"
 
@@ -1040,12 +1038,7 @@ class ConcatNode : public ExecNode {
  public:
   ConcatNode(PhysicalOpPtr op, std::vector<std::unique_ptr<ExecNode>> children,
              ExecContext* ctx)
-      : ExecNode(std::move(op)),
-        children_(std::move(children)),
-        ctx_(ctx),
-        queue_(static_cast<size_t>(ctx->options.prefetch_queue_depth > 0
-                                       ? ctx->options.prefetch_queue_depth
-                                       : 2)) {}
+      : ExecNode(std::move(op)), children_(std::move(children)), ctx_(ctx) {}
 
   ~ConcatNode() override { StopWorkers(); }
 
@@ -1054,8 +1047,6 @@ class ConcatNode : public ExecNode {
     current_ = 0;
     opened_current_ = false;
     launched_ = false;
-    batch_.clear();
-    batch_pos_ = 0;
     parallel_ = DecideParallel();
     return Status::OK();
   }
@@ -1130,33 +1121,17 @@ class ConcatNode : public ExecNode {
   void LaunchWorkers() {
     launched_ = true;
     next_branch_.store(0);
-    first_error_ = Status::OK();
-    queue_.Reset();
+    // Batches parked here are this operator's memory, like an exchange's.
+    queue_.emplace(ctx_->options, &ctx_->stats, profile_, ctx_->memory,
+                   waits::WaitType::kConcatQueue,
+                   waits::WaitType::kConcatQueue);
     size_t dop = std::min<size_t>(
         static_cast<size_t>(ctx_->options.concat_dop), children_.size());
     active_workers_.store(static_cast<int>(dop));
-    workers_.reserve(dop);
-    // Workers inherit the launching query's wait tally and activity id
-    // (both thread-local on the consumer thread running this).
     for (size_t i = 0; i < dop; ++i) {
-      workers_.emplace_back([this, i, query_waits = waits::CurrentQueryTally(),
-                             aid = activity::Current(),
-                             etag = trace::CurrentEngineTag()] {
-        trace::Tracer::SetCurrentThreadName("concat.worker" +
-                                            std::to_string(i));
-        waits::ScopedQueryTally tally(query_waits);
-        activity::Scope act(aid);
-        trace::EngineTagScope engine_tag(etag);
-        WorkerLoop();
-      });
+      workers_.Launch("concat.worker" + std::to_string(i),
+                      [this] { WorkerLoop(); });
     }
-  }
-
-  /// Charges one blocked Concat-queue interval to the query and this
-  /// operator.
-  void ChargeQueueWait(int64_t ticks) {
-    waits::RecordWait(waits::WaitType::kConcatQueue, ticks,
-                      &profile_->wait_tally);
   }
 
   void WorkerLoop() {
@@ -1172,7 +1147,7 @@ class ConcatNode : public ExecNode {
       Status st = child->Open();
       if (!st.ok()) {
         if (MaybeSkipMember(*child, st, /*rows_emitted=*/0)) continue;
-        RecordError(st);
+        queue_->Fail(st);  // Wakes the consumer and the other workers.
         break;
       }
       // Every batch the branch yields is published whole. A failing pull
@@ -1181,33 +1156,24 @@ class ConcatNode : public ExecNode {
       // same rule the sequential path applies.
       int64_t rows_published = 0;
       while (true) {
-        RowBatch batch;
+        RowBatch batch = queue_->TakeBuffer();
         Result<bool> has =
             child->NextBatch(&batch, ctx_->options.batch_rows());
         if (!has.ok()) {
           if (MaybeSkipMember(*child, has.status(), rows_published)) break;
-          RecordError(has.status());
+          queue_->Fail(has.status());
           aborted = true;
           break;
         }
         if (!*has) break;
         rows_published += static_cast<int64_t>(batch.rows.size());
-        if (!queue_.Push(std::move(batch),
-                         [this](int64_t t) { ChargeQueueWait(t); })) {
+        if (!queue_->Push(std::move(batch))) {
           aborted = true;
           break;
         }
       }
     }
-    if (active_workers_.fetch_sub(1) == 1) queue_.Close();
-  }
-
-  void RecordError(Status st) {
-    {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (first_error_.ok()) first_error_ = std::move(st);
-    }
-    queue_.Close();  // Fail fast: wake the consumer and the other workers.
+    if (active_workers_.fetch_sub(1) == 1) queue_->Close();
   }
 
   /// Graceful degradation (ExecOptions::skip_unreachable_members): returns
@@ -1236,52 +1202,15 @@ class ConcatNode : public ExecNode {
 
   Result<bool> ParallelNextBatch(RowBatch* out, int max_rows) {
     if (!launched_) LaunchWorkers();
-    out->clear();
-    if (max_rows <= 0) return false;
-    while (batch_pos_ >= batch_.rows.size()) {
-      RowBatch batch;
-      bool got = queue_.TryPop(&batch);
-      if (!got) {
-        got = queue_.Pop(&batch, [this](int64_t t) { ChargeQueueWait(t); });
-        if (got) ctx_->stats.prefetch_stalls++;
-      }
-      if (!got) {
-        JoinWorkers();
-        std::lock_guard<std::mutex> lock(error_mu_);
-        if (!first_error_.ok()) return first_error_;
-        return false;
-      }
-      batch_ = std::move(batch);
-      batch_pos_ = 0;
-    }
-    if (batch_pos_ == 0 &&
-        batch_.rows.size() <= static_cast<size_t>(max_rows)) {
-      // Hand the worker's buffer out wholesale — no per-row copies.
-      *out = std::move(batch_);
-      batch_ = RowBatch{};
-      return true;
-    }
-    const size_t take = std::min(batch_.rows.size() - batch_pos_,
-                                 static_cast<size_t>(max_rows));
-    out->rows.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      out->rows.push_back(std::move(batch_.rows[batch_pos_ + i]));
-    }
-    batch_pos_ += take;
-    return true;
+    return queue_->NextBatch(out, max_rows);
   }
 
-  void JoinWorkers() {
-    for (std::thread& t : workers_) {
-      if (t.joinable()) t.join();
-    }
-    workers_.clear();
-  }
-
+  /// Closes the queue, joins the workers and drops what they left parked.
   void StopWorkers() {
-    if (workers_.empty()) return;
-    queue_.Close();
-    JoinWorkers();
+    if (!queue_.has_value()) return;
+    queue_->Close();
+    workers_.JoinAll();
+    queue_.reset();
   }
 
   std::vector<std::unique_ptr<ExecNode>> children_;
@@ -1295,14 +1224,10 @@ class ConcatNode : public ExecNode {
   // Parallel mode.
   bool parallel_ = false;
   bool launched_ = false;
-  BoundedQueue<RowBatch> queue_;
-  std::vector<std::thread> workers_;
+  std::optional<BatchQueue> queue_;
   std::atomic<size_t> next_branch_{0};
   std::atomic<int> active_workers_{0};
-  std::mutex error_mu_;
-  Status first_error_;
-  RowBatch batch_;
-  size_t batch_pos_ = 0;
+  QueryWorkers workers_;
 };
 
 // ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ struct ExecStats {
   std::atomic<int64_t> remote_fetches{0};    ///< Remote bookmark fetches.
   std::atomic<int64_t> rows_from_remote{0};  ///< Rows from linked servers.
   std::atomic<int64_t> remote_batches{0};    ///< Block fetches from remotes.
-  std::atomic<int64_t> prefetch_stalls{0};   ///< Consumer waits on an async
-                                             ///< producer (empty queue).
+  std::atomic<int64_t> prefetch_stalls{0};   ///< Blocking worker-queue pops
+                                             ///< that returned a batch.
   std::atomic<int64_t> startup_skips{0};     ///< Subtrees skipped by startup
                                              ///< filters.
   std::atomic<int64_t> partitions_opened{0};  ///< Concat branches executed.
@@ -115,7 +115,9 @@ struct ExecOptions {
   /// holds this); remote block-fetch granularity stays remote_batch_rows.
   /// Values below 1 mean one-row batches (see batch_rows()).
   int exec_batch_rows = 1024;
-  /// Batches buffered ahead of the consumer (double buffering and beyond).
+  /// Batches buffered ahead of the consumer (double buffering and beyond)
+  /// in every worker queue: prefetch, exchange and parallel Concat. Values
+  /// below 1 mean a one-batch queue (see queue_depth()).
   int prefetch_queue_depth = 4;
   /// Max Concat branches (partitioned-view members) drained concurrently;
   /// <= 1 keeps the strictly sequential executor.
@@ -130,6 +132,10 @@ struct ExecOptions {
 
   /// exec_batch_rows clamped to a usable batch size (>= 1).
   int batch_rows() const { return exec_batch_rows > 0 ? exec_batch_rows : 1; }
+  /// prefetch_queue_depth clamped to a usable queue depth (>= 1).
+  int queue_depth() const {
+    return prefetch_queue_depth > 0 ? prefetch_queue_depth : 1;
+  }
 };
 
 /// Shared execution state for one query. Not copyable (warnings_mu);

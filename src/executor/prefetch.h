@@ -1,14 +1,11 @@
 #ifndef DHQP_EXECUTOR_PREFETCH_H_
 #define DHQP_EXECUTOR_PREFETCH_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <optional>
 
-#include "src/executor/bounded_queue.h"
 #include "src/executor/exec.h"
+#include "src/executor/worker.h"
 #include "src/provider/provider.h"
 
 namespace dhqp {
@@ -50,58 +47,27 @@ class PrefetchingRowset : public Rowset {
   /// Tears the producer down, rewinds the inner rowset and relaunches —
   /// the rescan path for prefetching nodes. Fails (NotSupported) when the
   /// inner rowset cannot rewind; callers fall back to reopening. Works after
-  /// a transient producer fault: the sticky error is cleared and the new
+  /// a transient producer fault: the new queue keeps no error and the new
   /// producer re-drains from the start.
   Status Restart() override;
 
-  /// Number of producer threads currently alive across all instances. The
-  /// chaos suite asserts this returns to zero after every query: a consumer
-  /// abandoning a rowset mid-stream (error, LIMIT, cancelled sibling) must
-  /// never leak its producer.
-  static int64_t live_producers();
-
  private:
+  /// Opens a fresh queue and launches the producer on it.
   void Start();
+  /// Closes the queue and joins the producer.
   void Stop();
   void ProducerLoop();
-  /// Pops the next batch into `current_`; false at end of stream or error.
-  Result<bool> Advance();
-  /// Returns a drained batch's storage to the producer (bounded stash), so
-  /// the pipeline cycles a fixed set of RowBatch buffers instead of
-  /// allocating one per batch: consumer -> recycle stash -> producer ->
-  /// queue -> consumer.
-  void Recycle(RowBatch&& batch);
-  /// Producer side of the cycle: a recycled buffer, or a fresh one while
-  /// the cycle is still filling.
-  RowBatch TakeRecycled();
-  /// Queue-residency memory accounting: the producer charges each batch
-  /// before pushing, the consumer releases on pop, Stop() settles whatever
-  /// a torn-down pipeline still held.
-  void ChargeQueueMem(int64_t bytes);
-  void ReleaseQueueMem(int64_t bytes);
 
   std::unique_ptr<Rowset> inner_;
   Schema schema_;  ///< Copied: schema() must not race with the producer.
-  int batch_rows_;
+  ExecOptions options_;
   ExecStats* stats_;
   OperatorProfile* profile_;
   MemTracker* query_mem_;
-  /// Bytes currently parked in the queue; settled by Stop() for batches no
-  /// consumer will pop.
-  std::atomic<int64_t> queued_bytes_{0};
 
-  BoundedQueue<RowBatch> queue_;
-  std::thread producer_;
-
-  std::mutex status_mu_;
-  Status producer_status_;  ///< First producer error; guarded by status_mu_.
-
-  std::mutex recycle_mu_;
-  std::vector<RowBatch> recycle_;  ///< Guarded by recycle_mu_.
-
-  RowBatch current_;
-  size_t pos_ = 0;
-  bool done_ = false;
+  std::optional<BatchQueue> queue_;
+  RowBatch row_;  ///< One-row staging batch for Next().
+  QueryWorkers producer_;
 };
 
 }  // namespace dhqp

@@ -1,6 +1,7 @@
 #ifndef DHQP_OPTIMIZER_CONTEXT_H_
 #define DHQP_OPTIMIZER_CONTEXT_H_
 
+#include <compare>
 #include <map>
 #include <optional>
 #include <string>
@@ -63,6 +64,8 @@ struct OptimizerOptions {
   /// everything present). Guards the full phase against combinatorial
   /// blow-up on wide join graphs.
   int max_memo_exprs = 20000;
+
+  auto operator<=>(const OptimizerOptions&) const = default;
 };
 
 /// Statistics the optimizer gathered about its own run, reported by EXPLAIN

@@ -1,17 +1,24 @@
-// BoundedQueue unit suite: the blocking/close contract every exchange,
-// prefetch, and Concat pipeline leans on, plus the wait-hook overloads the
-// wait-statistics subsystem uses to time blocked intervals. Deliberately
-// thread-heavy — run under -DDHQP_TSAN=ON this is the race check for the
-// queue itself.
+// Unit suite for the worker handoff every exchange, prefetch, and Concat
+// pipeline runs on: BoundedQueue's blocking/close contract and the
+// wait-hook overloads the wait-statistics subsystem uses to time blocked
+// intervals, then the two parts built on it — QueryWorkers (thread-local
+// handoff, join-once live counting) and BatchQueue (memory settlement,
+// rows-then-error order). Deliberately thread-heavy — run under
+// -DDHQP_TSAN=ON this is the race check for the handoff itself.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/activity.h"
+#include "src/common/waits.h"
 #include "src/executor/bounded_queue.h"
+#include "src/executor/worker.h"
 
 namespace dhqp {
 namespace {
@@ -147,6 +154,114 @@ TEST(BoundedQueueTest, MultiProducerMultiConsumer) {
   for (auto& t : consumers) t.join();
   EXPECT_EQ(popped.load(), kProducers * kPerProducer);
   for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// QueryWorkers and BatchQueue.
+// ---------------------------------------------------------------------------
+
+// A worker runs under the launching statement's activity id and wait tally,
+// and counts as live from launch until it is joined — not merely until its
+// body returns.
+TEST(QueryWorkersTest, LiveCountsEachWorkerUntilItIsJoined) {
+  ASSERT_EQ(QueryWorkers::live(), 0);
+  waits::WaitTally tally;
+  waits::ScopedQueryTally query_tally(&tally);
+  activity::Scope act("launcher#1");
+  std::promise<void> finished;
+  std::string seen_activity;
+  waits::WaitTally* seen_tally = nullptr;
+  QueryWorkers workers;
+  workers.Launch("test.worker", [&] {
+    seen_activity = activity::Current();
+    seen_tally = waits::CurrentQueryTally();
+    finished.set_value();
+  });
+  finished.get_future().wait();
+  EXPECT_EQ(QueryWorkers::live(), 1);  // Body done, thread not yet joined.
+  workers.JoinAll();
+  EXPECT_EQ(QueryWorkers::live(), 0);
+  EXPECT_EQ(seen_activity, "launcher#1");
+  EXPECT_EQ(seen_tally, &tally);
+  workers.JoinAll();  // Joined once; a second call has nothing to do.
+  EXPECT_EQ(QueryWorkers::live(), 0);
+}
+
+RowBatch IntBatch(int first, int n) {
+  RowBatch batch;
+  for (int i = first; i < first + n; ++i) {
+    batch.rows.push_back({Value::Int64(i)});
+  }
+  return batch;
+}
+
+BatchQueue TestQueue(OperatorProfile* owner, MemTracker* query_mem) {
+  ExecOptions options;
+  options.prefetch_queue_depth = 4;
+  return BatchQueue(options, /*stats=*/nullptr, owner, query_mem,
+                    waits::WaitType::kExchangeQueuePush,
+                    waits::WaitType::kExchangeQueuePop);
+}
+
+// Parked batches are charged to the owner and the query; popping releases
+// one batch's charge, a rejected push returns its own, and whatever a
+// closed queue still holds is settled when the queue goes away.
+TEST(BatchQueueTest, ClosedQueueSettlesParkedBatches) {
+  OperatorProfile owner;
+  MemTracker query_mem;
+  {
+    BatchQueue queue = TestQueue(&owner, &query_mem);
+    ASSERT_TRUE(queue.Push(IntBatch(0, 10)));
+    const int64_t one_batch = owner.mem.current();
+    EXPECT_GT(one_batch, 0);
+    ASSERT_TRUE(queue.Push(IntBatch(10, 10)));
+    ASSERT_TRUE(queue.Push(IntBatch(20, 10)));
+    EXPECT_EQ(owner.mem.current(), 3 * one_batch);
+    EXPECT_EQ(query_mem.current(), 3 * one_batch);
+    RowBatch out;
+    auto has = queue.NextBatch(&out, 100);
+    ASSERT_TRUE(has.ok() && *has);
+    EXPECT_EQ(out.size(), 10u);
+    EXPECT_EQ(owner.mem.current(), 2 * one_batch);
+    queue.Close();
+    EXPECT_FALSE(queue.Push(IntBatch(30, 10)));
+    EXPECT_EQ(owner.mem.current(), 2 * one_batch);
+    EXPECT_EQ(query_mem.current(), 2 * one_batch);
+  }
+  EXPECT_EQ(owner.mem.current(), 0);
+  EXPECT_EQ(query_mem.current(), 0);
+  EXPECT_EQ(owner.mem.peak(), query_mem.peak());
+  EXPECT_GT(owner.mem.peak(), 0);
+}
+
+// The first reported error waits behind every parked row, sliced or whole,
+// and then sticks; later errors are dropped.
+TEST(BatchQueueTest, FirstErrorSurfacesAfterBufferedBatches) {
+  BatchQueue queue = TestQueue(nullptr, nullptr);
+  ASSERT_TRUE(queue.Push(IntBatch(0, 3)));
+  ASSERT_TRUE(queue.Push(IntBatch(3, 3)));
+  queue.Fail(Status::NetworkError("first"));
+  queue.Fail(Status::Internal("second"));
+  EXPECT_FALSE(queue.Push(IntBatch(6, 3)));
+  RowBatch out;
+  std::vector<int64_t> seen;
+  Status error = Status::OK();
+  while (true) {
+    auto has = queue.NextBatch(&out, 2);
+    if (!has.ok()) {
+      error = has.status();
+      break;
+    }
+    ASSERT_TRUE(*has) << "end of data instead of the kept error";
+    ASSERT_LE(out.size(), 2u);
+    for (const Row& row : out.rows) seen.push_back(row[0].int64_value());
+  }
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(error.code(), StatusCode::kNetworkError);
+  EXPECT_EQ(error.message(), "first");
+  auto again = queue.NextBatch(&out, 2);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().message(), "first");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // two chaos invariants:
 //   (a) every query either returns the exact fault-free result multiset or
 //       a clean provider-attributed network error — never a hang, crash, or
-//       silent partial result — and leaks no producer threads;
+//       silent partial result — and leaks no query-worker thread;
 //   (b) replaying the same seed under a single-threaded configuration
 //       reproduces the same outcome (fault decisions are a pure function of
 //       (seed, message ordinal); with prefetch/parallel branches disabled
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "src/executor/prefetch.h"
+#include "src/executor/worker.h"
 #include "tests/test_util.h"
 
 namespace dhqp {
@@ -191,8 +191,9 @@ std::string RunArmed(Federation* fed) {
                 std::string::npos)
           << result.status().ToString();
     }
-    // Never a leaked producer thread, whatever the outcome.
-    EXPECT_EQ(PrefetchingRowset::live_producers(), 0) << Workload()[q];
+    // Never a leaked query-worker thread (prefetch producer, Concat
+    // branch), whatever the outcome.
+    EXPECT_EQ(QueryWorkers::live(), 0) << Workload()[q];
     outcome += fp + "|";
   }
   return outcome;

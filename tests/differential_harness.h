@@ -17,6 +17,7 @@
 #include "src/common/rng.h"
 #include "src/common/waits.h"
 #include "src/executor/profile.h"
+#include "src/executor/worker.h"
 #include "tests/test_util.h"
 
 namespace dhqp {
@@ -85,6 +86,9 @@ inline Observation Observe(Engine* host, const std::string& sql,
   host->options()->execution.exec_batch_rows = mode.batch_rows;
   Observation obs;
   auto result = host->Execute(sql);
+  // Every query worker (prefetch producer, exchange worker, Concat branch)
+  // is joined before the statement returns, whatever its outcome.
+  EXPECT_EQ(QueryWorkers::live(), 0) << sql << " (" << mode.Label() << ")";
   obs.ok = result.ok();
   if (!result.ok()) {
     obs.code = result.status().code();

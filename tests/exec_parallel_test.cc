@@ -269,6 +269,16 @@ TEST_F(ParallelConcatTest, ParallelMatchesSequentialRowMultiset) {
   EXPECT_EQ(parallel.exec_stats.parallel_branches, 3);
   EXPECT_EQ(parallel.exec_stats.partitions_opened, 3);
   EXPECT_EQ(RowMultiset(sequential), RowMultiset(parallel));
+  // Batches parked between the workers and the consumer are the Concat
+  // operator's memory, all of it settled once the statement is over.
+  ASSERT_NE(parallel.profile, nullptr);
+  const OperatorProfile* concat = nullptr;
+  for (const FlatOperator& f : FlattenOperatorProfile(*parallel.profile)) {
+    if (f.op->name == "Concat") concat = f.op;
+  }
+  ASSERT_NE(concat, nullptr);
+  EXPECT_GT(concat->mem.peak(), 0);
+  EXPECT_EQ(concat->mem.current(), 0);
 }
 
 TEST_F(ParallelConcatTest, AggregateOverParallelViewIsExact) {

@@ -6,13 +6,17 @@
 // provider-attributed errors, session teardown on link-down, and the
 // partitioned-view graceful-degradation knob.
 
+#include <condition_variable>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/executor/prefetch.h"
+#include "src/executor/worker.h"
 #include "tests/test_util.h"
 
 namespace dhqp {
@@ -367,7 +371,7 @@ TEST(PrefetchFaultTest, ProducerAbsorbsTransientFaultViaRetry) {
   }
   EXPECT_GE(link.stats().retries, 1);
   EXPECT_EQ(link.stats().rows, 200);
-  EXPECT_EQ(PrefetchingRowset::live_producers(), 0);
+  EXPECT_EQ(QueryWorkers::live(), 0);
 }
 
 TEST(PrefetchFaultTest, StickyErrorThenRestartRecoversAfterFaultCleared) {
@@ -406,7 +410,7 @@ TEST(PrefetchFaultTest, StickyErrorThenRestartRecoversAfterFaultCleared) {
 }
 
 TEST(PrefetchFaultTest, AbandonedConsumerAlwaysJoinsProducer) {
-  ASSERT_EQ(PrefetchingRowset::live_producers(), 0);
+  ASSERT_EQ(QueryWorkers::live(), 0);
   // Abandon with the producer mid-stream (blocked pushing into a full
   // queue): destruction must close the queue and join.
   {
@@ -418,7 +422,7 @@ TEST(PrefetchFaultTest, AbandonedConsumerAlwaysJoinsProducer) {
     auto has = rowset.Next(&row);
     ASSERT_TRUE(has.ok());
   }
-  EXPECT_EQ(PrefetchingRowset::live_producers(), 0);
+  EXPECT_EQ(QueryWorkers::live(), 0);
 
   // Abandon without ever reading, with the producer hitting an error before
   // the consumer drains anything.
@@ -428,7 +432,7 @@ TEST(PrefetchFaultTest, AbandonedConsumerAlwaysJoinsProducer) {
         std::make_unique<FlakyRowset>(OneIntSchema(), /*fail_after=*/10),
         SmallBatches(), &stats);
   }
-  EXPECT_EQ(PrefetchingRowset::live_producers(), 0);
+  EXPECT_EQ(QueryWorkers::live(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,7 +462,153 @@ TEST(EndToEndFaultTest, TransientFaultRecoversAndShowsInExecStats) {
   EXPECT_EQ(RowsToString(faulted), "(100)");
   EXPECT_GE(faulted.exec_stats.remote_retries, 1);
   EXPECT_GE(faulted.exec_stats.faults_injected, 1);
-  EXPECT_EQ(PrefetchingRowset::live_producers(), 0);
+  EXPECT_EQ(QueryWorkers::live(), 0);
+}
+
+/// Holds armed scans in flight: an armed gated rowset reports that it has
+/// reached its first row, then waits until the test opens the gate.
+struct ScanGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;    ///< Guarded by mu.
+  bool reached = false;  ///< Guarded by mu.
+  bool open = false;     ///< Guarded by mu.
+
+  void Arrive() {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!armed) return;
+    reached = true;
+    cv.notify_all();
+    cv.wait(lock, [this] { return open; });
+  }
+  void AwaitReached() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return reached; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
+/// Three rows that pass the gate before the first one is served.
+class GatedRowset : public Rowset {
+ public:
+  GatedRowset(Schema schema, ScanGate* gate)
+      : schema_(std::move(schema)), gate_(gate) {}
+
+  const Schema& schema() const override { return schema_; }
+
+  Result<bool> Next(Row* out) override {
+    if (served_ == 0) gate_->Arrive();
+    if (served_ >= 3) return false;
+    *out = {Value::Int64(served_++)};
+    return true;
+  }
+
+ private:
+  Schema schema_;
+  ScanGate* gate_;
+  int served_ = 0;
+};
+
+/// A scan-only provider with no link: its one table `t` reads through a
+/// GatedRowset.
+class GatedDataSource : public DataSource {
+ public:
+  explicit GatedDataSource(ScanGate* gate) : gate_(gate) {
+    caps_.provider_name = "Gated";
+    caps_.source_type = "Test";
+    caps_.query_language = "none";
+    caps_.supports_schema_rowset = true;
+  }
+
+  const ProviderCapabilities& capabilities() const override { return caps_; }
+
+  Result<std::unique_ptr<Session>> CreateSession() override {
+    return std::unique_ptr<Session>(std::make_unique<GatedSession>(gate_));
+  }
+
+ private:
+  class GatedSession : public Session {
+   public:
+    explicit GatedSession(ScanGate* gate) : gate_(gate) {}
+
+    Result<std::unique_ptr<Rowset>> OpenRowset(
+        const std::string& table) override {
+      if (table != "t") return Status::NotFound("no table '" + table + "'");
+      return std::unique_ptr<Rowset>(
+          std::make_unique<GatedRowset>(OneIntSchema(), gate_));
+    }
+
+    Result<std::vector<TableMetadata>> ListTables() override {
+      TableMetadata meta;
+      meta.name = "t";
+      meta.schema = OneIntSchema();
+      meta.cardinality = 3;
+      return std::vector<TableMetadata>{std::move(meta)};
+    }
+
+   private:
+    ScanGate* gate_;
+  };
+
+  ProviderCapabilities caps_;
+  ScanGate* gate_;
+};
+
+// Per-statement fault counters come from the statement's own operators: a
+// retry that statement A pays on its link never lands on statement B, even
+// while B is in flight on the same engine.
+TEST(EndToEndFaultTest, ConcurrentStatementsKeepTheirOwnRetries) {
+  Engine host;
+  RemoteServer remote = AttachRemoteEngine(&host, "r");
+  MustExecute(remote.engine.get(), "CREATE TABLE t (a INT)");
+  for (int i = 0; i < 100; ++i) {
+    MustExecute(remote.engine.get(),
+                "INSERT INTO t (a) VALUES (" + std::to_string(i) + ")");
+  }
+  ScanGate gate;
+  ASSERT_OK(host.AddLinkedServer("gated",
+                                 std::make_shared<GatedDataSource>(&gate)));
+  const std::string sql_a = "SELECT COUNT(*) FROM r.d.s.t";
+  const std::string sql_b = "SELECT a FROM gated.d.s.t";
+  // Warm sessions, metadata and plans fault-free, with the gate disarmed.
+  MustExecute(&host, sql_a);
+  MustExecute(&host, sql_b);
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.armed = true;
+  }
+
+  QueryResult b;
+  std::thread statement_b([&] { b = MustExecute(&host, sql_b); });
+  gate.AwaitReached();  // B is executing its scan.
+  remote.injector->Reset();
+  remote.injector->FailMessages(/*after=*/1, /*count=*/1);
+  QueryResult a = MustExecute(&host, sql_a);
+  gate.Open();
+  statement_b.join();
+
+  EXPECT_EQ(RowsToString(a), "(100)");
+  EXPECT_EQ(a.exec_stats.remote_retries, 1);
+  EXPECT_EQ(a.exec_stats.faults_injected, 1);
+  EXPECT_EQ(RowsToString(b), "(0)(1)(2)");
+  EXPECT_EQ(b.exec_stats.remote_retries, 0);
+  EXPECT_EQ(b.exec_stats.faults_injected, 0);
+  // The query store keeps the same per-statement counts: A finished (and
+  // was recorded) before the gate let B finish.
+  const std::vector<sysview::ExecutionRecord> records =
+      host.query_store()->Snapshot();
+  ASSERT_GE(records.size(), 2u);
+  const sysview::ExecutionRecord& store_a = records[records.size() - 2];
+  const sysview::ExecutionRecord& store_b = records[records.size() - 1];
+  EXPECT_EQ(store_a.statement, sql_a);
+  EXPECT_EQ(store_a.retries, 1);
+  EXPECT_EQ(store_b.statement, sql_b);
+  EXPECT_EQ(store_b.retries, 0);
+  EXPECT_EQ(QueryWorkers::live(), 0);
 }
 
 TEST(EndToEndFaultTest, LinkDownSurfacesAttributedErrorAndEngineRecovers) {
@@ -475,7 +625,7 @@ TEST(EndToEndFaultTest, LinkDownSurfacesAttributedErrorAndEngineRecovers) {
   EXPECT_EQ(result.status().code(), StatusCode::kNetworkError);
   EXPECT_NE(result.status().message().find("'r'"), std::string::npos)
       << result.status().ToString();
-  EXPECT_EQ(PrefetchingRowset::live_producers(), 0);
+  EXPECT_EQ(QueryWorkers::live(), 0);
 
   // Outage over: the engine reconnects (the failed query tore down the
   // cached session) and the same statement works again.
@@ -562,7 +712,7 @@ TEST_F(DegradationTest, KnobOffUnreachableMemberFailsTheQuery) {
     auto result = host_.Execute(kQuery);
     ASSERT_FALSE(result.ok()) << "dop=" << dop;
     EXPECT_EQ(result.status().code(), StatusCode::kNetworkError);
-    EXPECT_EQ(PrefetchingRowset::live_producers(), 0);
+    EXPECT_EQ(QueryWorkers::live(), 0);
   }
 }
 
@@ -583,7 +733,7 @@ TEST_F(DegradationTest, KnobOnSkipsUnreachableMemberAndReports) {
     ASSERT_EQ(result->warnings.size(), 1u) << "dop=" << dop;
     EXPECT_NE(result->warnings[0].find("m1"), std::string::npos)
         << result->warnings[0];
-    EXPECT_EQ(PrefetchingRowset::live_producers(), 0);
+    EXPECT_EQ(QueryWorkers::live(), 0);
   }
 }
 

@@ -1,6 +1,10 @@
 // Plan cache tests: reuse, parameter sensitivity via startup filters,
 // invalidation on DDL and option changes.
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace dhqp {
@@ -45,8 +49,29 @@ TEST_F(PlanCacheTest, OptionChangesMissTheCache) {
   engine_.options()->optimizer.enable_index_paths = false;
   QueryResult without_index = MustExecute(&engine_, "SELECT v FROM t WHERE id = 2");
   EXPECT_EQ(RowsToString(without_index), "(20)");
+  EXPECT_FALSE(without_index.plan_cache_hit);
   // Different options produced a different (index-free) plan.
   EXPECT_EQ(CountOps(without_index.plan, PhysicalOpKind::kIndexRange), 0);
+
+  // Every optimizer setting keys the cache, including those that leave
+  // this plan's shape alone.
+  const std::vector<std::pair<std::string, void (*)(OptimizerOptions*)>>
+      flips = {
+          {"enable_locality_grouping",
+           [](OptimizerOptions* o) { o->enable_locality_grouping = false; }},
+          {"max_memo_exprs",
+           [](OptimizerOptions* o) { o->max_memo_exprs = 5000; }},
+      };
+  for (const auto& [name, flip] : flips) {
+    engine_.options()->optimizer = OptimizerOptions{};
+    EXPECT_TRUE(
+        MustExecute(&engine_, "SELECT v FROM t WHERE id = 2").plan_cache_hit)
+        << name;
+    flip(&engine_.options()->optimizer);
+    QueryResult flipped = MustExecute(&engine_, "SELECT v FROM t WHERE id = 2");
+    EXPECT_EQ(RowsToString(flipped), "(20)") << name;
+    EXPECT_FALSE(flipped.plan_cache_hit) << name;
+  }
 }
 
 TEST_F(PlanCacheTest, DataChangesAreVisibleThroughCachedPlans) {

@@ -273,6 +273,23 @@ TEST_F(SpillExecTest, ForcedSpillIsObservableEverywhere) {
   EXPECT_GT(SpillIoWaits(), 0);
 }
 
+// Exchange queues are priced at the configured depth: the grant estimate
+// follows ExecOptions::queue_depth(), the depth the queues run with.
+TEST_F(SpillExecTest, ExchangeGrantFollowsQueueDepth) {
+  host_.options()->execution.dop = 4;
+  auto prepared = host_.Prepare(
+      "SELECT big1.c, COUNT(*), SUM(big2.d) FROM big1 JOIN big2 "
+      "ON big1.c = big2.d GROUP BY big1.c");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_GT(CountOps(prepared->plan, PhysicalOpKind::kExchange), 0);
+  ExecOptions exec = host_.options()->execution;
+  exec.prefetch_queue_depth = 1;
+  const int64_t shallow = governor::EstimateGrantBytes(prepared->plan, exec);
+  exec.prefetch_queue_depth = 4;
+  const int64_t deep = governor::EstimateGrantBytes(prepared->plan, exec);
+  EXPECT_LT(shallow, deep);
+}
+
 // External merge must reproduce the in-memory stable sort bit-for-bit:
 // ORDER BY a 97-valued key leaves ~82-way ties whose within-key order is
 // the insertion order, across however many spilled runs the minimum grant
