@@ -227,13 +227,6 @@ std::vector<Row> FillTraceSpans() {
   return rows;
 }
 
-/// Total spill files written so far across an operator tree.
-int64_t SpillsOf(const OperatorProfile& p) {
-  int64_t n = p.spills.load(std::memory_order_relaxed);
-  for (const auto& child : p.children) n += SpillsOf(*child);
-  return n;
-}
-
 /// Live in-flight statements (the sys.dm_exec_requests analog). Snapshots
 /// the process-wide registry and filters to this engine's requests,
 /// skipping self-excluded (sys-touching) statements and — belt on top of
@@ -260,7 +253,7 @@ std::vector<Row> FillRequests(Engine* engine) {
     if (std::shared_ptr<const OperatorProfile> profile = req->profile()) {
       rows_processed = sysview::RowsProcessed(*profile);
       batches = sysview::BatchesProcessed(*profile);
-      spills = SpillsOf(*profile);
+      spills = FoldExecStats(*profile).spills;
       percent = sysview::PercentComplete(*profile);
     }
     const waits::WaitTotals wait_totals = waits::Snapshot(req->waits);

@@ -1,7 +1,9 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <iterator>
 #include <set>
 
 #include "src/common/activity.h"
@@ -190,75 +192,52 @@ OptimizerContext Engine::MakeOptimizerContext(ColumnRegistry* registry) {
   return ctx;
 }
 
+namespace {
+
+// The exec.* registry counter each ExecStats field publishes into.
+struct ExecCounter {
+  const char* name;
+  int64_t ExecStats::*field;
+};
+constexpr ExecCounter kExecCounters[] = {
+    {"exec.rows_output", &ExecStats::rows_output},
+    {"exec.rows_from_remote", &ExecStats::rows_from_remote},
+    {"exec.remote_commands", &ExecStats::remote_commands},
+    {"exec.remote_opens", &ExecStats::remote_opens},
+    {"exec.remote_fetches", &ExecStats::remote_fetches},
+    {"exec.remote_batches", &ExecStats::remote_batches},
+    {"exec.prefetch_stalls", &ExecStats::prefetch_stalls},
+    {"exec.startup_skips", &ExecStats::startup_skips},
+    {"exec.partitions_opened", &ExecStats::partitions_opened},
+    {"exec.parallel_branches", &ExecStats::parallel_branches},
+    {"exec.exchange_batches", &ExecStats::exchange_batches},
+    {"exec.spool_rescans", &ExecStats::spool_rescans},
+    {"exec.batches", &ExecStats::exec_batches},
+    {"exec.remote_retries", &ExecStats::remote_retries},
+    {"exec.remote_timeouts", &ExecStats::remote_timeouts},
+    {"exec.faults_injected", &ExecStats::faults_injected},
+    {"exec.members_skipped", &ExecStats::members_skipped},
+    {"exec.spills", &ExecStats::spills},
+    {"exec.spill_bytes", &ExecStats::spill_bytes},
+};
+
 // Publishes one statement's ExecStats into the process-wide metrics
-// registry ("exec.*"). Instrument pointers are resolved once (registrations
-// are permanent).
-static void PublishExecMetrics(const ExecStats& stats) {
-  struct Instruments {
-    metrics::Counter* rows_output;
-    metrics::Counter* rows_from_remote;
-    metrics::Counter* remote_commands;
-    metrics::Counter* remote_opens;
-    metrics::Counter* remote_fetches;
-    metrics::Counter* remote_batches;
-    metrics::Counter* prefetch_stalls;
-    metrics::Counter* startup_skips;
-    metrics::Counter* partitions_opened;
-    metrics::Counter* parallel_branches;
-    metrics::Counter* exchange_batches;
-    metrics::Counter* spool_rescans;
-    metrics::Counter* exec_batches;
-    metrics::Counter* remote_retries;
-    metrics::Counter* remote_timeouts;
-    metrics::Counter* faults_injected;
-    metrics::Counter* members_skipped;
-    metrics::Counter* spills;
-    metrics::Counter* spill_bytes;
-  };
-  static const Instruments in = [] {
-    metrics::Registry& reg = metrics::Registry::Global();
-    Instruments i;
-    i.rows_output = reg.GetCounter("exec.rows_output");
-    i.rows_from_remote = reg.GetCounter("exec.rows_from_remote");
-    i.remote_commands = reg.GetCounter("exec.remote_commands");
-    i.remote_opens = reg.GetCounter("exec.remote_opens");
-    i.remote_fetches = reg.GetCounter("exec.remote_fetches");
-    i.remote_batches = reg.GetCounter("exec.remote_batches");
-    i.prefetch_stalls = reg.GetCounter("exec.prefetch_stalls");
-    i.startup_skips = reg.GetCounter("exec.startup_skips");
-    i.partitions_opened = reg.GetCounter("exec.partitions_opened");
-    i.parallel_branches = reg.GetCounter("exec.parallel_branches");
-    i.exchange_batches = reg.GetCounter("exec.exchange_batches");
-    i.spool_rescans = reg.GetCounter("exec.spool_rescans");
-    i.exec_batches = reg.GetCounter("exec.batches");
-    i.remote_retries = reg.GetCounter("exec.remote_retries");
-    i.remote_timeouts = reg.GetCounter("exec.remote_timeouts");
-    i.faults_injected = reg.GetCounter("exec.faults_injected");
-    i.members_skipped = reg.GetCounter("exec.members_skipped");
-    i.spills = reg.GetCounter("exec.spills");
-    i.spill_bytes = reg.GetCounter("exec.spill_bytes");
-    return i;
+// registry. Instrument pointers are resolved once (registrations are
+// permanent).
+void PublishExecMetrics(const ExecStats& stats) {
+  static const auto counters = [] {
+    std::array<metrics::Counter*, std::size(kExecCounters)> c{};
+    for (size_t i = 0; i < c.size(); ++i) {
+      c[i] = metrics::Registry::Global().GetCounter(kExecCounters[i].name);
+    }
+    return c;
   }();
-  in.rows_output->Add(stats.rows_output);
-  in.rows_from_remote->Add(stats.rows_from_remote);
-  in.remote_commands->Add(stats.remote_commands);
-  in.remote_opens->Add(stats.remote_opens);
-  in.remote_fetches->Add(stats.remote_fetches);
-  in.remote_batches->Add(stats.remote_batches);
-  in.prefetch_stalls->Add(stats.prefetch_stalls);
-  in.startup_skips->Add(stats.startup_skips);
-  in.partitions_opened->Add(stats.partitions_opened);
-  in.parallel_branches->Add(stats.parallel_branches);
-  in.exchange_batches->Add(stats.exchange_batches);
-  in.spool_rescans->Add(stats.spool_rescans);
-  in.exec_batches->Add(stats.exec_batches);
-  in.remote_retries->Add(stats.remote_retries);
-  in.remote_timeouts->Add(stats.remote_timeouts);
-  in.faults_injected->Add(stats.faults_injected);
-  in.members_skipped->Add(stats.members_skipped);
-  in.spills->Add(stats.spills);
-  in.spill_bytes->Add(stats.spill_bytes);
+  for (size_t i = 0; i < counters.size(); ++i) {
+    counters[i]->Add(stats.*kExecCounters[i].field);
+  }
 }
+
+}  // namespace
 
 Result<QueryResult> Engine::Execute(
     const std::string& sql, const std::map<std::string, Value>& params) {
@@ -296,20 +275,14 @@ Result<QueryResult> Engine::Execute(
     // holds a raw Session pointer.
     catalog_->DropRemoteSessions();
   }
-  const waits::WaitTotals wait_totals = waits::Snapshot(request.state()->waits);
-  if (result.ok()) {
-    result->wait_totals = wait_totals;
-    result->activity_id = activity::Current();
-  }
-  FinishStatement(sql, fastclock::NowNs() - start_ns, info, wait_totals,
-                  activity::Current(), &result);
+  FinishStatement(sql, fastclock::NowNs() - start_ns, info, *request.state(),
+                  &result);
   return result;
 }
 
 void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
                              const StatementInfo& info,
-                             const waits::WaitTotals& wait_totals,
-                             const std::string& activity_id,
+                             const sysview::RequestState& request,
                              Result<QueryResult>* result) {
   struct Instruments {
     metrics::Counter* statements;
@@ -333,8 +306,21 @@ void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
     return i;
   }();
 
+  // The statement's counts settle once, from what its request holds on
+  // success and failure alike: the wait tally, and the operator profile
+  // tree the executor counted in (published before Open, final once the
+  // executor unwound), folded into the ExecStats every surface below reads.
+  const waits::WaitTotals wait_totals = waits::Snapshot(request.waits);
+  const std::shared_ptr<const OperatorProfile> profile = request.profile();
+  const ExecStats exec_stats =
+      profile != nullptr ? FoldExecStats(*profile) : ExecStats{};
   const bool ok = result->ok();
   QueryResult* qr = ok ? &result->value() : nullptr;
+  if (qr != nullptr) {
+    qr->wait_totals = wait_totals;
+    qr->exec_stats = exec_stats;
+    qr->activity_id = request.activity_id;
+  }
   // Self-exclusion: a statement that read the DMVs must not itself show up
   // in the query store, the slow log, or the statement counters — otherwise
   // observing the system grows what it observes. The AST check catches
@@ -350,7 +336,7 @@ void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
   // the query store records (parse through result shaping, governor queue
   // included).
   in.query_ns->Observe(duration_ns);
-  if (qr != nullptr) PublishExecMetrics(qr->exec_stats);
+  PublishExecMetrics(exec_stats);
 
   const bool is_dml = info.statement_type == "insert" ||
                       info.statement_type == "update" ||
@@ -390,17 +376,17 @@ void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
   if (!ok) rec.error = StatusCodeName(result->status().code());
   rec.plan_cache_hit = info.plan_cache_hit;
   rec.plan_cacheable = info.plan_cacheable;
-  rec.activity_id = activity_id;
+  rec.activity_id = request.activity_id;
   rec.waits = wait_totals;
+  rec.retries = exec_stats.remote_retries;
+  rec.timeouts = exec_stats.remote_timeouts;
+  rec.faults = exec_stats.faults_injected;
+  rec.profile = profile;
   if (qr != nullptr) {
     rec.rows = qr->rowset != nullptr
                    ? static_cast<int64_t>(qr->rowset->rows().size())
                    : qr->rows_affected;
-    rec.retries = qr->exec_stats.remote_retries;
-    rec.timeouts = qr->exec_stats.remote_timeouts;
-    rec.faults = qr->exec_stats.faults_injected;
     rec.warnings = static_cast<int64_t>(qr->warnings.size());
-    rec.profile = qr->profile;
   }
   query_store_.Record(std::move(rec));
 }
@@ -697,16 +683,6 @@ Result<QueryResult> Engine::RunCachedPlan(
   ectx.grant_bytes = grant.active() ? grant.granted_bytes() : 0;
   ectx.spill_dir = options_.spill_directory;
   DHQP_ASSIGN_OR_RETURN(auto rowset, ExecutePlan(cached.plan, &ectx));
-  // Per-query fault accounting: each remote operator's link-charge sink
-  // holds the retries, timeouts and faults of its own messages, so the
-  // statement's totals are the sum over its profile tree — blind to other
-  // statements sharing the links, and exact because ExecutePlan joined
-  // every worker before returning.
-  for (const FlatOperator& f : FlattenOperatorProfile(*ectx.profile)) {
-    ectx.stats.remote_retries += f.op->link_charges.retries.load();
-    ectx.stats.remote_timeouts += f.op->link_charges.timeouts.load();
-    ectx.stats.faults_injected += f.op->link_charges.faults.load();
-  }
   // Peak query memory: visible as exec.memory_bytes after the statement
   // (the live view is dm_exec_requests). Last-writer-wins is the usual
   // gauge semantic.
@@ -750,7 +726,6 @@ Result<QueryResult> Engine::RunCachedPlan(
     result.rowset =
         std::make_unique<VectorRowset>(std::move(schema), std::move(rows));
   }
-  result.exec_stats = ectx.stats;
   result.warnings = std::move(ectx.warnings);
   result.profile = std::move(ectx.profile);
   return std::move(result);

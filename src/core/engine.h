@@ -21,6 +21,10 @@
 
 namespace dhqp {
 
+namespace sysview {
+struct RequestState;
+}  // namespace sysview
+
 /// Per-instance configuration.
 struct EngineOptions {
   std::string name = "local";
@@ -75,6 +79,8 @@ struct QueryResult {
   std::unique_ptr<VectorRowset> rowset;  ///< Null for DDL/DML.
   int64_t rows_affected = 0;             ///< For INSERT.
   PhysicalOpPtr plan;                    ///< Null for DDL/DML.
+  /// The executor's counters: the fold of `profile` (FoldExecStats), zero
+  /// when nothing executed.
   ExecStats exec_stats;
   OptimizerRunStats opt_stats;
   /// True when this execution reused a compiled plan from the plan cache.
@@ -186,16 +192,18 @@ class Engine {
                                       const std::map<std::string, Value>& params,
                                       StatementInfo* info);
 
-  /// Post-execution hook: slow-query warning, exec.* metrics (statement and
-  /// DML counters, the ExecStats counters, warnings) with one
-  /// engine.query_ns sample of `duration_ns`, and the query-store record
-  /// (stamped with the statement's activity id and wait totals).
+  /// Post-execution hook, run for every statement, failed ones included.
+  /// Settles the statement's counts from its `request`: the wait totals and
+  /// the ExecStats fold of its operator profile tree, both also stamped on
+  /// a successful result. Then: slow-query warning, exec.* metrics
+  /// (statement and DML counters, the ExecStats counters, warnings) with
+  /// one engine.query_ns sample of `duration_ns`, and the query-store
+  /// record (with the activity id, waits, counts and profile).
   /// DMV-touching statements are excluded — observing the system must not
   /// grow what it observes.
   void FinishStatement(const std::string& sql, int64_t duration_ns,
                        const StatementInfo& info,
-                       const waits::WaitTotals& wait_totals,
-                       const std::string& activity_id,
+                       const sysview::RequestState& request,
                        Result<QueryResult>* result);
 
   /// Compiles (and optionally executes) a SELECT. `cache_key` is the raw

@@ -39,7 +39,10 @@ void ExchangeSegmentRegistry::Clear() {
 ExchangeSegment::ExchangeSegment(PhysicalOpPtr op, ExecContext* ctx,
                                  OperatorProfile* child_profile,
                                  OperatorProfile* exchange_profile)
-    : op_(std::move(op)), ctx_(ctx), child_profile_(child_profile) {
+    : op_(std::move(op)),
+      ctx_(ctx),
+      child_profile_(child_profile),
+      exchange_profile_(exchange_profile) {
   const PhysicalOp& child = *op_->children[0];
   producers_ = std::max(child.dop, 1);
   consumers_ = std::max(op_->dop, 1);
@@ -53,7 +56,7 @@ ExchangeSegment::ExchangeSegment(PhysicalOpPtr op, ExecContext* ctx,
   queues_.reserve(static_cast<size_t>(consumers_));
   for (int c = 0; c < consumers_; ++c) {
     queues_.push_back(std::make_unique<BatchQueue>(
-        ctx_->options, &ctx_->stats, exchange_profile, ctx_->memory,
+        ctx_->options, exchange_profile, ctx_->memory,
         waits::WaitType::kExchangeQueuePush,
         waits::WaitType::kExchangeQueuePop));
   }
@@ -91,8 +94,8 @@ Status ExchangeSegment::RunProducer(int p) {
   DHQP_ASSIGN_OR_RETURN(
       std::unique_ptr<ExecNode> tree,
       BuildFragmentTree(op_->children[0], ctx_, child_profile_, frag));
-  // Exchange workers count as parallel branches.
-  ctx_->stats.parallel_branches.fetch_add(1, std::memory_order_relaxed);
+  // Each worker opens its fragment once: the child slot's opens count the
+  // workers (ExecStats::parallel_branches).
   DHQP_RETURN_NOT_OK(tree->Open());
   const int batch_rows = ctx_->options.batch_rows();
   if (op_->exchange == ExchangeKind::kRepartitionHash) {
@@ -149,7 +152,7 @@ bool ExchangeSegment::PushBatch(int queue, RowBatch&& batch) {
   if (!queues_[static_cast<size_t>(queue)]->Push(std::move(batch))) {
     return false;
   }
-  ctx_->stats.exchange_batches.fetch_add(1, std::memory_order_relaxed);
+  exchange_profile_->exchange_batches.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -49,8 +49,8 @@ class ExchangeSegment {
   /// of op->children[0], shared by every producer's tree so per-worker
   /// stats merge additively. `exchange_profile` is the exchange operator's
   /// own slot: queue waits on either side of the segment (producer
-  /// full-stalls, consumer empty-stalls) and the queued batches' memory are
-  /// attributed to the exchange itself.
+  /// full-stalls, consumer empty-stalls), the queued batches' memory and
+  /// the count of pushed batches are attributed to the exchange itself.
   ExchangeSegment(PhysicalOpPtr op, ExecContext* ctx,
                   OperatorProfile* child_profile,
                   OperatorProfile* exchange_profile);
@@ -87,6 +87,7 @@ class ExchangeSegment {
   PhysicalOpPtr op_;
   ExecContext* ctx_;
   OperatorProfile* child_profile_;
+  OperatorProfile* exchange_profile_;
   int producers_;
   int consumers_;
   std::vector<int> key_pos_;  ///< exchange_keys positions in child output.

@@ -83,16 +83,6 @@ int ClampRemoteBatch(int max_rows, const ExecOptions& options) {
   return max_rows;
 }
 
-// One row pulled from a remote cursor, counted as shipped. Unprefetched
-// remote streams are drained this way: the provider's own settle cadence is
-// their wire contract, so pulling one row at a time keeps message (and
-// fault) ordinals independent of the local batch size.
-Result<bool> NextRemoteRow(Rowset* rowset, ExecStats* stats, Row* out) {
-  DHQP_ASSIGN_OR_RETURN(bool has, rowset->Next(out));
-  if (has) stats->rows_from_remote++;
-  return has;
-}
-
 // Evaluates a RangeSpec's bound expressions against the current parameters.
 Result<IndexRange> EvalRangeSpec(const RangeSpec& spec, ExecContext* ctx) {
   EvalEnv env;
@@ -126,8 +116,7 @@ std::unique_ptr<Rowset> MaybePrefetch(std::unique_ptr<Rowset> rowset,
                                       OperatorProfile* profile) {
   if (!ctx->options.enable_remote_prefetch) return rowset;
   return std::make_unique<PrefetchingRowset>(std::move(rowset), ctx->options,
-                                             &ctx->stats, profile,
-                                             ctx->memory);
+                                             profile, ctx->memory);
 }
 
 // Memory-charge bookkeeping for one buffering operator: accumulates bytes
@@ -189,13 +178,10 @@ bool GrantExceeded(const ExecContext* ctx, int64_t op_pending,
          ctx->memory->current() + op_pending + incoming > ctx->grant_bytes;
 }
 
-// One finished spill file: rolls its volume into the query stats and the
-// owning operator's profile slot. exec.spills counts files written (sort
-// runs, Grace partitions, spooled results).
-void RecordSpill(ExecContext* ctx, OperatorProfile* profile,
-                 const spill::SpillFile& file) {
-  ctx->stats.spills++;
-  ctx->stats.spill_bytes += file.bytes();
+// One finished spill file, counted in the owning operator's profile slot:
+// spills counts files written (sort runs, Grace partitions, spooled
+// results).
+void RecordSpill(OperatorProfile* profile, const spill::SpillFile& file) {
   profile->spills++;
   profile->spill_bytes += file.bytes();
 }
@@ -264,7 +250,7 @@ class ScanNode : public ExecNode {
     DHQP_ASSIGN_OR_RETURN(rowset_,
                           session->OpenRowset(op_->table.metadata.name));
     if (op_->kind == PhysicalOpKind::kRemoteScan) {
-      ctx_->stats.remote_opens++;
+      profile_->remote_opens++;
       rowset_ = MaybePrefetch(std::move(rowset_), ctx_, profile_);
     }
     block_ = 0;
@@ -293,26 +279,21 @@ class ScanNode : public ExecNode {
     if (op_->kind != PhysicalOpKind::kRemoteScan) {
       return rowset_->NextBatch(out, max_rows);
     }
-    // Without the prefetch pipeline, block-fetching here would merge wire
-    // messages (see NextRemoteRow).
+    // Without the prefetch pipeline, pull one row at a time: an
+    // unprefetched remote stream's wire contract is the provider's own
+    // settle cadence, so message (and fault) ordinals stay independent of
+    // the local batch size, where block-fetching here would merge messages.
     if (!ctx_->options.enable_remote_prefetch) {
-      return FillBatch(out, max_rows, [this](Row* row) {
-        return NextRemoteRow(rowset_.get(), &ctx_->stats, row);
-      });
+      return FillBatch(out, max_rows,
+                       [this](Row* row) { return rowset_->Next(row); });
     }
-    DHQP_ASSIGN_OR_RETURN(
-        bool has,
-        rowset_->NextBatch(out, ClampRemoteBatch(max_rows, ctx_->options)));
-    if (has) {
-      ctx_->stats.rows_from_remote += static_cast<int64_t>(out->rows.size());
-    }
-    return has;
+    return rowset_->NextBatch(out, ClampRemoteBatch(max_rows, ctx_->options));
   }
 
   Status Restart() override {
     // Rewinding a remote cursor is another round trip's worth of work on
     // the provider; account for it (the spool ablation measures this).
-    if (op_->kind == PhysicalOpKind::kRemoteScan) ctx_->stats.remote_opens++;
+    if (op_->kind == PhysicalOpKind::kRemoteScan) profile_->remote_opens++;
     block_ = 0;
     buf_.clear();
     buf_pos_ = 0;
@@ -370,17 +351,16 @@ class IndexRangeNode : public ExecNode {
     DHQP_ASSIGN_OR_RETURN(
         rowset_, session->OpenIndexRange(op_->table.metadata.name,
                                          op_->index_name, range));
-    if (op_->kind == PhysicalOpKind::kRemoteRange) ctx_->stats.remote_opens++;
+    if (op_->kind == PhysicalOpKind::kRemoteRange) profile_->remote_opens++;
     return Status::OK();
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     // Remote ranges are never prefetched, so they pull one row at a time
-    // (see NextRemoteRow).
+    // (see ScanNode::NextBatch).
     if (op_->kind == PhysicalOpKind::kRemoteRange) {
-      return FillBatch(out, max_rows, [this](Row* row) {
-        return NextRemoteRow(rowset_.get(), &ctx_->stats, row);
-      });
+      return FillBatch(out, max_rows,
+                       [this](Row* row) { return rowset_->Next(row); });
     }
     return rowset_->NextBatch(out, max_rows);
   }
@@ -407,7 +387,7 @@ class RemoteFetchNode : public ExecNode {
     DHQP_ASSIGN_OR_RETURN(
         keys_, session_->OpenIndexKeys(op_->table.metadata.name,
                                        op_->index_name, range));
-    ctx_->stats.remote_opens++;
+    profile_->remote_opens++;
     return Status::OK();
   }
 
@@ -428,9 +408,8 @@ class RemoteFetchNode : public ExecNode {
       DHQP_ASSIGN_OR_RETURN(
           std::optional<Row> row,
           session_->FetchByBookmark(op_->table.metadata.name, bookmark));
-      ctx_->stats.remote_fetches++;
+      profile_->remote_fetches++;
       if (row.has_value()) {
-        ctx_->stats.rows_from_remote++;
         *out = std::move(*row);
         return true;
       }
@@ -529,7 +508,7 @@ class RemoteQueryNode : public ExecNode {
       DHQP_RETURN_NOT_OK(command->BindParameter(name, it->second));
     }
     DHQP_ASSIGN_OR_RETURN(rowset_, command->Execute());
-    ctx_->stats.remote_commands++;
+    profile_->remote_opens++;
     // Bulk (unparameterized) remote results flow through the prefetch
     // pipeline. Parameterized dispatch stays inline: each rescan returns a
     // handful of rows, so a producer thread per rescan would cost more
@@ -545,17 +524,14 @@ class RemoteQueryNode : public ExecNode {
     // into single rows only to re-batch above. Only the prefetched (bulk)
     // path may block-fetch: its producer fixes the wire granularity at
     // remote_batch_rows. Inline streams (parameterized dispatch, prefetch
-    // disabled) keep the provider's own settle cadence (see NextRemoteRow).
+    // disabled) keep the provider's own settle cadence (see
+    // ScanNode::NextBatch).
     if (!op_->remote_param_names.empty() ||
         !ctx_->options.enable_remote_prefetch) {
-      return FillBatch(out, max_rows, [this](Row* row) {
-        return NextRemoteRow(rowset_.get(), &ctx_->stats, row);
-      });
+      return FillBatch(out, max_rows,
+                       [this](Row* row) { return rowset_->Next(row); });
     }
-    max_rows = ClampRemoteBatch(max_rows, ctx_->options);
-    DHQP_ASSIGN_OR_RETURN(bool has, rowset_->NextBatch(out, max_rows));
-    if (has) ctx_->stats.rows_from_remote += static_cast<int64_t>(out->rows.size());
-    return has;
+    return rowset_->NextBatch(out, ClampRemoteBatch(max_rows, ctx_->options));
   }
 
   Status Restart() override { return Open(); }  // Re-binds current params.
@@ -624,7 +600,7 @@ class StartupFilterNode : public ExecNode {
     env.current_date = ctx_->current_date;
     DHQP_ASSIGN_OR_RETURN(active_, EvalPredicate(*op_->predicate, env));
     if (!active_) {
-      ctx_->stats.startup_skips++;
+      profile_->startup_skips++;
       return Status::OK();
     }
     if (!child_opened_) {
@@ -801,7 +777,7 @@ class SortNode : public ExecNode {
         spill::SpillFile::Create(ctx_->spill_dir, &profile_->wait_tally));
     for (const Row& r : rows_) DHQP_RETURN_NOT_OK(run->Append(r));
     DHQP_RETURN_NOT_OK(run->FinishWrite());
-    RecordSpill(ctx_, profile_, *run);
+    RecordSpill(profile_, *run);
     runs_.push_back(std::move(run));
     rows_.clear();
     mem_.ReleaseAll();
@@ -930,7 +906,7 @@ class SpoolNode : public ExecNode {
 
   Status Restart() override {
     if (filled_) {
-      ctx_->stats.spool_rescans++;
+      profile_->spool_rescans++;
       pos_ = 0;
       if (file_ != nullptr) return file_->Rewind();
       return Status::OK();
@@ -975,7 +951,7 @@ class SpoolNode : public ExecNode {
     mem_.Flush();
     if (file_ != nullptr) {
       DHQP_RETURN_NOT_OK(file_->FinishWrite());
-      RecordSpill(ctx_, profile_, *file_);
+      RecordSpill(profile_, *file_);
       DHQP_RETURN_NOT_OK(file_->Rewind());
     }
     filled_ = true;
@@ -1057,9 +1033,6 @@ class ConcatNode : public ExecNode {
     if (max_rows <= 0) return false;
     while (current_ < children_.size()) {
       if (!opened_current_) {
-        if (children_[current_]->op().kind != PhysicalOpKind::kEmptyTable) {
-          ctx_->stats.partitions_opened++;
-        }
         Status st = children_[current_]->Open();
         if (!st.ok()) {
           if (MaybeSkipMember(*children_[current_], st, /*rows_emitted=*/0)) {
@@ -1122,7 +1095,7 @@ class ConcatNode : public ExecNode {
     launched_ = true;
     next_branch_.store(0);
     // Batches parked here are this operator's memory, like an exchange's.
-    queue_.emplace(ctx_->options, &ctx_->stats, profile_, ctx_->memory,
+    queue_.emplace(ctx_->options, profile_, ctx_->memory,
                    waits::WaitType::kConcatQueue,
                    waits::WaitType::kConcatQueue);
     size_t dop = std::min<size_t>(
@@ -1140,10 +1113,7 @@ class ConcatNode : public ExecNode {
     while (!aborted &&
            (i = next_branch_.fetch_add(1)) < children_.size()) {
       ExecNode* child = children_[i].get();
-      if (child->op().kind != PhysicalOpKind::kEmptyTable) {
-        ctx_->stats.partitions_opened++;
-      }
-      ctx_->stats.parallel_branches++;
+      profile_->worker_branches++;
       Status st = child->Open();
       if (!st.ok()) {
         if (MaybeSkipMember(*child, st, /*rows_emitted=*/0)) continue;
@@ -1184,7 +1154,7 @@ class ConcatNode : public ExecNode {
     if (!ctx_->options.skip_unreachable_members) return false;
     if (st.code() != StatusCode::kNetworkError) return false;
     if (rows_emitted > 0) return false;
-    ctx_->stats.members_skipped++;
+    profile_->members_skipped++;
     BranchProfile profile;
     ProfileSubtree(child.op(), &profile);
     std::string member = "local";
@@ -1486,8 +1456,8 @@ class HashJoinNode : public ExecNode {
       DHQP_RETURN_NOT_OK(probe_parts[static_cast<size_t>(i)]->FinishWrite());
       auto& bp = build_parts_[static_cast<size_t>(i)];
       auto& pp = probe_parts[static_cast<size_t>(i)];
-      if (bp->rows() > 0) RecordSpill(ctx_, profile_, *bp);
-      if (pp->rows() > 0) RecordSpill(ctx_, profile_, *pp);
+      if (bp->rows() > 0) RecordSpill(profile_, *bp);
+      if (pp->rows() > 0) RecordSpill(profile_, *pp);
       // Probe rows drive all supported join types (inner/semi/anti/left
       // outer emit at most per probe row), so an empty probe partition
       // produces nothing; drop the pair (files delete themselves).
@@ -1557,8 +1527,8 @@ class HashJoinNode : public ExecNode {
       auto& pp = subs_p[static_cast<size_t>(i)];
       DHQP_RETURN_NOT_OK(bp->FinishWrite());
       DHQP_RETURN_NOT_OK(pp->FinishWrite());
-      if (bp->rows() > 0) RecordSpill(ctx_, profile_, *bp);
-      if (pp->rows() > 0) RecordSpill(ctx_, profile_, *pp);
+      if (bp->rows() > 0) RecordSpill(profile_, *bp);
+      if (pp->rows() > 0) RecordSpill(profile_, *pp);
       if (pp->rows() > 0) {
         worklist_.push_back(PartPair{std::move(bp), std::move(pp), depth});
       }
@@ -2117,7 +2087,7 @@ class HashAggregateNode : public ExecNode {
     for (auto& p : parts) {
       DHQP_RETURN_NOT_OK(p->FinishWrite());
       if (p->rows() > 0) {
-        RecordSpill(ctx_, profile_, *p);
+        RecordSpill(profile_, *p);
         pending_.push_back(PendingPart{std::move(p), 0});
       }
     }
@@ -2207,7 +2177,7 @@ class HashAggregateNode : public ExecNode {
     for (auto& s : subs) {
       DHQP_RETURN_NOT_OK(s->FinishWrite());
       if (s->rows() > 0) {
-        RecordSpill(ctx_, profile_, *s);
+        RecordSpill(profile_, *s);
         pending_.push_back(PendingPart{std::move(s), part.depth + 1});
       }
     }
@@ -2351,18 +2321,6 @@ class StreamAggregateNode : public ExecNode {
 // ---------------------------------------------------------------------------
 // Operator profiling (STATISTICS PROFILE analog).
 // ---------------------------------------------------------------------------
-
-bool IsRemoteOp(PhysicalOpKind kind) {
-  switch (kind) {
-    case PhysicalOpKind::kRemoteScan:
-    case PhysicalOpKind::kRemoteRange:
-    case PhysicalOpKind::kRemoteFetch:
-    case PhysicalOpKind::kRemoteQuery:
-      return true;
-    default:
-      return false;
-  }
-}
 
 // Decorator recording actual execution stats for one operator occurrence.
 // Wrapping (instead of instrumenting every node class) keeps the node
@@ -2521,6 +2479,7 @@ std::unique_ptr<OperatorProfile> MakeProfileSlot(const PhysicalOpPtr& plan,
                                                  int* next_id) {
   auto p = std::make_unique<OperatorProfile>();
   p->id = (*next_id)++;
+  p->kind = plan->kind;
   p->name = plan->Describe();
   p->estimated_rows = plan->estimated_rows;
   p->estimated_cost = plan->estimated_cost;
@@ -2658,8 +2617,6 @@ Result<std::unique_ptr<VectorRowset>> ExecutePlan(const PhysicalOpPtr& plan,
     DHQP_ASSIGN_OR_RETURN(
         bool has, root->NextBatch(&batch, ctx->options.batch_rows()));
     if (!has) break;
-    ctx->stats.exec_batches++;
-    ctx->stats.rows_output += static_cast<int64_t>(batch.rows.size());
     for (Row& r : batch.rows) rows.push_back(std::move(r));
   }
   return std::make_unique<VectorRowset>(std::move(schema), std::move(rows));

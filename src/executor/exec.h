@@ -1,7 +1,6 @@
 #ifndef DHQP_EXECUTOR_EXEC_H_
 #define DHQP_EXECUTOR_EXEC_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -15,80 +14,6 @@
 #include "src/optimizer/physical.h"
 
 namespace dhqp {
-
-/// Runtime counters surfaced to benches and EXPLAIN ANALYZE-style output.
-/// Fields are atomic because prefetch threads and parallel partitioned-view
-/// branches update them concurrently with the consumer; reads convert
-/// implicitly to int64_t.
-struct ExecStats {
-  std::atomic<int64_t> remote_commands{0};   ///< Remote ICommand executions.
-  std::atomic<int64_t> remote_opens{0};      ///< Remote rowset/index opens.
-  std::atomic<int64_t> remote_fetches{0};    ///< Remote bookmark fetches.
-  std::atomic<int64_t> rows_from_remote{0};  ///< Rows from linked servers.
-  std::atomic<int64_t> remote_batches{0};    ///< Block fetches from remotes.
-  std::atomic<int64_t> prefetch_stalls{0};   ///< Blocking worker-queue pops
-                                             ///< that returned a batch.
-  std::atomic<int64_t> startup_skips{0};     ///< Subtrees skipped by startup
-                                             ///< filters.
-  std::atomic<int64_t> partitions_opened{0};  ///< Concat branches executed.
-  std::atomic<int64_t> parallel_branches{0};  ///< Subtrees drained on worker
-                                              ///< threads: parallel Concat
-                                              ///< branches and exchange
-                                              ///< workers.
-  std::atomic<int64_t> exchange_batches{0};   ///< RowBatches moved through
-                                              ///< exchange queues.
-  std::atomic<int64_t> spool_rescans{0};  ///< Rescans served from spools.
-  std::atomic<int64_t> rows_output{0};
-  std::atomic<int64_t> exec_batches{0};  ///< Batches the top-level sink
-                                         ///< pulled; rows_output over this
-                                         ///< is the effective batch size.
-  std::atomic<int64_t> remote_retries{0};   ///< Link message resends.
-  std::atomic<int64_t> remote_timeouts{0};  ///< Per-message deadline misses.
-  std::atomic<int64_t> faults_injected{0};  ///< Attempts failed by the fault
-                                            ///< injector (tests/chaos only).
-  std::atomic<int64_t> members_skipped{0};  ///< Unreachable partitioned-view
-                                            ///< members skipped by the
-                                            ///< degradation knob.
-  std::atomic<int64_t> spills{0};       ///< Spill files written under a
-                                        ///< memory grant (sort runs, Grace
-                                        ///< partitions, spooled results).
-  std::atomic<int64_t> spill_bytes{0};  ///< Serialized bytes those files
-                                        ///< received.
-
-  ExecStats() = default;
-  ExecStats(const ExecStats& other) { *this = other; }
-  ExecStats& operator=(const ExecStats& other) {
-    remote_commands = other.remote_commands.load();
-    remote_opens = other.remote_opens.load();
-    remote_fetches = other.remote_fetches.load();
-    rows_from_remote = other.rows_from_remote.load();
-    remote_batches = other.remote_batches.load();
-    prefetch_stalls = other.prefetch_stalls.load();
-    startup_skips = other.startup_skips.load();
-    partitions_opened = other.partitions_opened.load();
-    parallel_branches = other.parallel_branches.load();
-    exchange_batches = other.exchange_batches.load();
-    spool_rescans = other.spool_rescans.load();
-    rows_output = other.rows_output.load();
-    exec_batches = other.exec_batches.load();
-    remote_retries = other.remote_retries.load();
-    remote_timeouts = other.remote_timeouts.load();
-    faults_injected = other.faults_injected.load();
-    members_skipped = other.members_skipped.load();
-    spills = other.spills.load();
-    spill_bytes = other.spill_bytes.load();
-    return *this;
-  }
-};
-
-// ExecStats is copied field by field above because atomics are not
-// copyable. When adding or removing a counter, update BOTH the copy
-// ctor/operator= and the expected field count here — this guard is what
-// keeps a new counter from silently reading as zero in QueryResult
-// snapshots.
-static_assert(sizeof(ExecStats) == 19 * sizeof(std::atomic<int64_t>),
-              "ExecStats field list changed: update the hand-written copy "
-              "routine and this assert together");
 
 /// Runtime knobs for remote data movement. Independent of plan choice —
 /// and so excluded from the plan-cache key — with one exception: `dop`
@@ -146,7 +71,6 @@ struct ExecContext {
   std::map<std::string, Value> params;  ///< User + correlation parameters.
   int64_t current_date = 0;
   ExecOptions options;
-  ExecStats stats;
   /// Non-fatal execution notices (e.g. members skipped by
   /// skip_unreachable_members). Guarded by warnings_mu: parallel Concat
   /// workers append concurrently.
@@ -154,9 +78,10 @@ struct ExecContext {
   std::vector<std::string> warnings;
   /// Per-operator actual stats tree (rows, wall time, remote traffic, waits,
   /// memory — the STATISTICS PROFILE analog behind EXPLAIN ANALYZE), grown
-  /// by BuildExecTree for every execution. Shared so QueryResult can keep
-  /// it after the context dies; MUST outlive the exec tree (close times are
-  /// recorded as nodes destruct).
+  /// by BuildExecTree for every execution. Every executor count lives in
+  /// it; the statement's ExecStats is its fold (FoldExecStats). Shared so
+  /// QueryResult can keep it after the context dies; MUST outlive the exec
+  /// tree (close times are recorded as nodes destruct).
   std::shared_ptr<OperatorProfile> profile;
   /// Query-wide memory tracker (the current request's, wired by
   /// RunCachedPlan; null for a bare executor run). Buffering operators and

@@ -6,13 +6,11 @@ namespace dhqp {
 
 PrefetchingRowset::PrefetchingRowset(std::unique_ptr<Rowset> inner,
                                      const ExecOptions& options,
-                                     ExecStats* stats,
                                      OperatorProfile* profile,
                                      MemTracker* query_mem)
     : inner_(std::move(inner)),
       schema_(inner_->schema()),
       options_(options),
-      stats_(stats),
       profile_(profile),
       query_mem_(query_mem) {
   Start();
@@ -21,7 +19,7 @@ PrefetchingRowset::PrefetchingRowset(std::unique_ptr<Rowset> inner,
 PrefetchingRowset::~PrefetchingRowset() { Stop(); }
 
 void PrefetchingRowset::Start() {
-  queue_.emplace(options_, stats_, profile_, query_mem_,
+  queue_.emplace(options_, profile_, query_mem_,
                  waits::WaitType::kPrefetchQueue,
                  waits::WaitType::kPrefetchQueue);
   producer_.Launch("prefetch", [this] { ProducerLoop(); });
@@ -56,7 +54,6 @@ void PrefetchingRowset::ProducerLoop() {
       return;
     }
     if (!*has) break;
-    if (stats_ != nullptr) stats_->remote_batches++;
     if (profile_ != nullptr) profile_->batches++;
     depth->Observe(static_cast<int64_t>(queue_->size()));
     if (!queue_->Push(std::move(batch))) return;  // Consumer went away.

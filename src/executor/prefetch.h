@@ -23,16 +23,17 @@ namespace dhqp {
 /// consumer's Result<> once buffered batches are drained.
 class PrefetchingRowset : public Rowset {
  public:
-  /// `stats` and `profile` may be null (no counter reporting / no operator
-  /// attribution). When `profile` is set, the producer thread installs its
-  /// link-charge sink — so remote traffic paid on the producer's behalf is
-  /// attributed to the owning operator — and counts batches into it;
-  /// batches parked in the queue charge the profile's memory tracker and
-  /// `query_mem` (the query-wide tracker, also nullable). Starts the
+  /// `profile` is the owning operator's slot, where this pipeline counts:
+  /// the producer thread installs its link-charge sink — so remote traffic
+  /// paid on the producer's behalf is attributed to the owning operator —
+  /// and counts fetched blocks (`batches`) and consumer stalls
+  /// (`queue_stalls`) into it; batches parked in the queue charge the
+  /// profile's memory tracker and `query_mem` (the query-wide tracker).
+  /// Either may be null (no counting / no attribution). Starts the
   /// producer immediately; the first batches are usually in flight before
   /// the consumer asks for the first row.
   PrefetchingRowset(std::unique_ptr<Rowset> inner, const ExecOptions& options,
-                    ExecStats* stats, OperatorProfile* profile = nullptr,
+                    OperatorProfile* profile = nullptr,
                     MemTracker* query_mem = nullptr);
   ~PrefetchingRowset() override;
 
@@ -61,7 +62,6 @@ class PrefetchingRowset : public Rowset {
   std::unique_ptr<Rowset> inner_;
   Schema schema_;  ///< Copied: schema() must not race with the producer.
   ExecOptions options_;
-  ExecStats* stats_;
   OperatorProfile* profile_;
   MemTracker* query_mem_;
 

@@ -1,5 +1,6 @@
 #include "src/executor/profile.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -103,6 +104,61 @@ std::vector<FlatOperator> FlattenOperatorProfile(const OperatorProfile& root) {
   std::vector<FlatOperator> out;
   FlattenInto(root, 0, &out);
   return out;
+}
+
+namespace {
+
+int64_t Load(const std::atomic<int64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+ExecStats FoldExecStats(const OperatorProfile& root) {
+  ExecStats s;
+  s.rows_output = Load(root.rows_out);
+  // The root also counts the pull that ended the statement — end of data
+  // or the error — which delivered no batch.
+  s.exec_batches = std::max<int64_t>(Load(root.exec_batches) - 1, 0);
+  std::vector<const OperatorProfile*> pending = {&root};
+  while (!pending.empty()) {
+    const OperatorProfile& p = *pending.back();
+    pending.pop_back();
+    if (IsRemoteOp(p.kind)) {
+      // Whatever a remote operator hands its parent came over the link.
+      s.rows_from_remote += Load(p.rows_out);
+      (p.kind == PhysicalOpKind::kRemoteQuery ? s.remote_commands
+                                              : s.remote_opens) +=
+          Load(p.remote_opens);
+    }
+    s.remote_fetches += Load(p.remote_fetches);
+    s.remote_batches += Load(p.batches);
+    s.prefetch_stalls += Load(p.queue_stalls);
+    s.startup_skips += Load(p.startup_skips);
+    s.parallel_branches += Load(p.worker_branches);
+    s.exchange_batches += Load(p.exchange_batches);
+    s.spool_rescans += Load(p.spool_rescans);
+    s.remote_retries += Load(p.link_charges.retries);
+    s.remote_timeouts += Load(p.link_charges.timeouts);
+    s.faults_injected += Load(p.link_charges.faults);
+    s.members_skipped += Load(p.members_skipped);
+    s.spills += Load(p.spills);
+    s.spill_bytes += Load(p.spill_bytes);
+    for (const auto& child : p.children) {
+      // A Concat opens each member branch it runs (a statically pruned,
+      // empty member is not a partition); an exchange runs one worker per
+      // open of its child.
+      if (p.kind == PhysicalOpKind::kConcat &&
+          child->kind != PhysicalOpKind::kEmptyTable) {
+        s.partitions_opened += Load(child->opens);
+      }
+      if (p.kind == PhysicalOpKind::kExchange) {
+        s.parallel_branches += Load(child->opens);
+      }
+      pending.push_back(child.get());
+    }
+  }
+  return s;
 }
 
 }  // namespace dhqp

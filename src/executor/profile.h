@@ -11,6 +11,7 @@
 #include "src/common/row.h"
 #include "src/common/waits.h"
 #include "src/net/network.h"
+#include "src/optimizer/physical.h"
 
 namespace dhqp {
 
@@ -57,7 +58,10 @@ inline int64_t RowMemBytes(const Row& row) {
 }
 
 /// Actual execution statistics for one operator occurrence in an exec tree
-/// — the SET STATISTICS PROFILE analog. The tree mirrors the physical plan
+/// — the SET STATISTICS PROFILE analog, and the one place the executor
+/// counts: each event is counted once, in the slot of the operator that
+/// caused it, and the per-statement totals (ExecStats) are a fold of the
+/// tree. The tree mirrors the physical plan
 /// (one node per operator occurrence; memo winners can share PhysicalOp
 /// subplans, so profiles hang off the exec tree, not the plan). Counters
 /// are atomic: parallel Concat branches and prefetch producer threads
@@ -67,6 +71,7 @@ inline int64_t RowMemBytes(const Row& row) {
 /// Showplan subtree costs. Every call is timed and every count is exact.
 struct OperatorProfile {
   int id = 0;                ///< Pre-order operator id; matches EXPLAIN.
+  PhysicalOpKind kind{};     ///< The operator; steers the ExecStats fold.
   std::string name;          ///< PhysicalOp::Describe() snapshot.
   std::string link;          ///< Linked-server name for remote ops.
   double estimated_rows = 0;
@@ -108,6 +113,18 @@ struct OperatorProfile {
   std::atomic<int64_t> spills{0};
   std::atomic<int64_t> spill_bytes{0};
 
+  /// Events particular operators count, named by the operator kind.
+  std::atomic<int64_t> remote_opens{0};  ///< Remote op: opens that succeeded
+                                         ///< (RemoteQuery: commands run).
+  std::atomic<int64_t> remote_fetches{0};    ///< RemoteFetch: lookups.
+  std::atomic<int64_t> startup_skips{0};     ///< StartupFilter: skips.
+  std::atomic<int64_t> spool_rescans{0};     ///< Spool: rescans served.
+  std::atomic<int64_t> members_skipped{0};   ///< Concat: members dropped.
+  std::atomic<int64_t> worker_branches{0};   ///< Concat: worker branches.
+  std::atomic<int64_t> exchange_batches{0};  ///< Exchange: batches pushed.
+  std::atomic<int64_t> queue_stalls{0};  ///< Worker-queue owner: blocking
+                                         ///< pops that returned a batch.
+
   std::vector<std::unique_ptr<OperatorProfile>> children;
 
   int64_t open_ns() const { return fastclock::ToNs(open_ticks.load()); }
@@ -119,6 +136,41 @@ struct OperatorProfile {
                            close_ticks.load());
   }
 };
+
+/// One statement's executor counters. A plain value: FoldExecStats computes
+/// it from the statement's profile tree, and every per-statement surface —
+/// QueryResult::exec_stats, the exec.* metrics, the query store and
+/// dm_exec_requests — reads that fold, so they cannot disagree.
+struct ExecStats {
+  int64_t remote_commands = 0;    ///< Remote ICommand executions.
+  int64_t remote_opens = 0;       ///< Remote rowset/index opens.
+  int64_t remote_fetches = 0;     ///< Remote bookmark fetches.
+  int64_t rows_from_remote = 0;   ///< Rows from linked servers.
+  int64_t remote_batches = 0;     ///< Block fetches from remotes.
+  int64_t prefetch_stalls = 0;    ///< Blocking queue pops that got a batch.
+  int64_t startup_skips = 0;      ///< Subtrees skipped by startup filters.
+  int64_t partitions_opened = 0;  ///< Concat branches executed.
+  int64_t parallel_branches = 0;  ///< Concat branches and exchange workers
+                                  ///< run on worker threads.
+  int64_t exchange_batches = 0;   ///< RowBatches through exchange queues.
+  int64_t spool_rescans = 0;      ///< Rescans served from spools.
+  int64_t rows_output = 0;
+  int64_t exec_batches = 0;  ///< Batches the top-level sink pulled;
+                             ///< rows_output over this is the effective
+                             ///< batch size.
+  int64_t remote_retries = 0;   ///< Link message resends.
+  int64_t remote_timeouts = 0;  ///< Per-message deadline misses.
+  int64_t faults_injected = 0;  ///< Attempts failed by the fault injector.
+  int64_t members_skipped = 0;  ///< Unreachable partitioned-view members
+                                ///< skipped by the degradation knob.
+  int64_t spills = 0;       ///< Spill files written under a memory grant.
+  int64_t spill_bytes = 0;  ///< Serialized bytes those files received.
+};
+
+/// Sums a statement's profile tree into its ExecStats. Exact once the
+/// executor has unwound (every worker joined) — on success and on failure
+/// alike; mid-flight it reads a live, monotonically growing tree.
+ExecStats FoldExecStats(const OperatorProfile& root);
 
 /// EXPLAIN ANALYZE rendering: one line per operator,
 ///   `#<id> <name>  [est_rows=.. act_rows=.. time_ms=.. opens=..]`

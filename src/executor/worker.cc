@@ -62,11 +62,10 @@ int64_t QueryWorkers::live() {
 // BatchQueue.
 // ---------------------------------------------------------------------------
 
-BatchQueue::BatchQueue(const ExecOptions& options, ExecStats* stats,
-                       OperatorProfile* owner, MemTracker* query_mem,
-                       waits::WaitType push_wait, waits::WaitType pop_wait)
-    : stats_(stats),
-      owner_(owner),
+BatchQueue::BatchQueue(const ExecOptions& options, OperatorProfile* owner,
+                       MemTracker* query_mem, waits::WaitType push_wait,
+                       waits::WaitType pop_wait)
+    : owner_(owner),
       query_mem_(query_mem),
       push_wait_(push_wait),
       pop_wait_(pop_wait),
@@ -145,7 +144,9 @@ Result<bool> BatchQueue::NextBatch(RowBatch* out, int max_rows) {
       return false;
     }
     // The consumer outran its producers.
-    if (blocked && stats_ != nullptr) stats_->prefetch_stalls++;
+    if (blocked && owner_ != nullptr) {
+      owner_->queue_stalls.fetch_add(1, std::memory_order_relaxed);
+    }
     Release(next.bytes);
     // The drained buffer goes back to the producers.
     current_.clear();

@@ -55,18 +55,19 @@ class QueryWorkers {
 ///     destructor settles whatever a closed queue still holds;
 ///   - blocked pushes and pops are charged as the given wait types to the
 ///     query and the owner; a blocking pop that returned a batch counts
-///     one ExecStats::prefetch_stalls;
+///     one stall in the owner's profile slot (queue_stalls, which the
+///     statement's ExecStats folds into prefetch_stalls);
 ///   - the first error a producer reports surfaces after the buffered
 ///     batches, on every consumer call from then on;
 ///   - drained buffers return to producers (TakeBuffer), so the steady
 ///     state allocates no batch storage.
-/// Depth is ExecOptions::queue_depth(). `stats`, `owner` and `query_mem`
-/// may be null (no counting / no attribution).
+/// Depth is ExecOptions::queue_depth(). `owner` and `query_mem` may be
+/// null (no counting / no attribution).
 class BatchQueue {
  public:
-  BatchQueue(const ExecOptions& options, ExecStats* stats,
-             OperatorProfile* owner, MemTracker* query_mem,
-             waits::WaitType push_wait, waits::WaitType pop_wait);
+  BatchQueue(const ExecOptions& options, OperatorProfile* owner,
+             MemTracker* query_mem, waits::WaitType push_wait,
+             waits::WaitType pop_wait);
   ~BatchQueue();
 
   BatchQueue(const BatchQueue&) = delete;
@@ -104,7 +105,6 @@ class BatchQueue {
   void Release(int64_t bytes);
   waits::WaitTally* owner_waits() const;
 
-  ExecStats* stats_;
   OperatorProfile* owner_;
   MemTracker* query_mem_;
   waits::WaitType push_wait_;

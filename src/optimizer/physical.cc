@@ -54,6 +54,18 @@ const char* PhysicalOpKindName(PhysicalOpKind kind) {
   return "?";
 }
 
+bool IsRemoteOp(PhysicalOpKind kind) {
+  switch (kind) {
+    case PhysicalOpKind::kRemoteScan:
+    case PhysicalOpKind::kRemoteRange:
+    case PhysicalOpKind::kRemoteFetch:
+    case PhysicalOpKind::kRemoteQuery:
+      return true;
+    default:
+      return false;
+  }
+}
+
 const char* ExchangeKindName(ExchangeKind kind) {
   switch (kind) {
     case ExchangeKind::kGather:

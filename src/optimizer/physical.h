@@ -48,6 +48,10 @@ enum class PhysicalOpKind {
 
 const char* PhysicalOpKindName(PhysicalOpKind kind);
 
+/// True for the four remote access paths (§4.1.2): remote query, scan,
+/// range and fetch.
+bool IsRemoteOp(PhysicalOpKind kind);
+
 /// Data-movement flavor of a kExchange operator.
 enum class ExchangeKind {
   kGather,           ///< N producer streams -> 1 consumer stream.

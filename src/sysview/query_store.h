@@ -53,10 +53,11 @@ struct ExecutionRecord {
   std::string activity_id;
   /// Per-type wait accounting snapshotted at record time.
   waits::WaitTotals waits;
-  /// Operator profile of an executed SELECT (null for DDL/DML); shared with
+  /// Operator profile of an executed SELECT, failed ones included (null for
+  /// DDL/DML and statements that failed before execution); shared with
   /// QueryResult. Quiescent once recorded (the executor joined its threads),
   /// so readers may load its atomics freely.
-  std::shared_ptr<OperatorProfile> profile;
+  std::shared_ptr<const OperatorProfile> profile;
 
   static constexpr size_t kMaxStatementLen = 512;
 };

@@ -198,7 +198,7 @@ RowBatch IntBatch(int first, int n) {
 BatchQueue TestQueue(OperatorProfile* owner, MemTracker* query_mem) {
   ExecOptions options;
   options.prefetch_queue_depth = 4;
-  return BatchQueue(options, /*stats=*/nullptr, owner, query_mem,
+  return BatchQueue(options, owner, query_mem,
                     waits::WaitType::kExchangeQueuePush,
                     waits::WaitType::kExchangeQueuePop);
 }

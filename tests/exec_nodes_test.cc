@@ -132,7 +132,7 @@ TEST_F(ExecNodesTest, StartupFilterGatesAndReevaluates) {
   ASSERT_TRUE(node.ok());
   ASSERT_OK((*node)->Open());
   EXPECT_TRUE(Drain(node->get()).empty());  // Guard false: child never runs.
-  EXPECT_EQ(ctx_.stats.startup_skips, 1);
+  EXPECT_EQ(FoldExecStats(*ctx_.profile).startup_skips, 1);
 
   // Restart with a passing parameter (what NL correlation does).
   ctx_.params["@p"] = Value::Int64(9);
@@ -155,7 +155,7 @@ TEST_F(ExecNodesTest, SpoolServesRescansFromMaterialization) {
   ASSERT_OK((*node)->Open());
   EXPECT_EQ(Drain(node->get()).size(), 2u);
   ASSERT_OK((*node)->Restart());
-  EXPECT_EQ(ctx_.stats.spool_rescans, 1);
+  EXPECT_EQ(FoldExecStats(*ctx_.profile).spool_rescans, 1);
   EXPECT_EQ(Drain(node->get()).size(), 2u);
 }
 
@@ -169,6 +169,51 @@ TEST_F(ExecNodesTest, TopBoundsOutput) {
   top->output_types.assign(2, DataType::kInt64);
   top->output_names = {"k", "v"};
   EXPECT_EQ(RunAll(top).size(), 2u);
+}
+
+// Copies `op`'s tree with every remote range turned into a remote fetch
+// over the same index and key range, counting the swaps in `swapped`.
+PhysicalOpPtr RangeToFetch(const PhysicalOpPtr& op, int* swapped) {
+  auto copy = std::make_shared<PhysicalOp>(*op);
+  if (copy->kind == PhysicalOpKind::kRemoteRange) {
+    copy->kind = PhysicalOpKind::kRemoteFetch;
+    ++*swapped;
+  }
+  for (PhysicalOpPtr& child : copy->children) {
+    child = RangeToFetch(child, swapped);
+  }
+  return copy;
+}
+
+// Bookmark fetches (§4.1.2 remote fetch) count in the RemoteFetch slot: one
+// successful open, one lookup per qualifying index key, and each fetched
+// row as shipped. Over the same index the optimizer always prefers a remote
+// range, so the fetch is the range it chose with the access path swapped.
+TEST(RemoteFetchNodeTest, CountsLookupsInItsProfileSlot) {
+  Engine host;
+  ProviderCapabilities caps = SqlServerCapabilities();
+  caps.supports_command = false;
+  caps.sql_support = SqlSupportLevel::kNone;
+  RemoteServer idx = AttachRemoteEngine(&host, "idx", caps);
+  MustExecute(idx.engine.get(), "CREATE TABLE t (a INT PRIMARY KEY, b INT)");
+  MustExecute(idx.engine.get(), "INSERT INTO t VALUES (1,7),(2,8),(3,7),(4,9)");
+  MustExecute(idx.engine.get(), "CREATE INDEX idx_t_b ON t (b)");
+  auto prepared = host.Prepare("SELECT a, b FROM idx.d.s.t WHERE b = 7");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  int swapped = 0;
+  PhysicalOpPtr fetch = RangeToFetch(prepared->plan, &swapped);
+  ASSERT_EQ(swapped, 1) << prepared->plan->ToString();
+
+  ExecContext ctx;
+  ctx.catalog = host.catalog();
+  auto rows = ExecutePlan(fetch, &ctx);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ((*rows)->rows().size(), 2u);
+  const ExecStats stats = FoldExecStats(*ctx.profile);
+  EXPECT_EQ(stats.remote_fetches, 2);
+  EXPECT_EQ(stats.remote_opens, 1);
+  EXPECT_EQ(stats.rows_from_remote, 2);
+  EXPECT_EQ(stats.rows_output, 2);
 }
 
 }  // namespace

@@ -58,10 +58,10 @@ ExecOptions SmallBatches() {
 }
 
 TEST(PrefetchingRowsetTest, StreamsAllRowsInOrder) {
-  ExecStats stats;
+  OperatorProfile profile;
   PrefetchingRowset rowset(
       std::make_unique<VectorRowset>(OneIntSchema(), IntRows(1000)),
-      SmallBatches(), &stats);
+      SmallBatches(), &profile);
   auto drained = DrainRowset(&rowset);
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
   ASSERT_EQ(drained->size(), 1000u);
@@ -69,14 +69,13 @@ TEST(PrefetchingRowsetTest, StreamsAllRowsInOrder) {
     EXPECT_EQ((*drained)[static_cast<size_t>(i)][0].int64_value(), i);
   }
   // 1000 rows at batch 64 -> 16 ceil'd blocks.
-  EXPECT_EQ(stats.remote_batches, 16);
+  EXPECT_EQ(profile.batches, 16);
 }
 
 TEST(PrefetchingRowsetTest, ProducerErrorReachesConsumerAndSticks) {
-  ExecStats stats;
   PrefetchingRowset rowset(
       std::make_unique<FlakyRowset>(OneIntSchema(), /*fail_after=*/150),
-      SmallBatches(), &stats);
+      SmallBatches());
   Row row;
   int got = 0;
   Status error = Status::OK();
@@ -100,10 +99,9 @@ TEST(PrefetchingRowsetTest, ProducerErrorReachesConsumerAndSticks) {
 }
 
 TEST(PrefetchingRowsetTest, RestartRewindsAndRelaunchesProducer) {
-  ExecStats stats;
   PrefetchingRowset rowset(
       std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)),
-      SmallBatches(), &stats);
+      SmallBatches());
   Row row;
   for (int i = 0; i < 50; ++i) {
     auto has = rowset.Next(&row);
@@ -124,10 +122,9 @@ TEST(PrefetchingRowsetTest, RestartRewindsAndRelaunchesProducer) {
 }
 
 TEST(PrefetchingRowsetTest, RestartOverStreamingInnerReportsNotSupported) {
-  ExecStats stats;
   PrefetchingRowset rowset(
       std::make_unique<FlakyRowset>(OneIntSchema(), /*fail_after=*/1000000),
-      SmallBatches(), &stats);
+      SmallBatches());
   Row row;
   auto has = rowset.Next(&row);
   ASSERT_TRUE(has.ok());
@@ -138,10 +135,9 @@ TEST(PrefetchingRowsetTest, RestartOverStreamingInnerReportsNotSupported) {
 }
 
 TEST(PrefetchingRowsetTest, NextBatchHandsOverProducerBatches) {
-  ExecStats stats;
   PrefetchingRowset rowset(
       std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)),
-      SmallBatches(), &stats);
+      SmallBatches());
   RowBatch batch;
   int64_t total = 0;
   while (true) {

@@ -358,13 +358,12 @@ TEST(PrefetchFaultTest, ProducerAbsorbsTransientFaultViaRetry) {
   net::FaultInjector injector;
   link.set_fault_injector(&injector);
   injector.FailMessages(/*after=*/1, /*count=*/1);
-  ExecStats stats;
   {
     PrefetchingRowset rowset(
         std::make_unique<net::LinkedRowset>(
             std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)),
             &link, /*batch_rows=*/64),
-        SmallBatches(), &stats);
+        SmallBatches());
     auto drained = DrainRowset(&rowset);
     ASSERT_TRUE(drained.ok()) << drained.status().ToString();
     EXPECT_EQ(drained->size(), 200u);
@@ -379,12 +378,11 @@ TEST(PrefetchFaultTest, StickyErrorThenRestartRecoversAfterFaultCleared) {
   net::FaultInjector injector;
   link.set_fault_injector(&injector);
   injector.LinkDownAfter(/*after=*/1);
-  ExecStats stats;
   PrefetchingRowset rowset(
       std::make_unique<net::LinkedRowset>(
           std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link,
           /*batch_rows=*/64),
-      SmallBatches(), &stats);
+      SmallBatches());
   Row row;
   Status error = Status::OK();
   while (true) {
@@ -414,10 +412,9 @@ TEST(PrefetchFaultTest, AbandonedConsumerAlwaysJoinsProducer) {
   // Abandon with the producer mid-stream (blocked pushing into a full
   // queue): destruction must close the queue and join.
   {
-    ExecStats stats;
     PrefetchingRowset rowset(
         std::make_unique<VectorRowset>(OneIntSchema(), IntRows(5000)),
-        SmallBatches(), &stats);
+        SmallBatches());
     Row row;
     auto has = rowset.Next(&row);
     ASSERT_TRUE(has.ok());
@@ -427,10 +424,9 @@ TEST(PrefetchFaultTest, AbandonedConsumerAlwaysJoinsProducer) {
   // Abandon without ever reading, with the producer hitting an error before
   // the consumer drains anything.
   {
-    ExecStats stats;
     PrefetchingRowset rowset(
         std::make_unique<FlakyRowset>(OneIntSchema(), /*fail_after=*/10),
-        SmallBatches(), &stats);
+        SmallBatches());
   }
   EXPECT_EQ(QueryWorkers::live(), 0);
 }

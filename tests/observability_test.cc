@@ -170,7 +170,7 @@ TEST_F(ObservabilityTest, ExplainAnalyzeShowsEstimatedVsActual) {
   EXPECT_NE(estimated.find("rows="), std::string::npos) << estimated;
   EXPECT_NE(estimated.find("cost="), std::string::npos) << estimated;
   EXPECT_EQ(estimated.find("act_rows="), std::string::npos) << estimated;
-  EXPECT_EQ(plain.exec_stats.rows_output.load(), 0);
+  EXPECT_EQ(plain.exec_stats.rows_output, 0);
 }
 
 TEST_F(ObservabilityTest, ExplainAnalyzeReportsRetriesAndFaults) {
@@ -263,10 +263,10 @@ TEST_F(ObservabilityTest, TracerSpansWellFormedUnderRetryStorm) {
   EXPECT_GT(count_named("link.send"), 0);
   // Every injected fault produced a fault-tagged attempt span and every
   // resend a backoff span; trace and ExecStats agree exactly.
-  EXPECT_GE(r.exec_stats.faults_injected.load(), 2);
-  EXPECT_GE(r.exec_stats.remote_retries.load(), 2);
-  EXPECT_EQ(count_named("link.fault"), r.exec_stats.faults_injected.load());
-  EXPECT_EQ(count_named("link.backoff"), r.exec_stats.remote_retries.load());
+  EXPECT_GE(r.exec_stats.faults_injected, 2);
+  EXPECT_GE(r.exec_stats.remote_retries, 2);
+  EXPECT_EQ(count_named("link.fault"), r.exec_stats.faults_injected);
+  EXPECT_EQ(count_named("link.backoff"), r.exec_stats.remote_retries);
 
   // Fault spans carry the link name, attributing the storm to `rsrv`.
   for (const trace::SpanRecord& s : spans) {

@@ -9,11 +9,14 @@
 // dm_exec_query_memory_grants with RESOURCE_SEMAPHORE waits and the
 // kQueued request phase, the grant-timeout path degrades to the minimum
 // grant instead of starving, and seeded link faults mid-spill never leak a
-// grant.
+// grant or a spill file.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -95,6 +98,15 @@ void Fill(Engine* engine, const std::string& table, int rows, int cols) {
 class SpillExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // A fresh spill directory per fixture, so a spill file that outlives
+    // its statement is caught: every file must be gone once the statement
+    // returns, whether it succeeded or hit a fault.
+    static int fixtures = 0;
+    spill_dir_ = std::filesystem::temp_directory_path() /
+                 ("dhqp_spill_test_" + std::to_string(::getpid()) + "_" +
+                  std::to_string(++fixtures));
+    std::filesystem::create_directories(spill_dir_);
+    host_.options()->spill_directory = spill_dir_.string();
     MustExecute(&host_,
                 "CREATE TABLE big1 (a INT PRIMARY KEY, b INT, c INT)");
     MustExecute(&host_, "CREATE TABLE big2 (a INT PRIMARY KEY, d INT)");
@@ -103,6 +115,22 @@ class SpillExecTest : public ::testing::Test {
     Fill(&host_, "big1", kBig1Rows, 3);
     Fill(&host_, "big2", kBig2Rows, 2);
     Fill(&host_, "big3", 4000, 3);
+  }
+
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(spill_dir_, ec);
+  }
+
+  /// Asserts the spill directory holds no file once `sql` has finished.
+  void ExpectNoSpillFiles(const std::string& sql, const std::string& label) {
+    std::vector<std::string> left;
+    for (const auto& entry : std::filesystem::directory_iterator(spill_dir_)) {
+      left.push_back(entry.path().filename().string());
+    }
+    EXPECT_TRUE(left.empty()) << sql << " (" << label << ") left "
+                              << left.size() << " spill file(s), first "
+                              << (left.empty() ? "" : left.front());
   }
 
   /// Process-wide SPILL_IO event count, via the host's own wait-stats DMV.
@@ -119,6 +147,7 @@ class SpillExecTest : public ::testing::Test {
   }
 
   Engine host_;
+  std::filesystem::path spill_dir_;
 };
 
 // Every operator that buffers. Join, sort, and grouping keys are mostly
@@ -162,6 +191,7 @@ TEST_F(SpillExecTest, CorpusIsBudgetInvariant) {
   for (const char* sql : kCorpus) {
     baseline.push_back(Observe(&host_, sql, ExecMode{}));
     EXPECT_TRUE(baseline.back().ok) << sql;
+    ExpectNoSpillFiles(sql, "unlimited");
   }
 
   for (const BudgetMode& bm : kBudgets) {
@@ -172,6 +202,7 @@ TEST_F(SpillExecTest, CorpusIsBudgetInvariant) {
         Observation obs = Observe(&host_, kCorpus[q], mode);
         ExpectEquivalent(baseline[q], obs, kCorpus[q], label);
         ExpectWaitsSane(obs, kCorpus[q], label);
+        ExpectNoSpillFiles(kCorpus[q], label);
       }
     }
 
@@ -184,6 +215,7 @@ TEST_F(SpillExecTest, CorpusIsBudgetInvariant) {
     int64_t spill_waits = 0;
     for (const char* sql : kCorpus) {
       QueryResult r = MustExecute(&host_, sql);
+      ExpectNoSpillFiles(sql, bm.label);
       spills += r.exec_stats.spills;
       spill_bytes += r.exec_stats.spill_bytes;
       spill_waits += r.wait_totals.count[kSpillIdx];
@@ -209,6 +241,7 @@ TEST_F(SpillExecTest, GeneratedQueriesAgreeAcrossBudgets) {
       const std::string sql = gen.Next();
       ApplyBudget(&host_, kUnlimited);
       Observation base = Observe(&host_, sql, ExecMode{});
+      ExpectNoSpillFiles(sql, "unlimited");
       for (const BudgetMode& bm : kBudgets) {
         ApplyBudget(&host_, bm);
         for (int dop : {1, 4}) {
@@ -217,6 +250,7 @@ TEST_F(SpillExecTest, GeneratedQueriesAgreeAcrossBudgets) {
           Observation obs = Observe(&host_, sql, ExecMode{dop});
           ExpectEquivalent(base, obs, sql, label);
           ExpectWaitsSane(obs, sql, label);
+          ExpectNoSpillFiles(sql, label);
         }
       }
     }
@@ -331,6 +365,7 @@ TEST_F(SpillExecTest, GrantsReleasedAfterLinkFaultsMidSpill) {
     remote.injector->LinkDownAfter(kFaultAfter[i]);
     auto result = host_.Execute(sql);
     if (!result.ok()) ++failures;
+    ExpectNoSpillFiles(sql, "fault after " + std::to_string(kFaultAfter[i]));
 
     // The grant died with the statement, on success and failure alike.
     EXPECT_EQ(governor::Governor::Global().active_grants(), 0)
@@ -351,8 +386,11 @@ TEST_F(SpillExecTest, GrantsReleasedAfterLinkFaultsMidSpill) {
   // matches an unlimited-memory run.
   remote.injector->Reset(0);
   QueryResult healed = MustExecute(&host_, sql);
+  ExpectNoSpillFiles(sql, "healed");
+  EXPECT_GT(healed.exec_stats.spills, 0);
   ApplyBudget(&host_, kUnlimited);
   QueryResult unlimited = MustExecute(&host_, sql);
+  ExpectNoSpillFiles(sql, "unlimited");
   EXPECT_EQ(Fingerprint(healed), Fingerprint(unlimited));
 }
 

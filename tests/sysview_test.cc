@@ -183,7 +183,9 @@ TEST(SysViewRemoteTest, RemoteDmvScanThroughLinkedEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// dm_exec_query_stats vs per-result ExecStats under a seeded fault schedule.
+// dm_exec_query_stats vs the per-execution records under a seeded fault
+// schedule: every run counts, failed ones included, and an OK run's record
+// carries exactly its result's ExecStats.
 
 TEST_F(SysViewTest, QueryStatsAggregateMatchesExecStatsUnderChaos) {
   remote_.injector->Reset(ChaosSeed(/*suite_tag=*/41, /*index=*/7));
@@ -191,28 +193,37 @@ TEST_F(SysViewTest, QueryStatsAggregateMatchesExecStatsUnderChaos) {
 
   const std::string sql = "SELECT a, b FROM rsrv.d.s.t WHERE a >= @lo";
   const int kRuns = 20;
+  sysview::QueryStore* store = host_.query_store();
   int64_t ok_runs = 0, failed_runs = 0;
   int64_t sum_rows = 0, sum_retries = 0, sum_timeouts = 0, sum_faults = 0;
   int64_t cache_hits = 0;
   for (int i = 0; i < kRuns; ++i) {
     auto result = host_.Execute(sql, {{"@lo", Value::Int64(i % 4)}});
+    const ExecutionRecord rec = store->Snapshot().back();
+    ASSERT_EQ(rec.statement, sql);
+    ASSERT_EQ(rec.ok, result.ok());
+    sum_rows += rec.rows;
+    sum_retries += rec.retries;
+    sum_timeouts += rec.timeouts;
+    sum_faults += rec.faults;
+    if (rec.plan_cache_hit) ++cache_hits;
     if (!result.ok()) {
       ++failed_runs;
       continue;
     }
     ++ok_runs;
     const QueryResult& qr = result.value();
-    sum_rows += static_cast<int64_t>(qr.rowset->rows().size());
-    sum_retries += qr.exec_stats.remote_retries;
-    sum_timeouts += qr.exec_stats.remote_timeouts;
-    sum_faults += qr.exec_stats.faults_injected;
-    if (qr.plan_cache_hit) ++cache_hits;
+    EXPECT_EQ(rec.rows, static_cast<int64_t>(qr.rowset->rows().size()));
+    EXPECT_EQ(rec.retries, qr.exec_stats.remote_retries);
+    EXPECT_EQ(rec.timeouts, qr.exec_stats.remote_timeouts);
+    EXPECT_EQ(rec.faults, qr.exec_stats.faults_injected);
+    EXPECT_EQ(rec.plan_cache_hit, qr.plan_cache_hit);
   }
   ASSERT_GT(ok_runs, 0);
   remote_.injector->Reset();  // Quiesce before reading the views.
 
   // The parameterized text is one fingerprint; the store's aggregate must
-  // agree with what the per-execution results reported.
+  // agree with the per-execution records.
   QueryResult r = MustExecute(
       &host_,
       "SELECT sample_statement, executions, failures, cache_hits, "
@@ -229,6 +240,71 @@ TEST_F(SysViewTest, QueryStatsAggregateMatchesExecStatsUnderChaos) {
   // Every run was cacheable: hits + misses account for all executions.
   EXPECT_EQ(GetI(r, 0, "cache_hits"), cache_hits);
   EXPECT_EQ(GetI(r, 0, "cache_hits") + GetI(r, 0, "cache_misses"), kRuns);
+}
+
+// A statement that fails keeps what it counted: the retries and faults it
+// paid before giving up reach dm_exec_query_stats, its operators reach
+// dm_exec_operator_stats, and its exec.* counters are published.
+TEST_F(SysViewTest, FailedStatementKeepsItsCounts) {
+  const std::string sql = "SELECT a, b FROM rsrv.d.s.t WHERE a >= 2";
+  // Compiled and cached fault-free, so the failing run below touches the
+  // link only from inside its operators.
+  QueryResult warm = MustExecute(&host_, sql);
+  ASSERT_EQ(warm.exec_stats.remote_retries, 0);
+
+  const net::LinkStats before = remote_.link->stats();
+  const int64_t exec_retries_before = CounterValue("exec.remote_retries");
+  const int64_t exec_faults_before = CounterValue("exec.faults_injected");
+  remote_.injector->Reset();
+  remote_.injector->FailMessages(/*after=*/0, /*count=*/1000);
+  auto failed = host_.Execute(sql);
+  remote_.injector->Reset();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kNetworkError);
+  const net::LinkStats paid = remote_.link->stats() - before;
+  ASSERT_GT(paid.retries, 0);
+  ASSERT_GT(paid.faults, 0);
+
+  const ExecutionRecord rec = host_.query_store()->Snapshot().back();
+  ASSERT_EQ(rec.statement, sql);
+  EXPECT_FALSE(rec.ok);
+  EXPECT_EQ(rec.retries, paid.retries);
+  EXPECT_EQ(rec.faults, paid.faults);
+  ASSERT_NE(rec.profile, nullptr);
+  EXPECT_EQ(CounterValue("exec.remote_retries") - exec_retries_before,
+            paid.retries);
+  EXPECT_EQ(CounterValue("exec.faults_injected") - exec_faults_before,
+            paid.faults);
+
+  QueryResult stats = MustExecute(
+      &host_,
+      "SELECT executions, failures, retries, faults "
+      "FROM sys..dm_exec_query_stats WHERE statement_type = 'select'");
+  ASSERT_EQ(stats.rowset->rows().size(), 1u);
+  EXPECT_EQ(GetI(stats, 0, "executions"), 2);
+  EXPECT_EQ(GetI(stats, 0, "failures"), 1);
+  EXPECT_EQ(GetI(stats, 0, "retries"), paid.retries);
+  EXPECT_EQ(GetI(stats, 0, "faults"), paid.faults);
+
+  // The failed execution's operators, with the link faults on the remote
+  // operator that paid them.
+  QueryResult ops = MustExecute(
+      &host_,
+      "SELECT query_id, operator, link, opens, retries, faults "
+      "FROM sys..dm_exec_operator_stats");
+  int64_t op_rows = 0, op_retries = 0, op_faults = 0;
+  for (size_t i = 0; i < ops.rowset->rows().size(); ++i) {
+    if (GetI(ops, i, "query_id") != rec.execution_id) continue;
+    ++op_rows;
+    op_retries += GetI(ops, i, "retries");
+    op_faults += GetI(ops, i, "faults");
+    if (GetS(ops, i, "link") == "rsrv") {
+      EXPECT_EQ(GetI(ops, i, "opens"), 1) << GetS(ops, i, "operator");
+    }
+  }
+  EXPECT_GT(op_rows, 0);
+  EXPECT_EQ(op_retries, paid.retries);
+  EXPECT_EQ(op_faults, paid.faults);
 }
 
 // ---------------------------------------------------------------------------
