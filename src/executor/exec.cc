@@ -254,8 +254,7 @@ class ScanNode : public ExecNode {
       rowset_ = MaybePrefetch(std::move(rowset_), ctx_, profile_);
     }
     block_ = 0;
-    buf_.clear();
-    buf_pos_ = 0;
+    block_left_ = 0;
     return Status::OK();
   }
 
@@ -263,19 +262,16 @@ class ScanNode : public ExecNode {
     if (partitions_ > 1) {
       out->clear();
       if (max_rows <= 0) return false;
-      DHQP_ASSIGN_OR_RETURN(bool has, FillBlock());
+      DHQP_ASSIGN_OR_RETURN(bool has, EnterOwnedBlock());
       if (!has) return false;
-      size_t n = buf_.rows.size() - buf_pos_;
-      if (n > static_cast<size_t>(max_rows)) n = static_cast<size_t>(max_rows);
-      out->rows.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        out->rows.push_back(std::move(buf_.rows[buf_pos_ + i]));
-      }
-      buf_pos_ += n;
+      const int n = static_cast<int>(std::min<int64_t>(max_rows, block_left_));
+      DHQP_ASSIGN_OR_RETURN(has, rowset_->NextBatch(out, n));
+      if (!has) return false;
+      block_left_ -= static_cast<int64_t>(out->rows.size());
       return true;
     }
     // Forwards the rowset's own block fetch: one virtual call per batch
-    // instead of one per row, and contiguous sources hand out slices.
+    // instead of one per row.
     if (op_->kind != PhysicalOpKind::kRemoteScan) {
       return rowset_->NextBatch(out, max_rows);
     }
@@ -295,8 +291,7 @@ class ScanNode : public ExecNode {
     // the provider; account for it (the spool ablation measures this).
     if (op_->kind == PhysicalOpKind::kRemoteScan) profile_->remote_opens++;
     block_ = 0;
-    buf_.clear();
-    buf_pos_ = 0;
+    block_left_ = 0;
     Status st = rowset_->Restart();
     if (st.ok()) return st;
     return Open();
@@ -308,25 +303,19 @@ class ScanNode : public ExecNode {
   /// batch-size knob (the DOP-differential suite crosses the two).
   static constexpr int64_t kPartitionBlockRows = 1024;
 
-  /// Ensures buf_ holds unserved rows of an owned block, skipping unowned
-  /// blocks in place (SkipRows — positional rowsets advance without
-  /// copying). False at end of data.
-  Result<bool> FillBlock() {
-    while (buf_pos_ >= buf_.rows.size()) {
-      while (block_ % partitions_ != partition_) {
-        DHQP_ASSIGN_OR_RETURN(int64_t skipped,
-                              rowset_->SkipRows(kPartitionBlockRows));
-        ++block_;
-        if (skipped < kPartitionBlockRows) return false;
-      }
-      buf_.clear();
-      buf_pos_ = 0;
-      DHQP_ASSIGN_OR_RETURN(
-          bool has,
-          rowset_->NextBatch(&buf_, static_cast<int>(kPartitionBlockRows)));
+  /// Ensures the rowset is positioned inside an owned block with rows left
+  /// to read, skipping unowned blocks in place (SkipRows advances the
+  /// storage cursor without copying). False at end of data.
+  Result<bool> EnterOwnedBlock() {
+    if (block_left_ > 0) return true;
+    while (block_ % partitions_ != partition_) {
+      DHQP_ASSIGN_OR_RETURN(int64_t skipped,
+                            rowset_->SkipRows(kPartitionBlockRows));
       ++block_;
-      if (!has) return false;
+      if (skipped < kPartitionBlockRows) return false;
     }
+    ++block_;
+    block_left_ = kPartitionBlockRows;
     return true;
   }
 
@@ -334,9 +323,8 @@ class ScanNode : public ExecNode {
   int partition_;
   int partitions_;
   std::unique_ptr<Rowset> rowset_;
-  int64_t block_ = 0;   ///< Next block ordinal to consider.
-  RowBatch buf_;        ///< Current owned block (partitioned mode only).
-  size_t buf_pos_ = 0;  ///< Next unserved row in buf_.
+  int64_t block_ = 0;       ///< Next block ordinal to consider.
+  int64_t block_left_ = 0;  ///< Rows left in the current owned block.
 };
 
 class IndexRangeNode : public ExecNode {

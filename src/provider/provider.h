@@ -45,8 +45,8 @@ class Rowset {
   /// IRowset::GetNextRows block-fetch surface. Returns false only at end of
   /// data (out left empty); a partial batch is returned as true and the
   /// following call reports the end. The base implementation loops Next(),
-  /// so every rowset supports block fetch; sources with contiguous storage
-  /// override it to hand out slices.
+  /// so every rowset supports block fetch; materialized and storage rowsets
+  /// override it to fill the block in one call.
   virtual Result<bool> NextBatch(RowBatch* out, int max_rows);
 
   /// Repositions before the first row, if the rowset supports rewinding.
@@ -57,10 +57,14 @@ class Rowset {
   }
 
   /// Skips up to `n` rows, returning the number actually skipped (< n only
-  /// at end of data). The base implementation discards rows through Next();
-  /// positional rowsets override it to advance without copying — what makes
-  /// block-cyclic partitioned scans cheap (each of `dop` workers reads every
-  /// dop-th block and skips the rest).
+  /// at end of data). Skipped rows are counted in the unit Next/NextBatch
+  /// serve — rows, not storage positions — so a reader that skips k rows
+  /// and one that reads them land on the same next row. The base
+  /// implementation discards rows through Next(); the storage engine's slot
+  /// cursor advances over slots without copying, counting the live ones.
+  /// That is what makes block-cyclic partitioned scans cheap (each of `dop`
+  /// workers reads every dop-th block and skips the rest) and keeps the
+  /// workers' blocks aligned across deleted rows.
   virtual Result<int64_t> SkipRows(int64_t n);
 };
 
@@ -93,14 +97,6 @@ class VectorRowset : public Rowset {
   Status Restart() override {
     pos_ = 0;
     return Status::OK();
-  }
-
-  Result<int64_t> SkipRows(int64_t n) override {
-    if (n <= 0 || pos_ >= rows_.size()) return static_cast<int64_t>(0);
-    int64_t remaining = static_cast<int64_t>(rows_.size() - pos_);
-    int64_t skipped = n < remaining ? n : remaining;
-    pos_ += static_cast<size_t>(skipped);
-    return skipped;
   }
 
   const std::vector<Row>& rows() const { return rows_; }

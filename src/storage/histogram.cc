@@ -15,19 +15,20 @@ Result<ColumnStatistics> BuildColumnStatistics(const Table& table,
   ColumnStatistics stats;
   stats.column = column;
 
-  std::vector<std::pair<int64_t, Row>> rows;
-  table.ScanLive(&rows);
+  // Reads the one column in place; only its non-null values are copied.
   std::vector<Value> values;
-  values.reserve(rows.size());
-  for (auto& [id, row] : rows) {
-    const Value& v = row[static_cast<size_t>(ord)];
+  values.reserve(table.live_row_count());
+  for (size_t slot = 0; slot < table.num_slots(); ++slot) {
+    const Row* row = table.SlotRow(slot);
+    if (row == nullptr) continue;
+    const Value& v = (*row)[static_cast<size_t>(ord)];
     if (v.is_null()) {
       stats.null_count += 1;
     } else {
       values.push_back(v);
     }
   }
-  stats.row_count = static_cast<double>(rows.size());
+  stats.row_count = static_cast<double>(table.live_row_count());
   std::sort(values.begin(), values.end(),
             [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
 

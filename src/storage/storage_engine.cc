@@ -162,16 +162,80 @@ Result<std::unique_ptr<Session>> StorageDataSource::CreateSession() {
   return std::unique_ptr<Session>(new StorageSession(engine_));
 }
 
+namespace {
+
+// A base-table rowset: a cursor over the table's slots, like an OLE DB
+// rowset binding row handles through accessors (§3.2), not a snapshot. It
+// walks positions [0, end_), fixed at Open: every slot below num_slots() for
+// a scan, or the row ids a B-tree range returned. It copies only the live
+// rows it serves. Each call re-reads the slot through Table::SlotRow and
+// keeps no pointer between calls, so a row inserted after Open is never
+// served, a row deleted before it is served is skipped, and a same-thread
+// Insert that moves the table's rows is safe (DESIGN.md §5 states the rule).
+class SlotCursor : public Rowset {
+ public:
+  /// Scans every slot the table has now.
+  explicit SlotCursor(const Table* table)
+      : table_(table), end_(table->num_slots()) {}
+  /// Serves `row_ids` in order.
+  SlotCursor(const Table* table, std::vector<int64_t> row_ids)
+      : table_(table), row_ids_(std::move(row_ids)), end_(row_ids_.size()) {}
+
+  const Schema& schema() const override { return table_->schema(); }
+
+  Result<bool> Next(Row* out) override {
+    while (pos_ < end_) {
+      const Row* row = RowAt(pos_++);
+      if (row != nullptr) {
+        *out = *row;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    out->clear();
+    const size_t want = max_rows > 0 ? static_cast<size_t>(max_rows) : 0;
+    while (out->rows.size() < want && pos_ < end_) {
+      const Row* row = RowAt(pos_++);
+      if (row != nullptr) out->rows.push_back(*row);
+    }
+    return !out->rows.empty();
+  }
+
+  Status Restart() override {
+    pos_ = 0;
+    return Status::OK();
+  }
+
+  Result<int64_t> SkipRows(int64_t n) override {
+    int64_t skipped = 0;
+    while (skipped < n && pos_ < end_) {
+      if (RowAt(pos_++) != nullptr) ++skipped;
+    }
+    return skipped;
+  }
+
+ private:
+  /// The live row at position `pos`, or nullptr for a tombstone.
+  const Row* RowAt(size_t pos) const {
+    return table_->SlotRow(
+        row_ids_.empty() ? pos : static_cast<size_t>(row_ids_[pos]));
+  }
+
+  const Table* table_;
+  std::vector<int64_t> row_ids_;  ///< Empty for a scan.
+  size_t end_;                    ///< Position bound, fixed at Open.
+  size_t pos_ = 0;
+};
+
+}  // namespace
+
 Result<std::unique_ptr<Rowset>> StorageSession::OpenRowset(
     const std::string& table) {
   DHQP_ASSIGN_OR_RETURN(Table * t, engine_->GetTable(table));
-  std::vector<std::pair<int64_t, Row>> live;
-  t->ScanLive(&live);
-  std::vector<Row> rows;
-  rows.reserve(live.size());
-  for (auto& [id, row] : live) rows.push_back(std::move(row));
-  return std::unique_ptr<Rowset>(
-      new VectorRowset(t->schema(), std::move(rows)));
+  return std::unique_ptr<Rowset>(new SlotCursor(t));
 }
 
 Result<std::vector<TableMetadata>> StorageSession::ListTables() {
@@ -228,14 +292,7 @@ Result<std::unique_ptr<Rowset>> StorageSession::OpenIndexRange(
   std::vector<int64_t> row_ids;
   idx->tree->Scan(has_lo ? &lo : nullptr, lo_inc, has_hi ? &hi : nullptr,
                   hi_inc, &row_ids);
-  std::vector<Row> rows;
-  rows.reserve(row_ids.size());
-  for (int64_t id : row_ids) {
-    const Row* row = t->GetRow(id);
-    if (row != nullptr) rows.push_back(*row);
-  }
-  return std::unique_ptr<Rowset>(
-      new VectorRowset(t->schema(), std::move(rows)));
+  return std::unique_ptr<Rowset>(new SlotCursor(t, std::move(row_ids)));
 }
 
 Result<std::unique_ptr<Rowset>> StorageSession::OpenIndexKeys(

@@ -135,11 +135,10 @@ Status Table::Delete(int64_t row_id) {
 }
 
 const Row* Table::GetRow(int64_t row_id) const {
-  if (row_id < 0 || static_cast<size_t>(row_id) >= rows_.size() ||
-      deleted_[static_cast<size_t>(row_id)]) {
+  if (row_id < 0 || static_cast<size_t>(row_id) >= rows_.size()) {
     return nullptr;
   }
-  return &rows_[static_cast<size_t>(row_id)];
+  return SlotRow(static_cast<size_t>(row_id));
 }
 
 void Table::ScanLive(std::vector<std::pair<int64_t, Row>>* out) const {

@@ -66,7 +66,18 @@ class Table {
   /// Returns the row at `row_id`, or nullptr if out of range / deleted.
   const Row* GetRow(int64_t row_id) const;
 
-  /// Appends all live rows (with their ids) to `out`.
+  /// Slot accessor for in-place readers (scan cursors, statistics): the row
+  /// in `slot`, or nullptr if the slot is a tombstone. `slot` must be below
+  /// num_slots(); slots are never reclaimed, so a bound taken earlier stays
+  /// valid. The pointer is good only until the next Insert, which may move
+  /// every row — re-read the slot instead of keeping it.
+  const Row* SlotRow(size_t slot) const {
+    return deleted_[slot] ? nullptr : &rows_[slot];
+  }
+
+  /// Appends copies of all live rows (with their ids) to `out`: for DML,
+  /// which materializes its matches before it writes. Queries read through
+  /// StorageSession's slot cursor instead.
   void ScanLive(std::vector<std::pair<int64_t, Row>>* out) const;
 
   /// Provider-facing description: schema + cardinality + index metadata.

@@ -8,7 +8,9 @@
 // parallel plans (asserted, not assumed). Also covers: serial plans at
 // dop=1 and, at dop=4, below the exchange break-even (no Exchange
 // anywhere), remote subtrees pinned serial, and profile truthfulness when
-// per-worker stats merge into shared operator slots.
+// per-worker stats merge into shared operator slots. The corpus and the
+// profile totals run twice: over dense tables, and with scattered rows
+// deleted so partitioned scans read across tombstones.
 
 #include <algorithm>
 #include <functional>
@@ -60,6 +62,35 @@ class ExchangeExecTest : public ::testing::Test {
   Engine host_;
 };
 
+// Deletes that leave tombstones where partitioned scans cross them: rows
+// on both sides of a 1024-slot block boundary, one whole 1024-slot block,
+// and a scattered spread of single rows, in each table.
+const char* kTombstones[] = {
+    "DELETE FROM big1 WHERE c < 40",
+    "DELETE FROM big1 WHERE a >= 1020 AND a < 1028",
+    "DELETE FROM big1 WHERE a >= 3072 AND a < 4096",
+    "DELETE FROM big2 WHERE d = 5 OR d = 61",
+    "DELETE FROM big2 WHERE a >= 2040 AND a < 2056",
+    "DELETE FROM big2 WHERE a >= 1024 AND a < 2048",
+};
+
+// The same tables with kTombstones applied. Workers own blocks of 1024
+// live rows; a scan whose SkipRows counted slots while NextBatch counted
+// live rows would overlap or drop rows here, where the dense tables hide
+// the difference.
+class TombstonedExchangeExecTest : public ExchangeExecTest {
+ protected:
+  void SetUp() override {
+    ExchangeExecTest::SetUp();
+    for (const char* sql : kTombstones) MustExecute(&host_, sql);
+  }
+
+  int64_t LiveRows(const std::string& table) {
+    return static_cast<int64_t>(
+        host_.storage()->GetTable(table).value()->live_row_count());
+  }
+};
+
 const char* kCorpus[] = {
     "SELECT b, COUNT(*), SUM(c) FROM big1 GROUP BY b",
     "SELECT COUNT(*), SUM(b), MIN(c), MAX(c) FROM big1 WHERE c > 100",
@@ -78,14 +109,15 @@ const char* kCorpus[] = {
     "(SELECT * FROM big2 WHERE big2.a = big1.a)",
 };
 
-TEST_F(ExchangeExecTest, CorpusIsDopAndBatchSizeInvariant) {
+// Runs the corpus under every mode against the serial baseline.
+void ExpectCorpusIsDopAndBatchSizeInvariant(Engine* host) {
   bool any_parallel_plan = false;
   for (const char* sql : kCorpus) {
-    Observation base = Observe(&host_, sql, kModes[0]);
+    Observation base = Observe(host, sql, kModes[0]);
     EXPECT_EQ(base.exchange_ops, 0) << sql << " (dop=1 plan must be serial)";
     for (size_t m = 1; m < std::size(kModes); ++m) {
       const ExecMode& mode = kModes[m];
-      Observation obs = Observe(&host_, sql, mode);
+      Observation obs = Observe(host, sql, mode);
       ExpectEquivalent(base, obs, sql, mode.Label());
       if (mode.dop == 1) {
         EXPECT_EQ(obs.exchange_ops, 0) << sql;
@@ -103,6 +135,16 @@ TEST_F(ExchangeExecTest, CorpusIsDopAndBatchSizeInvariant) {
   EXPECT_TRUE(any_parallel_plan)
       << "no corpus query chose a parallel plan at dop>1 — tables below the "
          "exchange break-even or the enforcer regressed";
+}
+
+TEST_F(ExchangeExecTest, CorpusIsDopAndBatchSizeInvariant) {
+  ExpectCorpusIsDopAndBatchSizeInvariant(&host_);
+}
+
+TEST_F(TombstonedExchangeExecTest, CorpusIsDopAndBatchSizeInvariant) {
+  ASSERT_LT(LiveRows("big1"), kBig1Rows);
+  ASSERT_LT(LiveRows("big2"), kBig2Rows);
+  ExpectCorpusIsDopAndBatchSizeInvariant(&host_);
 }
 
 TEST_F(ExchangeExecTest, SerialPlansRenderWithoutExchange) {
@@ -183,17 +225,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExchangeDifferentialTest,
 // Per-worker profile merge: every worker's instance of an operator flushes
 // additively into the operator's single shared slot, so EXPLAIN ANALYZE
 // totals stay truthful at any dop — the partitioned scan instances sum to
-// exactly the table's row count, the plan root to the result's.
-TEST_F(ExchangeExecTest, OperatorProfileTotalsAreTruthfulUnderDop) {
+// exactly `big1_rows`, the table's live row count, and the plan root to the
+// result's.
+void ExpectOperatorProfileTotalsAreTruthfulUnderDop(Engine* host,
+                                                    int64_t big1_rows) {
   const std::string sql = "SELECT b, COUNT(*), SUM(c) FROM big1 GROUP BY b";
-  QueryResult serial = MustExecute(&host_, sql);
+  QueryResult serial = MustExecute(host, sql);
 
-  Observation obs = Observe(&host_, sql, ExecMode{4, 1024});
+  Observation obs = Observe(host, sql, ExecMode{4, 1024});
   ASSERT_TRUE(obs.ok);
   ASSERT_GT(obs.exchange_ops, 0) << "query did not parallelize at dop=4";
   EXPECT_GT(obs.parallel_branches, 0);
 
-  QueryResult parallel = MustExecute(&host_, sql);  // Same mode, kept result.
+  QueryResult parallel = MustExecute(host, sql);  // Same mode, kept result.
   ASSERT_NE(parallel.profile, nullptr);
   ASSERT_NE(serial.profile, nullptr);
   // Root rows_out == rows returned, serial or parallel.
@@ -217,7 +261,16 @@ TEST_F(ExchangeExecTest, OperatorProfileTotalsAreTruthfulUnderDop) {
       scan_rows = node->rows_out.load();
     }
   }
-  EXPECT_EQ(scan_rows, kBig1Rows);
+  EXPECT_EQ(scan_rows, big1_rows);
+}
+
+TEST_F(ExchangeExecTest, OperatorProfileTotalsAreTruthfulUnderDop) {
+  ExpectOperatorProfileTotalsAreTruthfulUnderDop(&host_, kBig1Rows);
+}
+
+TEST_F(TombstonedExchangeExecTest, OperatorProfileTotalsAreTruthfulUnderDop) {
+  ASSERT_LT(LiveRows("big1"), kBig1Rows);
+  ExpectOperatorProfileTotalsAreTruthfulUnderDop(&host_, LiveRows("big1"));
 }
 
 // dm_exec_operator_stats (per-query DMV over the same profile tree) shows
