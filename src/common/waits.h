@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -75,7 +76,7 @@ struct WaitTally {
 };
 
 /// Plain-value copy of a WaitTally, for surfaces that need value semantics
-/// (QueryResult, ExecutionRecord).
+/// (QueryResult, DMV rows).
 struct WaitTotals {
   int64_t count[kNumWaitTypes] = {};
   int64_t ns[kNumWaitTypes] = {};
@@ -190,6 +191,20 @@ class BlockTimer {
  private:
   int64_t start_;
 };
+
+/// Locks `mu`, charging contention as a `type` wait. Uncontended
+/// acquisition — the overwhelmingly common case — takes the try_lock fast
+/// path and records nothing.
+inline std::unique_lock<std::mutex> LockRecordingWait(std::mutex& mu,
+                                                      WaitType type) {
+  std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
+  if (!lock.owns_lock()) {
+    BlockTimer timer;
+    lock.lock();
+    RecordWait(type, timer.Elapsed());
+  }
+  return lock;
+}
 
 }  // namespace waits
 }  // namespace dhqp

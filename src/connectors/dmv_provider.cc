@@ -1,6 +1,6 @@
 #include "src/connectors/dmv_provider.h"
 
-#include <map>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -142,14 +142,15 @@ std::vector<Row> FillQueryStats(Engine* engine) {
 
 std::vector<Row> FillOperatorStats(Engine* engine) {
   std::vector<Row> rows;
-  for (const sysview::ExecutionRecord& rec :
+  for (const std::shared_ptr<const sysview::RequestState>& rec :
        engine->query_store()->Snapshot()) {
-    if (rec.profile == nullptr) continue;
+    const std::shared_ptr<const OperatorProfile> profile = rec->profile();
+    if (profile == nullptr) continue;
     // Profiles in the store are quiescent (the executor joined its threads
     // before the record was appended), so relaxed loads read final values.
-    for (const FlatOperator& f : FlattenOperatorProfile(*rec.profile)) {
+    for (const FlatOperator& f : FlattenOperatorProfile(*profile)) {
       const OperatorProfile& op = *f.op;
-      rows.push_back(Row{I(rec.execution_id),
+      rows.push_back(Row{I(rec->execution_id),
                   I(op.id),
                   I(f.parent_id),
                   S(op.name),
@@ -203,7 +204,7 @@ std::vector<Row> FillPlanCache(Engine* engine) {
   return rows;
 }
 
-std::vector<Row> FillMetrics() {
+std::vector<Row> FillMetrics(Engine*) {
   std::vector<Row> rows;
   for (const metrics::Sample& s : metrics::Registry::Global().Samples()) {
     rows.push_back(Row{S(s.kind), S(s.name), I(s.value), I(s.count),
@@ -212,7 +213,7 @@ std::vector<Row> FillMetrics() {
   return rows;
 }
 
-std::vector<Row> FillTraceSpans() {
+std::vector<Row> FillTraceSpans(Engine*) {
   std::vector<Row> rows;
   for (const trace::SpanRecord& s : trace::Tracer::Global().Snapshot()) {
     rows.push_back(Row{S(s.engine),
@@ -280,44 +281,33 @@ std::vector<Row> FillRequests(Engine* engine) {
 
 /// Point-in-time memory grants (the sys.dm_exec_query_memory_grants
 /// analog): every statement of this engine currently holding a grant or
-/// queued in the resource semaphore, with live used/peak memory joined in
-/// from the request registry by activity id. The scanning statement itself
-/// is excluded (sys scans bypass admission and carry no grant anyway).
+/// queued in the resource semaphore, with live used/peak memory read from
+/// the request the grant entry points at. The scanning statement itself is
+/// excluded (sys scans bypass admission and carry no grant anyway).
 std::vector<Row> FillMemoryGrants(Engine* engine) {
   std::vector<Row> rows;
   const std::string self_activity = activity::Current();
-  std::map<std::string, std::shared_ptr<sysview::RequestState>> reqs;
-  for (const std::shared_ptr<sysview::RequestState>& req :
-       sysview::RequestRegistry::Global().Snapshot()) {
-    reqs.emplace(req->activity_id, req);
-  }
   for (const governor::GrantRow& g : governor::Governor::Global().Snapshot()) {
-    if (g.engine != engine->name()) continue;
-    if (!self_activity.empty() && g.activity_id == self_activity) continue;
-    int64_t used = 0;
-    int64_t peak = 0;
-    auto it = reqs.find(g.activity_id);
-    if (it != reqs.end()) {
-      used = it->second->memory.current();
-      peak = it->second->memory.peak();
-    }
+    const sysview::RequestState& req = *g.request;
+    if (req.engine != engine->name()) continue;
+    if (!self_activity.empty() && req.activity_id == self_activity) continue;
     rows.push_back(Row{I(g.grant_id),
-                S(g.engine),
-                S(g.activity_id),
-                S(g.statement),
-                I(g.dop),
+                S(req.engine),
+                S(req.activity_id),
+                S(req.statement),
+                I(req.dop),
                 I(g.is_queued ? 1 : 0),
                 I(g.requested_bytes),
                 I(g.granted_bytes),
                 I(g.wait_ns),
                 I(g.degraded ? 1 : 0),
-                I(used),
-                I(peak)});
+                I(req.memory.current()),
+                I(req.memory.peak())});
   }
   return rows;
 }
 
-std::vector<Row> FillWaitStats() {
+std::vector<Row> FillWaitStats(Engine*) {
   std::vector<Row> rows;
   for (const waits::WaitStatRow& w : waits::GlobalSnapshot()) {
     rows.push_back(Row{S(w.wait_type), I(w.waiting_tasks_count),
@@ -326,8 +316,9 @@ std::vector<Row> FillWaitStats() {
   return rows;
 }
 
-Row DistributedRequestRow(const sysview::ExecutionRecord& rec,
+Row DistributedRequestRow(const sysview::RequestState& rec,
                           const std::string& server, const char* role) {
+  const waits::WaitTotals waits = waits::Snapshot(rec.waits);
   return Row{S(rec.activity_id),
              S(server),
              S(role),
@@ -337,8 +328,8 @@ Row DistributedRequestRow(const sysview::ExecutionRecord& rec,
              I(rec.duration_ns),
              I(rec.ok ? 1 : 0),
              I(rec.rows),
-             I(rec.waits.total_ns()),
-             S(rec.waits.TopType())};
+             I(waits.total_ns()),
+             S(waits.TopType())};
 }
 
 /// The member Engine behind a linked-server source, if there is one:
@@ -361,11 +352,11 @@ Engine* MemberEngine(DataSource* source) {
 std::vector<Row> FillDistributedRequests(Engine* engine) {
   std::vector<Row> rows;
   std::set<std::string> activities;
-  for (const sysview::ExecutionRecord& rec :
+  for (const std::shared_ptr<const sysview::RequestState>& rec :
        engine->query_store()->Snapshot()) {
-    if (rec.activity_id.empty()) continue;
-    activities.insert(rec.activity_id);
-    rows.push_back(DistributedRequestRow(rec, "(local)", "coordinator"));
+    if (rec->activity_id.empty()) continue;
+    activities.insert(rec->activity_id);
+    rows.push_back(DistributedRequestRow(*rec, "(local)", "coordinator"));
   }
   Catalog* catalog = engine->catalog();
   for (const std::string& server : catalog->LinkedServerNames()) {
@@ -374,32 +365,34 @@ std::vector<Row> FillDistributedRequests(Engine* engine) {
     if (!source.ok()) continue;
     Engine* member = MemberEngine(*source);
     if (member == nullptr || member == engine) continue;
-    for (const sysview::ExecutionRecord& rec :
+    for (const std::shared_ptr<const sysview::RequestState>& rec :
          member->query_store()->Snapshot()) {
-      if (activities.count(rec.activity_id) == 0) continue;
-      rows.push_back(DistributedRequestRow(rec, server, "member"));
+      if (activities.count(rec->activity_id) == 0) continue;
+      rows.push_back(DistributedRequestRow(*rec, server, "member"));
     }
   }
   return rows;
 }
 
+/// One system view: its name, its schema, and how a scan fills it.
 struct DmvTableDef {
   const char* name;
   Schema (*schema)();
+  std::vector<Row> (*fill)(Engine* engine);
 };
 
-constexpr int kNumTables = 10;
-const DmvTableDef kTables[kNumTables] = {
-    {"dm_exec_query_stats", QueryStatsSchema},
-    {"dm_exec_operator_stats", OperatorStatsSchema},
-    {"dm_exec_requests", RequestsSchema},
-    {"dm_exec_query_memory_grants", MemoryGrantsSchema},
-    {"dm_exec_distributed_requests", DistributedRequestsSchema},
-    {"dm_link_stats", LinkStatsSchema},
-    {"dm_plan_cache", PlanCacheSchema},
-    {"dm_metrics", MetricsSchema},
-    {"dm_os_wait_stats", WaitStatsSchema},
-    {"dm_trace_spans", TraceSpansSchema},
+const DmvTableDef kTables[] = {
+    {"dm_exec_query_stats", QueryStatsSchema, FillQueryStats},
+    {"dm_exec_operator_stats", OperatorStatsSchema, FillOperatorStats},
+    {"dm_exec_requests", RequestsSchema, FillRequests},
+    {"dm_exec_query_memory_grants", MemoryGrantsSchema, FillMemoryGrants},
+    {"dm_exec_distributed_requests", DistributedRequestsSchema,
+     FillDistributedRequests},
+    {"dm_link_stats", LinkStatsSchema, FillLinkStats},
+    {"dm_plan_cache", PlanCacheSchema, FillPlanCache},
+    {"dm_metrics", MetricsSchema, FillMetrics},
+    {"dm_os_wait_stats", WaitStatsSchema, FillWaitStats},
+    {"dm_trace_spans", TraceSpansSchema, FillTraceSpans},
 };
 
 /// Session over the DMVs. Stateless (every OpenRowset snapshots afresh), so
@@ -413,14 +406,14 @@ class DmvSession : public Session {
     for (const DmvTableDef& def : kTables) {
       if (!EqualsIgnoreCase(table, def.name)) continue;
       return std::unique_ptr<Rowset>(
-          new VectorRowset(def.schema(), FillTable(def.name)));
+          new VectorRowset(def.schema(), def.fill(engine_)));
     }
     return Status::NotFound("system view '" + table + "' not found");
   }
 
   Result<std::vector<TableMetadata>> ListTables() override {
     std::vector<TableMetadata> out;
-    out.reserve(kNumTables);
+    out.reserve(std::size(kTables));
     for (const DmvTableDef& def : kTables) {
       TableMetadata meta;
       meta.name = def.name;
@@ -434,23 +427,6 @@ class DmvSession : public Session {
   }
 
  private:
-  std::vector<Row> FillTable(const std::string& name) {
-    if (name == "dm_exec_query_stats") return FillQueryStats(engine_);
-    if (name == "dm_exec_operator_stats") return FillOperatorStats(engine_);
-    if (name == "dm_exec_requests") return FillRequests(engine_);
-    if (name == "dm_exec_query_memory_grants") {
-      return FillMemoryGrants(engine_);
-    }
-    if (name == "dm_exec_distributed_requests") {
-      return FillDistributedRequests(engine_);
-    }
-    if (name == "dm_link_stats") return FillLinkStats(engine_);
-    if (name == "dm_plan_cache") return FillPlanCache(engine_);
-    if (name == "dm_metrics") return FillMetrics();
-    if (name == "dm_os_wait_stats") return FillWaitStats();
-    return FillTraceSpans();
-  }
-
   Engine* engine_;
 };
 

@@ -50,8 +50,9 @@ bool StatementTouchesSys(const SelectStatement& stmt) {
   return false;
 }
 
-// Post-bind DMV detection: authoritative — any scan in the physical plan
-// resolved to the reserved system source (however the name was spelled).
+// Post-optimize DMV detection: authoritative — any scan in the physical
+// plan resolved to the reserved system source (however the name was
+// spelled). Walked once per compiled statement, in ExecuteSelect.
 bool PlanTouchesSys(const PhysicalOpPtr& plan) {
   if (plan == nullptr) return false;
   if (EqualsIgnoreCase(plan->table.server_name, kSysServerName)) return true;
@@ -110,18 +111,19 @@ Result<std::vector<Row>> ShapeRows(const Schema& schema,
   return out;
 }
 
-// Locks `mu`, charging contention to the wait-statistics subsystem as
-// `type`. Uncontended acquisition — the overwhelmingly common case — takes
-// the try_lock fast path and records nothing.
-std::unique_lock<std::mutex> LockRecordingWait(std::mutex& mu,
-                                               waits::WaitType type) {
-  std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    waits::BlockTimer timer;
-    lock.lock();
-    waits::RecordWait(type, timer.Elapsed());
+// EXPLAIN and EXPLAIN ANALYZE results: one "plan" row per line of `text`.
+std::unique_ptr<VectorRowset> PlanTextRowset(const std::string& text) {
+  Schema schema;
+  schema.AddColumn(ColumnDef{"plan", DataType::kString, false});
+  std::vector<Row> rows;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    rows.push_back({Value::String(text.substr(start, end - start))});
+    start = end + 1;
   }
-  return lock;
+  return std::make_unique<VectorRowset>(std::move(schema), std::move(rows));
 }
 
 }  // namespace
@@ -241,7 +243,6 @@ void PublishExecMetrics(const ExecStats& stats) {
 
 Result<QueryResult> Engine::Execute(
     const std::string& sql, const std::map<std::string, Value>& params) {
-  StatementInfo info;
   // Distributed-request correlation: with no id on the thread this engine
   // is the coordinator and originates one; with an incoming id (a member
   // engine serving another engine's provider command, or a worker thread
@@ -255,17 +256,16 @@ Result<QueryResult> Engine::Execute(
   // the executing engine's name, so stitched traces attribute each span to
   // its engine.
   trace::EngineTagScope engine_tag(options_.name);
-  // Live monitoring: the statement is visible in sys..dm_exec_requests for
-  // its whole lifetime. The request state owns the per-query wait tally
-  // (worker threads — prefetch, exchange, Concat — capture and re-install
-  // it, so every blocked interval on the statement's behalf rolls up here
-  // and is readable mid-flight).
+  // The statement's one record: visible in sys..dm_exec_requests for its
+  // whole lifetime, then kept by the query store. The request owns the
+  // per-query wait tally (worker threads — prefetch, exchange, Concat —
+  // capture and re-install it, so every blocked interval on the
+  // statement's behalf rolls up here and is readable mid-flight).
   sysview::RequestScope request(options_.name, activity::Current(), sql,
                                 options_.execution.dop);
-  const int64_t start_ns = fastclock::NowNs();
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     waits::ScopedQueryTally tally(&request.state()->waits);
-    return ExecuteInternal(sql, params, &info);
+    return ExecuteInternal(sql, params, request.state());
   }();
   if (!result.ok() && result.status().code() == StatusCode::kNetworkError) {
     // Link-down teardown (§4.2): a cached session over a dead link is
@@ -275,15 +275,14 @@ Result<QueryResult> Engine::Execute(
     // holds a raw Session pointer.
     catalog_->DropRemoteSessions();
   }
-  FinishStatement(sql, fastclock::NowNs() - start_ns, info, *request.state(),
-                  &result);
+  FinishStatement(sql, request.state(), &result);
   return result;
 }
 
-void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
-                             const StatementInfo& info,
-                             const sysview::RequestState& request,
-                             Result<QueryResult>* result) {
+void Engine::FinishStatement(
+    const std::string& sql,
+    const std::shared_ptr<sysview::RequestState>& request,
+    Result<QueryResult>* result) {
   struct Instruments {
     metrics::Counter* statements;
     metrics::Counter* failures;
@@ -306,52 +305,54 @@ void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
     return i;
   }();
 
-  // The statement's counts settle once, from what its request holds on
-  // success and failure alike: the wait tally, and the operator profile
-  // tree the executor counted in (published before Open, final once the
-  // executor unwound), folded into the ExecStats every surface below reads.
-  const waits::WaitTotals wait_totals = waits::Snapshot(request.waits);
-  const std::shared_ptr<const OperatorProfile> profile = request.profile();
-  const ExecStats exec_stats =
-      profile != nullptr ? FoldExecStats(*profile) : ExecStats{};
-  const bool ok = result->ok();
-  QueryResult* qr = ok ? &result->value() : nullptr;
+  // The statement's counts settle once, onto its request, on success and
+  // failure alike: the operator profile tree the executor counted in
+  // (published before Open, final once the executor unwound) folds into
+  // the ExecStats every surface below reads, and the wait tally is
+  // quiescent.
+  sysview::RequestState& req = *request;
+  req.duration_ns = fastclock::NowNs() - req.start_ns;
+  const std::shared_ptr<const OperatorProfile> profile = req.profile();
+  req.exec_stats = profile != nullptr ? FoldExecStats(*profile) : ExecStats{};
+  req.ok = result->ok();
+  QueryResult* qr = req.ok ? &result->value() : nullptr;
   if (qr != nullptr) {
-    qr->wait_totals = wait_totals;
-    qr->exec_stats = exec_stats;
-    qr->activity_id = request.activity_id;
+    qr->wait_totals = waits::Snapshot(req.waits);
+    qr->exec_stats = req.exec_stats;
+    qr->activity_id = req.activity_id;
   }
-  // Self-exclusion: a statement that read the DMVs must not itself show up
-  // in the query store, the slow log, or the statement counters — otherwise
-  // observing the system grows what it observes. The AST check catches
-  // sys-qualified names; the plan walk catches bare DMV names resolved
-  // through the catalog fallback (the shape decoded remote scans take).
-  const bool exclude = info.exclude_from_store ||
-                       (qr != nullptr && PlanTouchesSys(qr->plan));
-  if (exclude) return;
+  // Self-exclusion: a statement that read the DMVs (request->exclude, set
+  // by the AST gate or the post-optimize plan walk, whether or not the
+  // statement then succeeded) must not itself show up in the query store,
+  // the slow log, or the statement counters — otherwise observing the
+  // system grows what it observes. Compile-only EXPLAIN executed nothing.
+  if (req.exclude.load(std::memory_order_relaxed) ||
+      req.statement_type == "explain") {
+    return;
+  }
 
   in.statements->Increment();
-  if (!ok) in.failures->Increment();
+  if (!req.ok) in.failures->Increment();
   // One latency sample per counted statement: the same end-to-end duration
   // the query store records (parse through result shaping, governor queue
   // included).
-  in.query_ns->Observe(duration_ns);
-  PublishExecMetrics(exec_stats);
+  in.query_ns->Observe(req.duration_ns);
+  PublishExecMetrics(req.exec_stats);
 
-  const bool is_dml = info.statement_type == "insert" ||
-                      info.statement_type == "update" ||
-                      info.statement_type == "delete";
+  const bool is_dml = req.statement_type == "insert" ||
+                      req.statement_type == "update" ||
+                      req.statement_type == "delete";
   if (qr != nullptr && is_dml) {
     in.dml_statements->Increment();
     in.dml_rows_affected->Add(qr->rows_affected);
   }
 
   if (qr != nullptr && options_.slow_query_ns > 0 &&
-      duration_ns >= options_.slow_query_ns) {
+      req.duration_ns >= options_.slow_query_ns) {
     char head[96];
     std::snprintf(head, sizeof(head),
                   "slow query: %.3f ms (threshold %.3f ms)",
-                  static_cast<double>(duration_ns) / 1e6,
+                  static_cast<double>(req.duration_ns) / 1e6,
                   static_cast<double>(options_.slow_query_ns) / 1e6);
     std::string warning(head);
     if (qr->profile != nullptr) {
@@ -363,58 +364,39 @@ void Engine::FinishStatement(const std::string& sql, int64_t duration_ns,
     in.slow_queries->Increment();
   }
   if (qr != nullptr) {
-    in.warnings->Add(static_cast<int64_t>(qr->warnings.size()));
-  }
-
-  sysview::ExecutionRecord rec;
-  rec.fingerprint = sysview::FingerprintStatement(sql);
-  rec.statement = sql.substr(0, sysview::ExecutionRecord::kMaxStatementLen);
-  rec.statement_type =
-      info.statement_type.empty() ? "invalid" : info.statement_type;
-  rec.duration_ns = duration_ns;
-  rec.ok = ok;
-  if (!ok) rec.error = StatusCodeName(result->status().code());
-  rec.plan_cache_hit = info.plan_cache_hit;
-  rec.plan_cacheable = info.plan_cacheable;
-  rec.activity_id = request.activity_id;
-  rec.waits = wait_totals;
-  rec.retries = exec_stats.remote_retries;
-  rec.timeouts = exec_stats.remote_timeouts;
-  rec.faults = exec_stats.faults_injected;
-  rec.profile = profile;
-  if (qr != nullptr) {
-    rec.rows = qr->rowset != nullptr
+    req.rows = qr->rowset != nullptr
                    ? static_cast<int64_t>(qr->rowset->rows().size())
                    : qr->rows_affected;
-    rec.warnings = static_cast<int64_t>(qr->warnings.size());
+    req.warnings = static_cast<int64_t>(qr->warnings.size());
+    in.warnings->Add(req.warnings);
+  } else {
+    req.error = StatusCodeName(result->status().code());
   }
-  query_store_.Record(std::move(rec));
+  if (req.statement_type.empty()) req.statement_type = "invalid";
+  req.fingerprint = sysview::FingerprintStatement(sql);
+  query_store_.Record(request);
 }
 
 Result<QueryResult> Engine::ExecuteInternal(
     const std::string& sql, const std::map<std::string, Value>& params,
-    StatementInfo* info) {
+    const std::shared_ptr<sysview::RequestState>& request) {
   std::unique_ptr<Statement> stmt;
   {
     trace::Span span("engine.parse");
     DHQP_ASSIGN_OR_RETURN(stmt, Parser::Parse(sql));
   }
+  std::string& type = request->statement_type;
   switch (stmt->kind) {
     case Statement::Kind::kSelect: {
-      info->statement_type = stmt->explain_analyze ? "explain analyze"
-                             : stmt->explain       ? "explain"
-                                                   : "select";
-      // Sys-qualified statements bypass the plan cache entirely (empty
-      // cache key), so DMV reads never pollute hit/miss counters or show up
-      // in dm_plan_cache.
+      type = stmt->explain_analyze ? "explain analyze"
+             : stmt->explain       ? "explain"
+                                   : "select";
+      // The AST half of the sys decision: sys-qualified statements bypass
+      // the plan cache entirely (empty cache key), so DMV reads never
+      // pollute hit/miss counters or show up in dm_plan_cache. ExecuteSelect
+      // walks the optimized plan for bare DMV names.
       const bool sys = StatementTouchesSys(*stmt->select);
-      if (sys) {
-        info->exclude_from_store = true;
-        // Same two-layer gating for live monitoring: a dm_exec_requests
-        // scan must not list itself. The post-bind PlanTouchesSys layer in
-        // ExecuteSelect catches bare DMV names.
-        sysview::MarkCurrentRequestExcluded();
-      }
+      if (sys) request->exclude.store(true, std::memory_order_relaxed);
       const std::string cache_key = sys ? "" : sql;
       if (stmt->explain_analyze) {
         // EXPLAIN ANALYZE SELECT ...: execute, then render the profile's
@@ -422,69 +404,46 @@ Result<QueryResult> Engine::ExecuteInternal(
         DHQP_ASSIGN_OR_RETURN(
             QueryResult result,
             ExecuteSelect(*stmt->select, params, /*execute=*/true, cache_key,
-                          info));
-        Schema schema;
-        schema.AddColumn(ColumnDef{"plan", DataType::kString, false});
-        std::vector<Row> rows;
-        std::string text = RenderOperatorProfile(*result.profile);
-        size_t start = 0;
-        while (start < text.size()) {
-          size_t end = text.find('\n', start);
-          if (end == std::string::npos) end = text.size();
-          rows.push_back({Value::String(text.substr(start, end - start))});
-          start = end + 1;
-        }
-        result.rowset = std::make_unique<VectorRowset>(std::move(schema),
-                                                       std::move(rows));
+                          request));
+        result.rowset = PlanTextRowset(RenderOperatorProfile(*result.profile));
         return std::move(result);
       }
       if (stmt->explain) {
         // EXPLAIN SELECT ...: compile only; nothing executed, so the query
         // store skips it. The plan renders as text rows with the same
         // pre-order operator ids EXPLAIN ANALYZE uses.
-        info->exclude_from_store = true;
         DHQP_ASSIGN_OR_RETURN(
             QueryResult prepared,
-            ExecuteSelect(*stmt->select, params, /*execute=*/false, "", info));
-        Schema schema;
-        schema.AddColumn(ColumnDef{"plan", DataType::kString, false});
-        std::vector<Row> rows;
+            ExecuteSelect(*stmt->select, params, /*execute=*/false, "",
+                          request));
         int next_id = 1;
-        std::string text = prepared.plan->ToStringWithIds(0, &next_id);
-        size_t start = 0;
-        while (start < text.size()) {
-          size_t end = text.find('\n', start);
-          if (end == std::string::npos) end = text.size();
-          rows.push_back({Value::String(text.substr(start, end - start))});
-          start = end + 1;
-        }
-        prepared.rowset = std::make_unique<VectorRowset>(std::move(schema),
-                                                         std::move(rows));
+        prepared.rowset =
+            PlanTextRowset(prepared.plan->ToStringWithIds(0, &next_id));
         return std::move(prepared);
       }
       return ExecuteSelect(*stmt->select, params, /*execute=*/true, cache_key,
-                           info);
+                           request);
     }
     case Statement::Kind::kCreateTable:
-      info->statement_type = "create table";
+      type = "create table";
       return ExecuteCreateTable(*stmt->create_table);
     case Statement::Kind::kCreateIndex:
-      info->statement_type = "create index";
+      type = "create index";
       return ExecuteCreateIndex(*stmt->create_index);
     case Statement::Kind::kCreateView:
-      info->statement_type = "create view";
+      type = "create view";
       return ExecuteCreateView(*stmt->create_view);
     case Statement::Kind::kInsert:
-      info->statement_type = "insert";
+      type = "insert";
       return ExecuteInsert(*stmt->insert, params);
     case Statement::Kind::kDelete:
-      info->statement_type = "delete";
+      type = "delete";
       return ExecuteDelete(*stmt->delete_stmt, params);
     case Statement::Kind::kUpdate:
-      info->statement_type = "update";
+      type = "update";
       return ExecuteUpdate(*stmt->update, params);
     case Statement::Kind::kDrop: {
-      info->statement_type = "drop";
+      type = "drop";
       ++schema_version_;
       if (stmt->drop->target == DropStatement::Target::kTable) {
         DHQP_RETURN_NOT_OK(storage_.DropTable(stmt->drop->name));
@@ -611,7 +570,10 @@ Result<QueryResult> Engine::Prepare(
   if (stmt->kind != Statement::Kind::kSelect) {
     return Status::InvalidArgument("Prepare supports SELECT statements");
   }
-  return ExecuteSelect(*stmt->select, params, /*execute=*/false, "", nullptr);
+  // Compile only, outside Execute: an unregistered request takes the
+  // compile bookkeeping.
+  return ExecuteSelect(*stmt->select, params, /*execute=*/false, "",
+                       std::make_shared<sysview::RequestState>());
 }
 
 Result<std::string> Engine::Explain(const std::string& sql,
@@ -629,14 +591,16 @@ Result<std::string> Engine::Explain(const std::string& sql,
 }
 
 Result<QueryResult> Engine::RunCachedPlan(
-    const CachedPlan& cached, const std::map<std::string, Value>& params) {
+    const CachedPlan& cached, const std::map<std::string, Value>& params,
+    const std::shared_ptr<sysview::RequestState>& request) {
   trace::Span span("engine.execute");
   // Workload governor: admission control sits between optimize and execute.
   // The statement queues (phase `queued`, RESOURCE_SEMAPHORE waits) until
   // its estimated grant fits the memory budget; the grant is RAII-released
   // exactly once on every exit path out of this function, including error
-  // returns and fault aborts mid-execution.
-  sysview::SetCurrentPhase(sysview::RequestPhase::kQueued);
+  // returns and fault aborts mid-execution. The governor surfaces the grant
+  // on the request (dm_exec_requests) while it is held.
+  request->SetPhase(sysview::RequestPhase::kQueued);
   governor::GovernorOptions gopts;
   gopts.max_server_memory_bytes = options_.max_server_memory_bytes;
   gopts.max_grant_per_query_bytes = options_.max_grant_per_query_bytes;
@@ -647,29 +611,12 @@ Result<QueryResult> Engine::RunCachedPlan(
   // monitoring path must stay responsive when the semaphore is saturated
   // with queued user statements.
   governor::MemoryGrant grant;
-  if (!PlanTouchesSys(cached.plan)) {
+  if (!request->exclude.load(std::memory_order_relaxed)) {
     grant = governor::Governor::Global().Acquire(
         gopts, governor::EstimateGrantBytes(cached.plan, options_.execution),
-        options_.name, activity::Current(), cached.statement,
-        options_.execution.dop);
+        request);
   }
-  // Surface the grant on dm_exec_requests while the statement runs; cleared
-  // on every exit path (the row may outlive execution in the registry).
-  // Execute registered the request this plan runs under.
-  sysview::RequestState* const req = sysview::CurrentRequest();
-  struct GrantFields {
-    sysview::RequestState* req;
-    ~GrantFields() {
-      req->requested_grant_bytes.store(0, std::memory_order_relaxed);
-      req->granted_bytes.store(0, std::memory_order_relaxed);
-    }
-  } grant_fields{req};
-  if (grant.active()) {
-    req->requested_grant_bytes.store(grant.requested_bytes(),
-                                     std::memory_order_relaxed);
-    req->granted_bytes.store(grant.granted_bytes(), std::memory_order_relaxed);
-  }
-  sysview::SetCurrentPhase(sysview::RequestPhase::kExecute);
+  request->SetPhase(sysview::RequestPhase::kExecute);
   ExecContext ectx;
   ectx.catalog = catalog_.get();
   ectx.fulltext = &fulltext_;
@@ -679,7 +626,7 @@ Result<QueryResult> Engine::RunCachedPlan(
   // Buffering operators and queue stashes charge the request's query-wide
   // tracker, so dm_exec_requests reports one live memory_bytes per query;
   // grant enforcement reads the same tracker.
-  ectx.memory = &req->memory;
+  ectx.memory = &request->memory;
   ectx.grant_bytes = grant.active() ? grant.granted_bytes() : 0;
   ectx.spill_dir = options_.spill_directory;
   DHQP_ASSIGN_OR_RETURN(auto rowset, ExecutePlan(cached.plan, &ectx));
@@ -688,7 +635,7 @@ Result<QueryResult> Engine::RunCachedPlan(
   // gauge semantic.
   static metrics::Gauge* mem_gauge =
       metrics::Registry::Global().GetGauge("exec.memory_bytes");
-  mem_gauge->Set(req->memory.peak());
+  mem_gauge->Set(request->memory.peak());
 
   // Align output columns with the statement's select-list order/names (the
   // plan may carry extra hidden columns or a different physical order).
@@ -733,13 +680,14 @@ Result<QueryResult> Engine::RunCachedPlan(
 
 Result<QueryResult> Engine::ExecuteSelect(
     const SelectStatement& stmt, const std::map<std::string, Value>& params,
-    bool execute, const std::string& cache_key, StatementInfo* info) {
+    bool execute, const std::string& cache_key,
+    const std::shared_ptr<sysview::RequestState>& request) {
   // Plan-cache hit: re-execute the compiled plan with fresh parameters.
   // Startup filters keep parameterized plans correct for any value (§4.1.5).
   // Optimizer settings are part of the key: a plan compiled under different
   // options (the ablation benches flip them) must not be reused.
   bool use_cache = execute && options_.enable_plan_cache && !cache_key.empty();
-  if (info != nullptr) info->plan_cacheable = use_cache;
+  request->plan_cacheable = use_cache;
   const PlanKey full_key{cache_key, EffectiveOptimizerOptions()};
   if (use_cache) {
     // The entry is copied out under the lock (the members are shared_ptrs
@@ -748,8 +696,8 @@ Result<QueryResult> Engine::ExecuteSelect(
     bool hit = false;
     CachedPlan cached;
     {
-      auto lock =
-          LockRecordingWait(plan_cache_mu_, waits::WaitType::kPlanCacheMutex);
+      auto lock = waits::LockRecordingWait(plan_cache_mu_,
+                                           waits::WaitType::kPlanCacheMutex);
       auto it = plan_cache_.find(full_key);
       if (it != plan_cache_.end()) {
         if (it->second.schema_version ==
@@ -766,9 +714,9 @@ Result<QueryResult> Engine::ExecuteSelect(
       metrics::Registry::Global()
           .GetCounter("engine.plan_cache.hit")
           ->Increment();
-      auto result = RunCachedPlan(cached, params);
+      auto result = RunCachedPlan(cached, params, request);
       if (result.ok()) {
-        if (info != nullptr) info->plan_cache_hit = true;
+        request->plan_cache_hit = true;
         result.value().plan_cache_hit = true;
         return result;
       }
@@ -782,8 +730,8 @@ Result<QueryResult> Engine::ExecuteSelect(
       // A cached plan can go stale in ways version bumps don't cover
       // (e.g. a remote server changed behind its provider): drop it and
       // recompile below.
-      auto lock =
-          LockRecordingWait(plan_cache_mu_, waits::WaitType::kPlanCacheMutex);
+      auto lock = waits::LockRecordingWait(plan_cache_mu_,
+                                           waits::WaitType::kPlanCacheMutex);
       plan_cache_.erase(full_key);
     }
   }
@@ -798,24 +746,26 @@ Result<QueryResult> Engine::ExecuteSelect(
     BoundStatement bound;
     {
       trace::Span span("engine.bind");
-      sysview::SetCurrentPhase(sysview::RequestPhase::kBind);
+      request->SetPhase(sysview::RequestPhase::kBind);
       DHQP_ASSIGN_OR_RETURN(bound, binder.BindSelect(stmt));
     }
     OptimizerContext octx = MakeOptimizerContext(bound.registry.get());
     OptimizeResult optimized;
     {
       trace::Span span("engine.optimize");
-      sysview::SetCurrentPhase(sysview::RequestPhase::kOptimize);
+      request->SetPhase(sysview::RequestPhase::kOptimize);
       LogicalOpPtr normalized = Normalize(bound.root, &octx);
       Optimizer optimizer(&octx);
       DHQP_ASSIGN_OR_RETURN(optimized,
                             optimizer.Optimize(normalized, bound.order_by));
     }
-    // Post-bind self-exclusion layer: a bare DMV name resolved through the
-    // catalog's sys fallback slips past the AST check; the plan walk is
-    // authoritative.
-    if (PlanTouchesSys(optimized.plan)) {
-      sysview::MarkCurrentRequestExcluded();
+    // The plan half of the sys decision: a bare DMV name resolved through
+    // the catalog's sys fallback slips past the AST check; the plan walk is
+    // authoritative. Admission, the plan-cache insert below and
+    // FinishStatement read the flag.
+    if (!request->exclude.load(std::memory_order_relaxed) &&
+        PlanTouchesSys(optimized.plan)) {
+      request->exclude.store(true, std::memory_order_relaxed);
     }
 
     if (!execute) {
@@ -844,13 +794,13 @@ Result<QueryResult> Engine::ExecuteSelect(
     compiled.schema_version = schema_version_.load(std::memory_order_relaxed);
     compiled.statement = cache_key;
     DHQP_ASSIGN_OR_RETURN(QueryResult result,
-                          RunCachedPlan(compiled, params));
+                          RunCachedPlan(compiled, params, request));
     // A plan that reads the system views is never cached: a bare DMV name
-    // (resolved through the catalog's sys fallback) slips past the AST
-    // check, and caching it would let observation pollute dm_plan_cache.
-    if (use_cache && !PlanTouchesSys(compiled.plan)) {
-      auto lock =
-          LockRecordingWait(plan_cache_mu_, waits::WaitType::kPlanCacheMutex);
+    // slips past the AST check, and caching it would let observation
+    // pollute dm_plan_cache.
+    if (use_cache && !request->exclude.load(std::memory_order_relaxed)) {
+      auto lock = waits::LockRecordingWait(plan_cache_mu_,
+                                           waits::WaitType::kPlanCacheMutex);
       if (plan_cache_.size() >= options_.plan_cache_capacity) {
         plan_cache_.clear();  // Crude but bounded; capacity is generous.
       }
@@ -864,7 +814,7 @@ std::vector<Engine::PlanCacheEntry> Engine::PlanCacheSnapshot() const {
   std::vector<PlanCacheEntry> out;
   const uint64_t current = schema_version_.load(std::memory_order_relaxed);
   auto lock =
-      LockRecordingWait(plan_cache_mu_, waits::WaitType::kPlanCacheMutex);
+      waits::LockRecordingWait(plan_cache_mu_, waits::WaitType::kPlanCacheMutex);
   out.reserve(plan_cache_.size());
   for (const auto& [key, cached] : plan_cache_) {
     PlanCacheEntry e;

@@ -21,10 +21,6 @@
 
 namespace dhqp {
 
-namespace sysview {
-struct RequestState;
-}  // namespace sysview
-
 /// Per-instance configuration.
 struct EngineOptions {
   std::string name = "local";
@@ -172,47 +168,38 @@ class Engine {
   std::vector<PlanCacheEntry> PlanCacheSnapshot() const;
 
  private:
-  /// Bookkeeping one statement execution hands back to the Execute wrapper
-  /// so it can record the query store / slow log / metrics.
-  struct StatementInfo {
-    std::string statement_type;  ///< "select", "insert", ... "" = no parse.
-    /// DMV self-exclusion: sys-touching statements and compile-only EXPLAIN
-    /// never enter the query store (or the slow log).
-    bool exclude_from_store = false;
-    bool plan_cacheable = false;
-    bool plan_cache_hit = false;
-  };
-
   /// Execute() minus the bookkeeping hooks: on a network error the wrapper
   /// tears down cached remote sessions (Catalog::DropRemoteSessions) so the
   /// next statement reconnects instead of reusing a session over a dead
   /// link; on every completion it records the statement (query store, slow
-  /// log, metrics).
-  Result<QueryResult> ExecuteInternal(const std::string& sql,
-                                      const std::map<std::string, Value>& params,
-                                      StatementInfo* info);
+  /// log, metrics). The statement's type, sys decision and plan-cache flags
+  /// land on `request`.
+  Result<QueryResult> ExecuteInternal(
+      const std::string& sql, const std::map<std::string, Value>& params,
+      const std::shared_ptr<sysview::RequestState>& request);
 
   /// Post-execution hook, run for every statement, failed ones included.
-  /// Settles the statement's counts from its `request`: the wait totals and
-  /// the ExecStats fold of its operator profile tree, both also stamped on
-  /// a successful result. Then: slow-query warning, exec.* metrics
-  /// (statement and DML counters, the ExecStats counters, warnings) with
-  /// one engine.query_ns sample of `duration_ns`, and the query-store
-  /// record (with the activity id, waits, counts and profile).
-  /// DMV-touching statements are excluded — observing the system must not
-  /// grow what it observes.
-  void FinishStatement(const std::string& sql, int64_t duration_ns,
-                       const StatementInfo& info,
-                       const sysview::RequestState& request,
+  /// Writes the outcome onto `request` once: duration, ok or error, rows,
+  /// warnings, the fingerprint of `sql`, and the ExecStats fold of its
+  /// operator profile tree, which a successful result also carries with
+  /// the wait totals. Then: slow-query warning, exec.* metrics (statement
+  /// and DML counters, the ExecStats counters, warnings) with one
+  /// engine.query_ns sample of the duration, and the query store keeps the
+  /// request as its record. DMV-touching statements (request->exclude) and
+  /// compile-only EXPLAIN are left out — observing the system must not grow
+  /// what it observes.
+  void FinishStatement(const std::string& sql,
+                       const std::shared_ptr<sysview::RequestState>& request,
                        Result<QueryResult>* result);
 
-  /// Compiles (and optionally executes) a SELECT. `cache_key` is the raw
-  /// statement text for plan-cache lookup; empty disables caching. `info`
-  /// (nullable) receives plan-cache bookkeeping.
-  Result<QueryResult> ExecuteSelect(const SelectStatement& stmt,
-                                    const std::map<std::string, Value>& params,
-                                    bool execute, const std::string& cache_key,
-                                    StatementInfo* info);
+  /// Compiles (and optionally executes) a SELECT under `request`, which
+  /// takes the plan-cache flags and the post-optimize sys decision.
+  /// `cache_key` is the raw statement text for plan-cache lookup; empty
+  /// disables caching.
+  Result<QueryResult> ExecuteSelect(
+      const SelectStatement& stmt, const std::map<std::string, Value>& params,
+      bool execute, const std::string& cache_key,
+      const std::shared_ptr<sysview::RequestState>& request);
   Result<QueryResult> ExecuteCreateTable(const CreateTableStatement& stmt);
   Result<QueryResult> ExecuteCreateIndex(const CreateIndexStatement& stmt);
   Result<QueryResult> ExecuteCreateView(const CreateViewStatement& stmt);
@@ -266,9 +253,11 @@ class Engine {
     int64_t hits = 0;       ///< Guarded by plan_cache_mu_.
   };
 
-  /// Runs a compiled plan and shapes the result rowset.
-  Result<QueryResult> RunCachedPlan(const CachedPlan& cached,
-                                    const std::map<std::string, Value>& params);
+  /// Runs a compiled plan under `request` (grant, memory, phases) and
+  /// shapes the result rowset.
+  Result<QueryResult> RunCachedPlan(
+      const CachedPlan& cached, const std::map<std::string, Value>& params,
+      const std::shared_ptr<sysview::RequestState>& request);
 
   EngineOptions options_;
   StorageEngine storage_;

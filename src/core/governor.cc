@@ -13,10 +13,6 @@ namespace governor {
 
 namespace {
 
-/// Statement text kept per grant is capped like the request registry's —
-/// dm_exec_query_memory_grants is a monitoring surface, not a SQL archive.
-constexpr size_t kMaxStatementChars = 512;
-
 /// governor.* instruments, resolved once (registry pointers are stable).
 struct Instruments {
   metrics::Counter* grants;
@@ -165,11 +161,9 @@ void Governor::UpdateGaugesLocked() {
   Instr().queue_length->Set(queued_);
 }
 
-MemoryGrant Governor::Acquire(const GovernorOptions& opts,
-                              int64_t estimate_bytes,
-                              const std::string& engine,
-                              const std::string& activity_id,
-                              const std::string& statement, int dop) {
+MemoryGrant Governor::Acquire(
+    const GovernorOptions& opts, int64_t estimate_bytes,
+    const std::shared_ptr<sysview::RequestState>& request) {
   if (opts.max_server_memory_bytes <= 0) return MemoryGrant();
 
   const int64_t budget = opts.max_server_memory_bytes;
@@ -187,10 +181,7 @@ MemoryGrant Governor::Acquire(const GovernorOptions& opts,
   GrantEntry& e = entries_[id];
   e.id = id;
   e.ticket = next_ticket_++;
-  e.engine = engine;
-  e.activity_id = activity_id;
-  e.statement = statement.substr(0, kMaxStatementChars);
-  e.dop = dop;
+  e.request = request;
   e.requested_bytes = ask;
   e.original_bytes = ask;
   e.enqueue_ns = fastclock::NowNs();
@@ -233,6 +224,9 @@ MemoryGrant Governor::Acquire(const GovernorOptions& opts,
 
   e.granted_bytes = e.requested_bytes;
   e.grant_ns = fastclock::NowNs();
+  e.request->requested_grant_bytes.store(e.original_bytes,
+                                         std::memory_order_relaxed);
+  e.request->granted_bytes.store(e.granted_bytes, std::memory_order_relaxed);
   total_granted_ += e.granted_bytes;
   ++active_grants_;
   Instr().grants->Increment();
@@ -250,6 +244,9 @@ void Governor::Release(int64_t id) {
     total_granted_ -= it->second.granted_bytes;
     --active_grants_;
   }
+  sysview::RequestState& request = *it->second.request;
+  request.requested_grant_bytes.store(0, std::memory_order_relaxed);
+  request.granted_bytes.store(0, std::memory_order_relaxed);
   entries_.erase(it);
   UpdateGaugesLocked();
   cv_.notify_all();
@@ -263,10 +260,7 @@ std::vector<GrantRow> Governor::Snapshot() const {
   for (const auto& [id, e] : entries_) {
     GrantRow row;
     row.grant_id = e.id;
-    row.engine = e.engine;
-    row.activity_id = e.activity_id;
-    row.statement = e.statement;
-    row.dop = e.dop;
+    row.request = e.request;
     row.is_queued = e.granted_bytes == 0;
     row.requested_bytes = e.original_bytes;
     row.granted_bytes = e.granted_bytes;

@@ -4,13 +4,14 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/executor/exec.h"
 #include "src/optimizer/physical.h"
+#include "src/sysview/requests.h"
 
 namespace dhqp {
 namespace governor {
@@ -92,10 +93,9 @@ class MemoryGrant {
 /// grant or is queued waiting for one.
 struct GrantRow {
   int64_t grant_id = 0;
-  std::string engine;
-  std::string activity_id;
-  std::string statement;
-  int dop = 1;
+  /// The statement's request: its identity and live memory. Shared so the
+  /// row stays readable after the grant is released.
+  std::shared_ptr<const sysview::RequestState> request;
   bool is_queued = false;     ///< Still waiting in the semaphore queue.
   int64_t requested_bytes = 0;
   int64_t granted_bytes = 0;  ///< 0 while queued.
@@ -114,13 +114,12 @@ class Governor {
   static Governor& Global();
 
   /// Blocks until the statement is admitted; always succeeds (timeout
-  /// degrades the request, never fails it). The identity fields feed
-  /// dm_exec_query_memory_grants. Returns an inactive grant when `opts`
-  /// carries no budget.
+  /// degrades the request, never fails it). The entry holds `request`
+  /// (non-null) for dm_exec_query_memory_grants, writes its grant fields
+  /// at admission and clears them at release. Returns an inactive grant
+  /// when `opts` carries no budget.
   MemoryGrant Acquire(const GovernorOptions& opts, int64_t estimate_bytes,
-                      const std::string& engine,
-                      const std::string& activity_id,
-                      const std::string& statement, int dop);
+                      const std::shared_ptr<sysview::RequestState>& request);
 
   /// Point-in-time view of every granted + queued statement, queued-first
   /// in arrival order, then granted in grant order.
@@ -139,10 +138,7 @@ class Governor {
   struct GrantEntry {
     int64_t id = 0;
     uint64_t ticket = 0;  ///< FIFO order among waiters.
-    std::string engine;
-    std::string activity_id;
-    std::string statement;
-    int dop = 1;
+    std::shared_ptr<sysview::RequestState> request;
     int64_t requested_bytes = 0;  ///< Current ask (shrinks on degradation).
     int64_t original_bytes = 0;   ///< The pre-degradation request.
     int64_t granted_bytes = 0;    ///< 0 while queued.

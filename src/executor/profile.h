@@ -165,6 +165,8 @@ struct ExecStats {
                                 ///< skipped by the degradation knob.
   int64_t spills = 0;       ///< Spill files written under a memory grant.
   int64_t spill_bytes = 0;  ///< Serialized bytes those files received.
+
+  bool operator==(const ExecStats&) const = default;
 };
 
 /// Sums a statement's profile tree into its ExecStats. Exact once the

@@ -6,22 +6,6 @@
 namespace dhqp {
 namespace sysview {
 
-namespace {
-
-// Locks the store mutex, charging contention as QUERY_STORE_MUTEX wait.
-// Uncontended acquisition takes the try_lock fast path and records nothing.
-std::unique_lock<std::mutex> LockStore(std::mutex& mu) {
-  std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    waits::BlockTimer timer;
-    lock.lock();
-    waits::RecordWait(waits::WaitType::kQueryStoreMutex, timer.Elapsed());
-  }
-  return lock;
-}
-
-}  // namespace
-
 std::string NormalizeStatement(const std::string& sql) {
   std::string out;
   out.reserve(sql.size());
@@ -93,58 +77,56 @@ std::string FingerprintToString(uint64_t fingerprint) {
   return buf;
 }
 
-void QueryStore::Record(ExecutionRecord record) {
-  if (record.statement.size() > ExecutionRecord::kMaxStatementLen) {
-    record.statement.resize(ExecutionRecord::kMaxStatementLen);
-  }
-  auto lock = LockStore(mu_);
-  record.execution_id = next_execution_id_++;
+void QueryStore::Record(std::shared_ptr<RequestState> request) {
+  const RequestState& rec = *request;
+  auto lock = waits::LockRecordingWait(mu_, waits::WaitType::kQueryStoreMutex);
+  request->execution_id = next_execution_id_++;
 
-  auto [it, inserted] = aggregates_.try_emplace(record.fingerprint);
+  auto [it, inserted] = aggregates_.try_emplace(rec.fingerprint);
   FingerprintStats& agg = it->second;
   if (inserted) {
-    agg.fingerprint = record.fingerprint;
-    agg.sample_statement = record.statement;
-    agg.statement_type = record.statement_type;
-    agg.min_duration_ns = record.duration_ns;
-    aggregate_order_.push_back(record.fingerprint);
+    agg.fingerprint = rec.fingerprint;
+    agg.sample_statement = rec.statement;
+    agg.statement_type = rec.statement_type;
+    agg.min_duration_ns = rec.duration_ns;
+    aggregate_order_.push_back(rec.fingerprint);
   }
   ++agg.executions;
-  if (!record.ok) ++agg.failures;
-  if (record.plan_cacheable) {
-    if (record.plan_cache_hit) {
+  if (!rec.ok) ++agg.failures;
+  if (rec.plan_cacheable) {
+    if (rec.plan_cache_hit) {
       ++agg.cache_hits;
     } else {
       ++agg.cache_misses;
     }
   }
-  agg.total_duration_ns += record.duration_ns;
-  if (record.duration_ns < agg.min_duration_ns) {
-    agg.min_duration_ns = record.duration_ns;
+  agg.total_duration_ns += rec.duration_ns;
+  if (rec.duration_ns < agg.min_duration_ns) {
+    agg.min_duration_ns = rec.duration_ns;
   }
-  if (record.duration_ns > agg.max_duration_ns) {
-    agg.max_duration_ns = record.duration_ns;
+  if (rec.duration_ns > agg.max_duration_ns) {
+    agg.max_duration_ns = rec.duration_ns;
   }
-  agg.rows += record.rows;
-  agg.retries += record.retries;
-  agg.timeouts += record.timeouts;
-  agg.faults += record.faults;
-  agg.warnings += record.warnings;
-  agg.wait_count += record.waits.total_count();
-  agg.total_wait_ns += record.waits.total_ns();
-  agg.last_execution_id = record.execution_id;
+  agg.rows += rec.rows;
+  agg.retries += rec.exec_stats.remote_retries;
+  agg.timeouts += rec.exec_stats.remote_timeouts;
+  agg.faults += rec.exec_stats.faults_injected;
+  agg.warnings += rec.warnings;
+  agg.wait_count += rec.waits.total_count();
+  agg.total_wait_ns += rec.waits.total_ns();
+  agg.last_execution_id = rec.execution_id;
 
-  ring_.push_back(std::move(record));
+  ring_.push_back(std::move(request));
   while (ring_.size() > capacity_) ring_.pop_front();
 }
 
-std::vector<ExecutionRecord> QueryStore::Snapshot() const {
-  auto lock = LockStore(mu_);
-  return std::vector<ExecutionRecord>(ring_.begin(), ring_.end());
+std::vector<std::shared_ptr<const RequestState>> QueryStore::Snapshot() const {
+  auto lock = waits::LockRecordingWait(mu_, waits::WaitType::kQueryStoreMutex);
+  return {ring_.begin(), ring_.end()};
 }
 
 std::vector<FingerprintStats> QueryStore::AggregateSnapshot() const {
-  auto lock = LockStore(mu_);
+  auto lock = waits::LockRecordingWait(mu_, waits::WaitType::kQueryStoreMutex);
   std::vector<FingerprintStats> out;
   out.reserve(aggregate_order_.size());
   for (uint64_t fp : aggregate_order_) {

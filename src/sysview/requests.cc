@@ -10,10 +10,12 @@ namespace sysview {
 
 namespace {
 
-/// Statement text stored per request is capped so a pathological generated
-/// query cannot bloat the registry; dm_exec_requests is a monitoring
-/// surface, not a SQL archive (the query store keeps full text).
-constexpr size_t kMaxStatementChars = 512;
+/// The one cap on stored statement text, applied at registration: every
+/// surface that shows a statement (dm_exec_requests, the query store,
+/// dm_exec_query_memory_grants) reads the request's copy, so a pathological
+/// generated query cannot bloat any of them. They are monitoring surfaces,
+/// not a SQL archive; the fingerprint hashes the full text.
+constexpr size_t kStatementCap = 512;
 
 thread_local RequestState* t_current_request = nullptr;
 
@@ -59,7 +61,7 @@ std::shared_ptr<RequestState> RequestRegistry::Register(
   state->request_id = next_id_.fetch_add(1, std::memory_order_relaxed);
   state->engine = engine;
   state->activity_id = activity_id;
-  state->statement = statement.substr(0, kMaxStatementChars);
+  state->statement = statement.substr(0, kStatementCap);
   state->dop = dop;
   state->start_ns = fastclock::NowNs();
   std::lock_guard<std::mutex> lock(mu_);
@@ -90,23 +92,9 @@ RequestScope::RequestScope(const std::string& engine,
 }
 
 RequestScope::~RequestScope() {
-  state_->phase.store(static_cast<int>(RequestPhase::kFinished),
-                      std::memory_order_relaxed);
+  state_->SetPhase(RequestPhase::kFinished);
   RequestRegistry::Global().Unregister(state_->request_id);
   t_current_request = prev_;
-}
-
-RequestState* CurrentRequest() { return t_current_request; }
-
-void SetCurrentPhase(RequestPhase phase) {
-  if (t_current_request == nullptr) return;
-  t_current_request->phase.store(static_cast<int>(phase),
-                                 std::memory_order_relaxed);
-}
-
-void MarkCurrentRequestExcluded() {
-  if (t_current_request == nullptr) return;
-  t_current_request->exclude.store(true, std::memory_order_relaxed);
 }
 
 void PublishCurrentRequestProfile(

@@ -29,28 +29,39 @@ enum class RequestPhase : int {
 
 const char* PhaseName(RequestPhase phase);
 
-/// Everything dm_exec_requests knows about one in-flight statement. Owned
-/// by shared_ptr so a DMV snapshot taken mid-completion stays valid after
-/// the request unregisters — readers see the final counter values, never a
-/// dangling pointer. All mutable fields are atomics or internally locked;
-/// the identity fields (engine, activity_id, statement, dop, start_ns) are
-/// set once at registration and read-only afterwards.
+/// One statement's only record, from registration until the query store
+/// evicts it: dm_exec_requests reads it while the statement runs, the
+/// workload governor's grant entry points at it, and once
+/// Engine::FinishStatement writes the outcome the query store keeps it.
+/// Owned by shared_ptr so a DMV snapshot taken mid-completion stays valid
+/// after the request unregisters — readers see the final counter values,
+/// never a dangling pointer.
+///
+/// Threading: the identity fields are set once at registration; the live
+/// fields are atomics or internally locked. The compile and outcome fields
+/// are plain: the executing thread writes them, then QueryStore::Record
+/// publishes the request under the store's mutex, and only store readers
+/// read them (registry and grant readers stay on identity and live fields).
 struct RequestState {
+  // Identity.
   int64_t request_id = 0;
   std::string engine;       ///< EngineOptions::name of the executing engine.
-  std::string activity_id;  ///< Correlates with query store + trace spans.
+  std::string activity_id;  ///< Correlates with the coordinator + trace spans.
   std::string statement;    ///< Leading fragment of the SQL text.
   int dop = 1;
   int64_t start_ns = 0;
 
+  // Live.
   std::atomic<int> phase{static_cast<int>(RequestPhase::kParse)};
-  /// Set when the statement touches sys.. (AST gate or post-bind
-  /// PlanTouchesSys): a DMV scan must not list itself.
+  /// Set when the statement touches sys.. (AST gate or the one
+  /// post-optimize PlanTouchesSys): a DMV scan does not list itself, skips
+  /// admission and the plan cache, and is never recorded.
   std::atomic<bool> exclude{false};
 
   /// Live wait accounting: Engine::Execute installs this tally as the
   /// thread's per-query sink, so exchange/prefetch/link waits accumulate
   /// here while the query runs and dm_exec_requests reads them mid-flight.
+  /// Quiescent once the request is recorded.
   waits::WaitTally waits;
 
   /// Query-wide memory: every buffering operator and queue stash charges
@@ -58,20 +69,39 @@ struct RequestState {
   /// slot. current() returns to zero once execution tears down.
   MemTracker memory;
 
-  /// Workload-governor grant accounting, written when the statement passes
-  /// admission and cleared on release. Zero when the engine sets no memory
-  /// budget or before the statement reaches the grant gate;
-  /// dm_exec_requests and dm_exec_query_memory_grants read these mid-flight.
+  /// Workload-governor grant accounting, written by the governor when the
+  /// statement passes admission and cleared when the grant is released.
+  /// Zero when the engine sets no memory budget or before the statement
+  /// reaches the grant gate; dm_exec_requests reads these mid-flight.
   std::atomic<int64_t> requested_grant_bytes{0};
   std::atomic<int64_t> granted_bytes{0};
+
+  // Compile: written by the executing thread.
+  std::string statement_type;   ///< "select", "insert", ... "" = no parse.
+  bool plan_cacheable = false;  ///< Went through the plan cache (SELECT).
+  bool plan_cache_hit = false;
+
+  // Outcome: written once by Engine::FinishStatement.
+  int64_t execution_id = 0;  ///< Monotonic per store; set by Record().
+  uint64_t fingerprint = 0;  ///< FingerprintStatement of the full text.
+  int64_t duration_ns = 0;
+  bool ok = true;
+  std::string error;  ///< StatusCodeName when !ok.
+  int64_t rows = 0;   ///< Result rows for queries, rows affected for DML.
+  int64_t warnings = 0;
+  /// The one FoldExecStats of the profile tree; zero when nothing executed.
+  ExecStats exec_stats;
 
   RequestPhase Phase() const {
     return static_cast<RequestPhase>(phase.load(std::memory_order_relaxed));
   }
+  void SetPhase(RequestPhase p) {
+    phase.store(static_cast<int>(p), std::memory_order_relaxed);
+  }
 
   /// The root of the executing profile tree, published by ExecutePlan just
-  /// before Open. Null until execution starts. Shared ownership so a
-  /// snapshot outlives the query.
+  /// before Open. Null until execution starts (and for DDL/DML). Shared
+  /// ownership so a snapshot outlives the query.
   std::shared_ptr<const OperatorProfile> profile() const;
   void set_profile(std::shared_ptr<const OperatorProfile> p);
 
@@ -106,9 +136,8 @@ class RequestRegistry {
 
 /// RAII registration installed by Engine::Execute for the statement's full
 /// lifetime. Also publishes the state as the calling thread's *current
-/// request* (innermost wins, like activity::Scope) so deeper layers —
-/// phase transitions in the compiler, profile publication in the executor,
-/// exclusion marking at the sys gates — reach it without plumbing.
+/// request* (innermost wins, like activity::Scope) so the executor's
+/// profile publication reaches it without plumbing.
 class RequestScope {
  public:
   RequestScope(const std::string& engine, const std::string& activity_id,
@@ -118,23 +147,12 @@ class RequestScope {
   RequestScope(const RequestScope&) = delete;
   RequestScope& operator=(const RequestScope&) = delete;
 
-  RequestState* state() const { return state_.get(); }
+  const std::shared_ptr<RequestState>& state() const { return state_; }
 
  private:
   std::shared_ptr<RequestState> state_;
   RequestState* prev_ = nullptr;
 };
-
-/// The calling thread's innermost registered request (null when no
-/// statement is executing on it).
-RequestState* CurrentRequest();
-
-/// Phase transition for the thread's current request; no-op without one.
-void SetCurrentPhase(RequestPhase phase);
-
-/// Marks the thread's current request as self-excluded from
-/// dm_exec_requests (statement touches sys..).
-void MarkCurrentRequestExcluded();
 
 /// Hands the executing profile tree to the thread's current request so
 /// dm_exec_requests can read live row counts. Called by ExecutePlan.

@@ -6,7 +6,6 @@
 // provider-attributed errors, session teardown on link-down, and the
 // partitioned-view graceful-degradation knob.
 
-#include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -15,8 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/governor.h"
 #include "src/executor/prefetch.h"
 #include "src/executor/worker.h"
+#include "src/sysview/requests.h"
 #include "tests/test_util.h"
 
 namespace dhqp {
@@ -461,99 +462,6 @@ TEST(EndToEndFaultTest, TransientFaultRecoversAndShowsInExecStats) {
   EXPECT_EQ(QueryWorkers::live(), 0);
 }
 
-/// Holds armed scans in flight: an armed gated rowset reports that it has
-/// reached its first row, then waits until the test opens the gate.
-struct ScanGate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool armed = false;    ///< Guarded by mu.
-  bool reached = false;  ///< Guarded by mu.
-  bool open = false;     ///< Guarded by mu.
-
-  void Arrive() {
-    std::unique_lock<std::mutex> lock(mu);
-    if (!armed) return;
-    reached = true;
-    cv.notify_all();
-    cv.wait(lock, [this] { return open; });
-  }
-  void AwaitReached() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return reached; });
-  }
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu);
-    open = true;
-    cv.notify_all();
-  }
-};
-
-/// Three rows that pass the gate before the first one is served.
-class GatedRowset : public Rowset {
- public:
-  GatedRowset(Schema schema, ScanGate* gate)
-      : schema_(std::move(schema)), gate_(gate) {}
-
-  const Schema& schema() const override { return schema_; }
-
-  Result<bool> Next(Row* out) override {
-    if (served_ == 0) gate_->Arrive();
-    if (served_ >= 3) return false;
-    *out = {Value::Int64(served_++)};
-    return true;
-  }
-
- private:
-  Schema schema_;
-  ScanGate* gate_;
-  int served_ = 0;
-};
-
-/// A scan-only provider with no link: its one table `t` reads through a
-/// GatedRowset.
-class GatedDataSource : public DataSource {
- public:
-  explicit GatedDataSource(ScanGate* gate) : gate_(gate) {
-    caps_.provider_name = "Gated";
-    caps_.source_type = "Test";
-    caps_.query_language = "none";
-    caps_.supports_schema_rowset = true;
-  }
-
-  const ProviderCapabilities& capabilities() const override { return caps_; }
-
-  Result<std::unique_ptr<Session>> CreateSession() override {
-    return std::unique_ptr<Session>(std::make_unique<GatedSession>(gate_));
-  }
-
- private:
-  class GatedSession : public Session {
-   public:
-    explicit GatedSession(ScanGate* gate) : gate_(gate) {}
-
-    Result<std::unique_ptr<Rowset>> OpenRowset(
-        const std::string& table) override {
-      if (table != "t") return Status::NotFound("no table '" + table + "'");
-      return std::unique_ptr<Rowset>(
-          std::make_unique<GatedRowset>(OneIntSchema(), gate_));
-    }
-
-    Result<std::vector<TableMetadata>> ListTables() override {
-      TableMetadata meta;
-      meta.name = "t";
-      meta.schema = OneIntSchema();
-      meta.cardinality = 3;
-      return std::vector<TableMetadata>{std::move(meta)};
-    }
-
-   private:
-    ScanGate* gate_;
-  };
-
-  ProviderCapabilities caps_;
-  ScanGate* gate_;
-};
-
 // Per-statement fault counters come from the statement's own operators: a
 // retry that statement A pays on its link never lands on statement B, even
 // while B is in flight on the same engine.
@@ -595,15 +503,106 @@ TEST(EndToEndFaultTest, ConcurrentStatementsKeepTheirOwnRetries) {
   EXPECT_EQ(b.exec_stats.faults_injected, 0);
   // The query store keeps the same per-statement counts: A finished (and
   // was recorded) before the gate let B finish.
-  const std::vector<sysview::ExecutionRecord> records =
+  const std::vector<std::shared_ptr<const sysview::RequestState>> records =
       host.query_store()->Snapshot();
   ASSERT_GE(records.size(), 2u);
-  const sysview::ExecutionRecord& store_a = records[records.size() - 2];
-  const sysview::ExecutionRecord& store_b = records[records.size() - 1];
+  const sysview::RequestState& store_a = *records[records.size() - 2];
+  const sysview::RequestState& store_b = *records[records.size() - 1];
   EXPECT_EQ(store_a.statement, sql_a);
-  EXPECT_EQ(store_a.retries, 1);
+  EXPECT_EQ(store_a.exec_stats.remote_retries, 1);
   EXPECT_EQ(store_b.statement, sql_b);
-  EXPECT_EQ(store_b.retries, 0);
+  EXPECT_EQ(store_b.exec_stats.remote_retries, 0);
+  EXPECT_EQ(QueryWorkers::live(), 0);
+}
+
+// A member engine serving a coordinator's statement runs under the
+// coordinator's activity id, so the two requests share it. The member's
+// dm_exec_query_memory_grants row must still read the member request's own
+// memory, not the coordinator's. Here the member statement waits in the
+// member's semaphore (a gated scan on the member holds the whole budget)
+// while the coordinator's sort already holds its local rows.
+TEST(MemoryGrantsViewTest, MemberRowReportsTheMemberRequestsMemory) {
+  constexpr int64_t kBudget = int64_t{1} << 20;
+  Engine host;
+  RemoteServer member = AttachRemoteEngine(&host, "m");
+  Engine* m = member.engine.get();
+  m->options()->max_server_memory_bytes = kBudget;
+  m->options()->min_grant_bytes = kBudget;  // Every grant takes it all.
+  m->options()->grant_timeout_ms = 60000;
+  MustExecute(m, "CREATE TABLE t (a INT)");
+  MustExecute(m, "INSERT INTO t VALUES (1000),(1001),(1002)");
+  ScanGate gate;
+  ASSERT_OK(m->AddLinkedServer("gated",
+                               std::make_shared<GatedDataSource>(&gate)));
+  // Enough rows that the sort has charged its buffer to the coordinator's
+  // tracker (charges flush every 64 KiB) before the member branch opens.
+  MustExecute(&host, "CREATE TABLE loc (a INT)");
+  for (int i = 0; i < 2000; i += 100) {
+    std::string values;
+    for (int j = i; j < i + 100; ++j) {
+      values += (j == i ? "(" : ",(") + std::to_string(j) + ")";
+    }
+    MustExecute(&host, "INSERT INTO loc VALUES " + values);
+  }
+  // A serial Concat: the sort buffers loc's rows before the member branch
+  // opens and sends the member its statement.
+  MustExecute(&host,
+              "CREATE VIEW u AS SELECT a FROM loc UNION ALL "
+              "SELECT a FROM m.d.s.t");
+  const std::string coordinator_sql = "SELECT a FROM u ORDER BY a";
+  const std::string holder_sql = "SELECT a FROM gated.d.s.t";
+  MustExecute(&host, coordinator_sql);  // Warm plans and sessions.
+  MustExecute(m, holder_sql);
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.armed = true;
+  }
+
+  std::thread holder([&] { MustExecute(m, holder_sql); });
+  gate.AwaitReached();  // The holder owns the member's whole budget.
+  QueryResult coordinator;
+  std::thread statement(
+      [&] { coordinator = MustExecute(&host, coordinator_sql); });
+  while (governor::Governor::Global().queued_statements() == 0) {
+    std::this_thread::yield();
+  }
+
+  QueryResult grants = MustExecute(
+      m,
+      "SELECT activity_id, is_queued, used_bytes, peak_bytes "
+      "FROM sys..dm_exec_query_memory_grants");
+  const Schema& schema = grants.rowset->schema();
+  auto col = [&](const Row& row, const char* name) -> const Value& {
+    return row[static_cast<size_t>(schema.FindColumn(name))];
+  };
+  const Row* queued = nullptr;
+  for (const Row& row : grants.rowset->rows()) {
+    if (col(row, "is_queued").int64_value() != 0) queued = &row;
+  }
+  ASSERT_NE(queued, nullptr) << RowsToString(grants);
+  const std::string activity = col(*queued, "activity_id").string_value();
+  std::shared_ptr<sysview::RequestState> member_request;
+  std::shared_ptr<sysview::RequestState> coordinator_request;
+  for (const auto& req : sysview::RequestRegistry::Global().Snapshot()) {
+    if (req->activity_id != activity) continue;
+    (req->engine == "m" ? member_request : coordinator_request) = req;
+  }
+  ASSERT_NE(member_request, nullptr);
+  ASSERT_NE(coordinator_request, nullptr);
+  // The two requests' memory differs, so the row shows whose it read.
+  ASSERT_GT(coordinator_request->memory.current(),
+            member_request->memory.current());
+  EXPECT_EQ(col(*queued, "used_bytes").int64_value(),
+            member_request->memory.current());
+  EXPECT_EQ(col(*queued, "peak_bytes").int64_value(),
+            member_request->memory.peak());
+
+  gate.Open();
+  holder.join();
+  statement.join();
+  ASSERT_NE(coordinator.rowset, nullptr);
+  EXPECT_EQ(coordinator.rowset->rows().size(), 2003u);
+  EXPECT_EQ(governor::Governor::Global().active_grants(), 0);
   EXPECT_EQ(QueryWorkers::live(), 0);
 }
 

@@ -529,8 +529,10 @@ TEST(GovernorQueueTest, TimeoutDegradesToMinGrantAndCompletes) {
 
   governor::GovernorOptions gopts;
   gopts.max_server_memory_bytes = kBudget;
+  auto holder = std::make_shared<sysview::RequestState>();
+  holder->engine = "holder";
   governor::MemoryGrant held = governor::Governor::Global().Acquire(
-      gopts, /*estimate_bytes=*/64 << 20, "holder", "act-hold", "HOLD", 1);
+      gopts, /*estimate_bytes=*/64 << 20, holder);
   ASSERT_TRUE(held.active());
   ASSERT_EQ(held.granted_bytes(), kBudget);
 

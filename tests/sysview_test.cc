@@ -1,8 +1,9 @@
 // Query store + system views (DMVs): the engine's own observability read
 // back through the provider model. Covers statement fingerprinting, the
-// execution ring and per-fingerprint aggregates, the six sys.dm_* views
+// execution ring and per-fingerprint aggregates, the ten sys.dm_* views
 // (locally and through a linked engine), DMV self-exclusion, the slow-query
-// log, DML metrics, and concurrent DMV scans during execution.
+// log, DML metrics, the request as the store's record, and concurrent DMV
+// scans during execution.
 
 #include <atomic>
 #include <map>
@@ -16,12 +17,12 @@
 #include "src/connectors/dmv_provider.h"
 #include "src/executor/profile.h"
 #include "src/sysview/query_store.h"
+#include "src/sysview/requests.h"
 #include "tests/test_util.h"
 
 namespace dhqp {
 namespace {
 
-using sysview::ExecutionRecord;
 using sysview::FingerprintStatement;
 using sysview::FingerprintStats;
 using sysview::NormalizeStatement;
@@ -85,13 +86,13 @@ TEST(QueryStoreTest, RingWrapsAndAggregatesAcrossLiteralVariants) {
   sysview::QueryStore* store = engine.query_store();
   // CREATE + INSERT + 10 SELECTs recorded; the ring keeps the last 4.
   EXPECT_EQ(store->total_recorded(), 12);
-  std::vector<ExecutionRecord> ring = store->Snapshot();
+  const auto ring = store->Snapshot();
   ASSERT_EQ(ring.size(), 4u);
-  for (const ExecutionRecord& rec : ring) {
-    EXPECT_EQ(rec.statement_type, "select");
+  for (const auto& rec : ring) {
+    EXPECT_EQ(rec->statement_type, "select");
   }
   // Execution ids are assigned in order and survive eviction.
-  EXPECT_EQ(ring.back().execution_id, 12);
+  EXPECT_EQ(ring.back()->execution_id, 12);
 
   // Aggregates are keyed by fingerprint, not by raw text, and outlive the
   // ring: create, insert, and the folded select family.
@@ -176,9 +177,9 @@ TEST(SysViewRemoteTest, RemoteDmvScanThroughLinkedEngine) {
 
   // The mid engine's query store does not record the scans it answered for
   // the host: they resolve to sys and are excluded on the serving side too.
-  for (const ExecutionRecord& rec : mid.engine->query_store()->Snapshot()) {
-    EXPECT_EQ(rec.statement.find("dm_link_stats"), std::string::npos)
-        << rec.statement;
+  for (const auto& rec : mid.engine->query_store()->Snapshot()) {
+    EXPECT_EQ(rec->statement.find("dm_link_stats"), std::string::npos)
+        << rec->statement;
   }
 }
 
@@ -199,13 +200,13 @@ TEST_F(SysViewTest, QueryStatsAggregateMatchesExecStatsUnderChaos) {
   int64_t cache_hits = 0;
   for (int i = 0; i < kRuns; ++i) {
     auto result = host_.Execute(sql, {{"@lo", Value::Int64(i % 4)}});
-    const ExecutionRecord rec = store->Snapshot().back();
+    const sysview::RequestState& rec = *store->Snapshot().back();
     ASSERT_EQ(rec.statement, sql);
     ASSERT_EQ(rec.ok, result.ok());
     sum_rows += rec.rows;
-    sum_retries += rec.retries;
-    sum_timeouts += rec.timeouts;
-    sum_faults += rec.faults;
+    sum_retries += rec.exec_stats.remote_retries;
+    sum_timeouts += rec.exec_stats.remote_timeouts;
+    sum_faults += rec.exec_stats.faults_injected;
     if (rec.plan_cache_hit) ++cache_hits;
     if (!result.ok()) {
       ++failed_runs;
@@ -214,9 +215,9 @@ TEST_F(SysViewTest, QueryStatsAggregateMatchesExecStatsUnderChaos) {
     ++ok_runs;
     const QueryResult& qr = result.value();
     EXPECT_EQ(rec.rows, static_cast<int64_t>(qr.rowset->rows().size()));
-    EXPECT_EQ(rec.retries, qr.exec_stats.remote_retries);
-    EXPECT_EQ(rec.timeouts, qr.exec_stats.remote_timeouts);
-    EXPECT_EQ(rec.faults, qr.exec_stats.faults_injected);
+    EXPECT_EQ(rec.exec_stats.remote_retries, qr.exec_stats.remote_retries);
+    EXPECT_EQ(rec.exec_stats.remote_timeouts, qr.exec_stats.remote_timeouts);
+    EXPECT_EQ(rec.exec_stats.faults_injected, qr.exec_stats.faults_injected);
     EXPECT_EQ(rec.plan_cache_hit, qr.plan_cache_hit);
   }
   ASSERT_GT(ok_runs, 0);
@@ -265,12 +266,12 @@ TEST_F(SysViewTest, FailedStatementKeepsItsCounts) {
   ASSERT_GT(paid.retries, 0);
   ASSERT_GT(paid.faults, 0);
 
-  const ExecutionRecord rec = host_.query_store()->Snapshot().back();
+  const sysview::RequestState& rec = *host_.query_store()->Snapshot().back();
   ASSERT_EQ(rec.statement, sql);
   EXPECT_FALSE(rec.ok);
-  EXPECT_EQ(rec.retries, paid.retries);
-  EXPECT_EQ(rec.faults, paid.faults);
-  ASSERT_NE(rec.profile, nullptr);
+  EXPECT_EQ(rec.exec_stats.remote_retries, paid.retries);
+  EXPECT_EQ(rec.exec_stats.faults_injected, paid.faults);
+  ASSERT_NE(rec.profile(), nullptr);
   EXPECT_EQ(CounterValue("exec.remote_retries") - exec_retries_before,
             paid.retries);
   EXPECT_EQ(CounterValue("exec.faults_injected") - exec_faults_before,
@@ -362,7 +363,23 @@ TEST_F(SysViewTest, DmvQueriesAreExcludedFromStoreCacheAndCounters) {
   EXPECT_EQ(CounterValue("exec.batches"),
             batches_before + r.exec_stats.exec_batches);
   ASSERT_EQ(query_ns->Count(), samples_before + 1);
-  EXPECT_EQ(query_ns->Sum() - ns_before, store->Snapshot().back().duration_ns);
+  EXPECT_EQ(query_ns->Sum() - ns_before,
+            store->Snapshot().back()->duration_ns);
+}
+
+// A bare DMV name resolves through the catalog's sys fallback, past the AST
+// check; the post-optimize plan walk marks the statement, so a DMV read
+// that compiles and then fails is left out like one that succeeds.
+TEST_F(SysViewTest, FailedBareDmvReadIsExcluded) {
+  const int64_t recorded_before = host_.query_store()->total_recorded();
+  const int64_t statements_before = CounterValue("exec.statements");
+  const int64_t failures_before = CounterValue("exec.failed_statements");
+  auto failed = host_.Execute("SELECT value / 0 FROM dm_metrics");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kExecutionError);
+  EXPECT_EQ(host_.query_store()->total_recorded(), recorded_before);
+  EXPECT_EQ(CounterValue("exec.statements"), statements_before);
+  EXPECT_EQ(CounterValue("exec.failed_statements"), failures_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,9 +478,9 @@ TEST(SlowQueryTest, ThresholdAppendsWarningWithProfileAndCounts) {
   EXPECT_EQ(CounterValue("exec.warnings"), warn_before + 1);
 
   // The warning is also visible in the query store record.
-  std::vector<ExecutionRecord> ring = engine.query_store()->Snapshot();
+  const auto ring = engine.query_store()->Snapshot();
   ASSERT_FALSE(ring.empty());
-  EXPECT_EQ(ring.back().warnings, 1);
+  EXPECT_EQ(ring.back()->warnings, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -520,21 +537,75 @@ TEST_F(SysViewTest, ExplainAcceptsParameters) {
 }
 
 // ---------------------------------------------------------------------------
+// One statement record: the request dm_exec_requests lists mid-flight is the
+// object the query store keeps, and its outcome matches the QueryResult.
+
+TEST_F(SysViewTest, StoreRecordIsTheRequestSeenMidFlight) {
+  ScanGate gate;
+  ASSERT_OK(host_.AddLinkedServer("gated",
+                                  std::make_shared<GatedDataSource>(&gate)));
+  const std::string sql = "SELECT a FROM gated.d.s.t";
+  MustExecute(&host_, sql);  // Compiled and cached: the run below hits.
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.armed = true;
+  }
+  QueryResult result;
+  std::thread statement([&] { result = MustExecute(&host_, sql); });
+  gate.AwaitReached();
+  std::shared_ptr<sysview::RequestState> live;
+  for (const auto& req : sysview::RequestRegistry::Global().Snapshot()) {
+    if (req->engine == host_.name() && req->statement == sql) live = req;
+  }
+  ASSERT_NE(live, nullptr);
+  EXPECT_EQ(live->Phase(), sysview::RequestPhase::kExecute);
+  gate.Open();
+  statement.join();
+
+  const auto records = host_.query_store()->Snapshot();
+  ASSERT_FALSE(records.empty());
+  const sysview::RequestState& rec = *records.back();
+  EXPECT_EQ(&rec, live.get());
+  EXPECT_EQ(rec.Phase(), sysview::RequestPhase::kFinished);
+  EXPECT_TRUE(rec.ok);
+  EXPECT_EQ(rec.statement_type, "select");
+  EXPECT_EQ(rec.fingerprint, FingerprintStatement(sql));
+  EXPECT_EQ(rec.activity_id, result.activity_id);
+  EXPECT_EQ(rec.rows, static_cast<int64_t>(result.rowset->rows().size()));
+  EXPECT_EQ(rec.warnings, static_cast<int64_t>(result.warnings.size()));
+  EXPECT_TRUE(rec.plan_cacheable);
+  EXPECT_TRUE(rec.plan_cache_hit);
+  EXPECT_EQ(rec.plan_cache_hit, result.plan_cache_hit);
+  EXPECT_EQ(rec.profile(), result.profile);
+  EXPECT_TRUE(rec.exec_stats == result.exec_stats);
+  EXPECT_EQ(rec.exec_stats.rows_output, 3);
+  const waits::WaitTotals waits = waits::Snapshot(rec.waits);
+  EXPECT_EQ(waits.total_count(), result.wait_totals.total_count());
+  EXPECT_EQ(waits.total_ns(), result.wait_totals.total_ns());
+}
+
+// ---------------------------------------------------------------------------
 // Concurrent DMV scans while the engine executes (TSan coverage): a monitor
 // thread reads every view through the catalog's system session while the
-// owning thread runs remote queries and DDL.
+// owning thread runs remote queries and DDL under a memory budget, so live
+// grant rows are read too.
 
 TEST_F(SysViewTest, ConcurrentDmvScansDuringExecution) {
+  host_.options()->max_server_memory_bytes = int64_t{64} << 20;
   // Prime cached sessions from the owning thread so the scan loop only
   // reads shared state the engine mutates under its own locks/atomics.
   MustExecute(&host_, "SELECT a FROM rsrv.d.s.t");
   ASSERT_OK(host_.catalog()->SystemSession().status());
 
-  const char* kViews[] = {"dm_exec_query_stats", "dm_exec_operator_stats",
+  const char* kViews[] = {"dm_exec_query_stats",
+                          "dm_exec_operator_stats",
                           "dm_exec_requests",
+                          "dm_exec_query_memory_grants",
                           "dm_exec_distributed_requests",
-                          "dm_link_stats",       "dm_plan_cache",
-                          "dm_metrics",          "dm_os_wait_stats",
+                          "dm_link_stats",
+                          "dm_plan_cache",
+                          "dm_metrics",
+                          "dm_os_wait_stats",
                           "dm_trace_spans"};
   std::atomic<bool> stop{false};
   std::vector<std::string> scan_errors;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,106 @@ inline RemoteServer AttachRemoteEngine(
   EXPECT_OK(host->AddLinkedServer(name, linked));
   return server;
 }
+
+/// Holds armed scans in flight: an armed gated rowset reports that it has
+/// reached its first row, then waits until the test opens the gate. Lets a
+/// test observe a statement mid-execution without timing assumptions.
+struct ScanGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool armed = false;    ///< Guarded by mu.
+  bool reached = false;  ///< Guarded by mu.
+  bool open = false;     ///< Guarded by mu.
+
+  void Arrive() {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!armed) return;
+    reached = true;
+    cv.notify_all();
+    cv.wait(lock, [this] { return open; });
+  }
+  void AwaitReached() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return reached; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+};
+
+/// Three rows that pass the gate before the first one is served.
+class GatedRowset : public Rowset {
+ public:
+  GatedRowset(Schema schema, ScanGate* gate)
+      : schema_(std::move(schema)), gate_(gate) {}
+
+  const Schema& schema() const override { return schema_; }
+
+  Result<bool> Next(Row* out) override {
+    if (served_ == 0) gate_->Arrive();
+    if (served_ >= 3) return false;
+    *out = {Value::Int64(served_++)};
+    return true;
+  }
+
+ private:
+  Schema schema_;
+  ScanGate* gate_;
+  int served_ = 0;
+};
+
+/// A scan-only provider with no link: its one table `t` (one INT column
+/// `a`) reads through a GatedRowset.
+class GatedDataSource : public DataSource {
+ public:
+  explicit GatedDataSource(ScanGate* gate) : gate_(gate) {
+    caps_.provider_name = "Gated";
+    caps_.source_type = "Test";
+    caps_.query_language = "none";
+    caps_.supports_schema_rowset = true;
+  }
+
+  const ProviderCapabilities& capabilities() const override { return caps_; }
+
+  Result<std::unique_ptr<Session>> CreateSession() override {
+    return std::unique_ptr<Session>(std::make_unique<GatedSession>(gate_));
+  }
+
+ private:
+  static Schema TableSchema() {
+    Schema schema;
+    schema.AddColumn(ColumnDef{"a", DataType::kInt64, false});
+    return schema;
+  }
+
+  class GatedSession : public Session {
+   public:
+    explicit GatedSession(ScanGate* gate) : gate_(gate) {}
+
+    Result<std::unique_ptr<Rowset>> OpenRowset(
+        const std::string& table) override {
+      if (table != "t") return Status::NotFound("no table '" + table + "'");
+      return std::unique_ptr<Rowset>(
+          std::make_unique<GatedRowset>(TableSchema(), gate_));
+    }
+
+    Result<std::vector<TableMetadata>> ListTables() override {
+      TableMetadata meta;
+      meta.name = "t";
+      meta.schema = TableSchema();
+      meta.cardinality = 3;
+      return std::vector<TableMetadata>{std::move(meta)};
+    }
+
+   private:
+    ScanGate* gate_;
+  };
+
+  ProviderCapabilities caps_;
+  ScanGate* gate_;
+};
 
 /// Counts physical operators of a kind in a plan tree.
 inline int CountOps(const PhysicalOpPtr& plan, PhysicalOpKind kind) {

@@ -238,10 +238,10 @@ TEST_F(WaitsTest, QueryResultAndStoreCarryWaitTotals) {
   EXPECT_FALSE(r.activity_id.empty());
 
   bool found = false;
-  for (const sysview::ExecutionRecord& rec : host_.query_store()->Snapshot()) {
-    if (rec.activity_id != r.activity_id) continue;
+  for (const auto& rec : host_.query_store()->Snapshot()) {
+    if (rec->activity_id != r.activity_id) continue;
     found = true;
-    EXPECT_EQ(rec.waits.total_count(), r.wait_totals.total_count());
+    EXPECT_EQ(rec->waits.total_count(), r.wait_totals.total_count());
   }
   EXPECT_TRUE(found) << "statement not recorded under its activity id";
 
@@ -331,16 +331,16 @@ TEST_F(WaitsTest, DistributedRequestsJoinCoordinatorToEveryMemberRecord) {
 
   // Every record the member engine kept was made on the coordinator's
   // behalf here, so each must carry one of the coordinator's activity ids.
-  const std::vector<sysview::ExecutionRecord> member_records =
-      remote_.engine->query_store()->Snapshot();
+  const std::vector<std::shared_ptr<const sysview::RequestState>>
+      member_records = remote_.engine->query_store()->Snapshot();
   ASSERT_FALSE(member_records.empty())
       << "member engine recorded no work for the distributed statements";
-  for (const sysview::ExecutionRecord& rec : member_records) {
+  for (const auto& rec : member_records) {
     EXPECT_NE(std::find(coordinator_ids.begin(), coordinator_ids.end(),
-                        rec.activity_id),
+                        rec->activity_id),
               coordinator_ids.end())
-        << "member record '" << rec.statement
-        << "' has unmatched activity id '" << rec.activity_id << "'";
+        << "member record '" << rec->statement
+        << "' has unmatched activity id '" << rec->activity_id << "'";
   }
 
   // The DMV join: every member record appears as a "member" row under its
@@ -365,10 +365,10 @@ TEST_F(WaitsTest, DistributedRequestsJoinCoordinatorToEveryMemberRecord) {
   for (const std::string& id : coordinator_ids) {
     EXPECT_EQ(coordinator_rows.count(id), 1u) << id;
   }
-  for (const sysview::ExecutionRecord& rec : member_records) {
-    EXPECT_EQ(member_rows.count(rec.execution_id), 1u)
-        << "member execution " << rec.execution_id << " ('" << rec.statement
-        << "') missing from dm_exec_distributed_requests";
+  for (const auto& rec : member_records) {
+    EXPECT_EQ(member_rows.count(rec->execution_id), 1u)
+        << "member execution " << rec->execution_id << " ('"
+        << rec->statement << "') missing from dm_exec_distributed_requests";
   }
 }
 
