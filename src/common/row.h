@@ -30,7 +30,8 @@ inline size_t RowWireSize(const Row& row) {
   return n;
 }
 
-/// Combined hash of selected key columns; used by hash join/aggregate.
+/// Combined hash of selected key columns; a repartitioning exchange routes
+/// each row to a consumer by it.
 inline size_t HashRowKeys(const Row& row, const std::vector<int>& keys) {
   size_t h = 0x345678;
   for (int k : keys) {

@@ -629,7 +629,8 @@ Result<QueryResult> Engine::RunCachedPlan(
   ectx.memory = &request->memory;
   ectx.grant_bytes = grant.active() ? grant.granted_bytes() : 0;
   ectx.spill_dir = options_.spill_directory;
-  DHQP_ASSIGN_OR_RETURN(auto rowset, ExecutePlan(cached.plan, &ectx));
+  DHQP_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                        ExecutePlan(cached.plan, &ectx));
   // Peak query memory: visible as exec.memory_bytes after the statement
   // (the live view is dm_exec_requests). Last-writer-wins is the usual
   // gauge semantic.
@@ -649,10 +650,7 @@ Result<QueryResult> Engine::RunCachedPlan(
                                true});
   }
   const std::vector<int>& plan_cols = cached.plan->output_cols;
-  if (plan_cols == cached.output_cols) {
-    result.rowset =
-        std::make_unique<VectorRowset>(std::move(schema), rowset->rows());
-  } else {
+  if (plan_cols != cached.output_cols) {
     std::vector<int> positions;
     for (int col : cached.output_cols) {
       auto it = std::find(plan_cols.begin(), plan_cols.end(), col);
@@ -662,17 +660,15 @@ Result<QueryResult> Engine::RunCachedPlan(
       }
       positions.push_back(static_cast<int>(it - plan_cols.begin()));
     }
-    std::vector<Row> rows;
-    rows.reserve(rowset->rows().size());
-    for (const Row& in : rowset->rows()) {
+    for (Row& row : rows) {
       Row out;
       out.reserve(positions.size());
-      for (int p : positions) out.push_back(in[static_cast<size_t>(p)]);
-      rows.push_back(std::move(out));
+      for (int p : positions) out.push_back(row[static_cast<size_t>(p)]);
+      row = std::move(out);
     }
-    result.rowset =
-        std::make_unique<VectorRowset>(std::move(schema), std::move(rows));
   }
+  result.rowset =
+      std::make_unique<VectorRowset>(std::move(schema), std::move(rows));
   result.warnings = std::move(ectx.warnings);
   result.profile = std::move(ectx.profile);
   return std::move(result);

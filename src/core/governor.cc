@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <vector>
 
 #include "src/common/fastclock.h"
 #include "src/common/metrics.h"
@@ -38,44 +39,36 @@ Instruments& Instr() {
   return instr;
 }
 
-/// Estimated heap bytes of one materialized row with this output shape —
-/// the planning-time analog of RowMemBytes (same fixed overhead, same
-/// per-value cost, a flat allowance for string payloads).
-int64_t EstRowBytes(const std::vector<DataType>& types) {
-  int64_t bytes = static_cast<int64_t>(sizeof(Row)) +
-                  static_cast<int64_t>(types.size() * sizeof(Value));
-  for (DataType t : types) {
-    if (t == DataType::kString) bytes += 32;
-  }
-  return bytes;
-}
-
-/// Per-group accumulator footprint allowance for hash aggregation
-/// (Accumulator + vector overhead; DISTINCT sets are not estimable here).
-constexpr int64_t kAccumulatorBytes = 64;
-
 void AddOpGrant(const PhysicalOp& op, const ExecOptions& exec,
                 int64_t* total) {
   switch (op.kind) {
     case PhysicalOpKind::kHashJoin: {
-      // Build side (the right child) is fully resident: rows plus the key
-      // copies the hash table stores alongside them. Parallel instances
-      // partition the same build rows, so dop does not scale the total.
+      // Build side (the right child) is fully resident: each row with the
+      // key copy the table stores beside it. Parallel instances partition
+      // the same build rows, so dop does not scale the total.
       const PhysicalOp& build = *op.children[1];
+      std::vector<DataType> key_types;
+      for (const auto& pair : op.key_pairs) {
+        key_types.push_back(pair.second->type);
+      }
       const double rows = std::max(1.0, build.estimated_rows);
       *total += static_cast<int64_t>(
-          rows * static_cast<double>(EstRowBytes(build.output_types) + 48));
+          rows * static_cast<double>(HashJoinEntryBytes(
+                     EstRowBytes(build.output_types), EstRowBytes(key_types))));
       break;
     }
     case PhysicalOpKind::kHashAggregate: {
-      // One entry per output group; instances under a repartition exchange
-      // hold disjoint groups, so again no dop scaling.
+      // One entry per output group (its key is the output row's prefix);
+      // instances under a repartition exchange hold disjoint groups, so
+      // again no dop scaling.
       const double groups = std::max(1.0, op.estimated_rows);
-      const int64_t accs =
-          kAccumulatorBytes *
-          static_cast<int64_t>(std::max<size_t>(1, op.aggregates.size()));
+      const std::vector<DataType> key_types(
+          op.output_types.begin(),
+          op.output_types.begin() +
+              static_cast<ptrdiff_t>(op.group_by.size()));
       *total += static_cast<int64_t>(
-          groups * static_cast<double>(EstRowBytes(op.output_types) + accs));
+          groups * static_cast<double>(HashGroupBytes(
+                       EstRowBytes(key_types), op.aggregates.size())));
       break;
     }
     case PhysicalOpKind::kSort:
@@ -83,15 +76,6 @@ void AddOpGrant(const PhysicalOp& op, const ExecOptions& exec,
       // Full input materialization.
       const PhysicalOp& child = *op.children[0];
       const double rows = std::max(1.0, child.estimated_rows);
-      *total += static_cast<int64_t>(
-          rows * static_cast<double>(EstRowBytes(child.output_types)));
-      break;
-    }
-    case PhysicalOpKind::kTop: {
-      const PhysicalOp& child = *op.children[0];
-      const double rows = std::min(static_cast<double>(std::max<int64_t>(
-                                       1, op.limit)),
-                                   std::max(1.0, child.estimated_rows));
       *total += static_cast<int64_t>(
           rows * static_cast<double>(EstRowBytes(child.output_types)));
       break;

@@ -37,9 +37,9 @@ struct GovernorOptions {
 
 /// Memory-grant estimate for one compiled plan, from optimizer
 /// cardinalities: hash-join build tables, aggregate hash tables, sort and
-/// spool buffers, Top heaps, and exchange queue footprints (scaled by the
-/// operator's dop). Deliberately the same accounting currency as
-/// RowMemBytes so estimates and MemTracker charges compare.
+/// spool buffers, and exchange queue footprints (scaled by the operator's
+/// dop). Each entry is priced by the definition its operator charges it
+/// with (profile.h), so estimates and MemTracker charges compare.
 int64_t EstimateGrantBytes(const PhysicalOpPtr& plan, const ExecOptions& exec);
 
 class Governor;

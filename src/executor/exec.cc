@@ -178,16 +178,13 @@ bool GrantExceeded(const ExecContext* ctx, int64_t op_pending,
          ctx->memory->current() + op_pending + incoming > ctx->grant_bytes;
 }
 
-// One finished spill file, counted in the owning operator's profile slot:
-// spills counts files written (sort runs, Grace partitions, spooled
-// results).
-void RecordSpill(OperatorProfile* profile, const spill::SpillFile& file) {
-  profile->spills++;
-  profile->spill_bytes += file.bytes();
-}
-
-// Grace partitioning fanout per recursion level.
+// Grace partitioning fanout per hash level.
 constexpr int kSpillFanout = 8;
+
+// Deepest hash level a Grace pass sheds at. A partition still too big for
+// the grant at the cap is processed in memory regardless — correctness
+// over enforcement (the classic hash-recursion bailout).
+constexpr int kSpillDepthCap = 4;
 
 // Hash of a join/group key for Grace partitioning. Numeric values hash by
 // numeric value — int64 1 and double 1.0 compare equal under CompareKeys,
@@ -209,24 +206,89 @@ size_t HashSpillKey(const IndexKey& key) {
   return h;
 }
 
-// Partition index at a recursion depth: each level consumes a disjoint bit
+// Partition index at a hash level: each level consumes a disjoint bit
 // range of the key hash, so recursive repartitions actually subdivide.
-int SpillPartOf(const IndexKey& key, int depth) {
-  return static_cast<int>((HashSpillKey(key) >> (3 * depth)) &
+int SpillPartOf(const IndexKey& key, int level) {
+  return static_cast<int>((HashSpillKey(key) >> (3 * level)) &
                           (kSpillFanout - 1));
 }
 
-// One spill file per Grace fan-out slot.
-Status MakeSpillParts(ExecContext* ctx, OperatorProfile* profile,
-                      std::vector<std::unique_ptr<spill::SpillFile>>* parts) {
-  parts->clear();
-  for (int i = 0; i < kSpillFanout; ++i) {
-    DHQP_ASSIGN_OR_RETURN(auto f, spill::SpillFile::Create(
-                                      ctx->spill_dir, &profile->wait_tally));
-    parts->push_back(std::move(f));
-  }
-  return Status::OK();
+// A new spill file whose I/O waits charge the owning operator's slot.
+Result<std::unique_ptr<spill::SpillFile>> NewSpillFile(
+    const ExecContext* ctx, OperatorProfile* profile) {
+  return spill::SpillFile::Create(ctx->spill_dir, &profile->wait_tally);
 }
+
+// Ends a spill file's writes and rewinds it for reading. A file that holds
+// rows counts in the owning operator's slot: spills counts the files
+// written (sort runs, Grace partitions, spooled results).
+Status FinishSpill(OperatorProfile* profile, spill::SpillFile* file) {
+  DHQP_RETURN_NOT_OK(file->FinishWrite());
+  if (file->rows() > 0) {
+    profile->spills++;
+    profile->spill_bytes += file->bytes();
+  }
+  return file->Rewind();
+}
+
+// The fan-out one Grace pass sheds into: kSpillFanout files, each row
+// routed by its key's hash bits at the pass's level. Holds no file until
+// Open.
+class SpillPartitions {
+ public:
+  SpillPartitions(const ExecContext* ctx, OperatorProfile* profile, int level)
+      : ctx_(ctx), profile_(profile), level_(level) {}
+
+  bool is_open() const { return !files_.empty(); }
+
+  Status Open() {
+    for (int i = 0; i < kSpillFanout; ++i) {
+      DHQP_ASSIGN_OR_RETURN(auto file, NewSpillFile(ctx_, profile_));
+      files_.push_back(std::move(file));
+    }
+    return Status::OK();
+  }
+
+  Status Append(const IndexKey& key, const Row& row) {
+    return files_[static_cast<size_t>(SpillPartOf(key, level_))]->Append(row);
+  }
+
+  /// Finishes every file and hands all of them over in fan-out order, empty
+  /// ones included, rewound for the passes to come.
+  Result<std::vector<std::unique_ptr<spill::SpillFile>>> Finish() {
+    for (auto& file : files_) {
+      DHQP_RETURN_NOT_OK(FinishSpill(profile_, file.get()));
+    }
+    return std::move(files_);
+  }
+
+ private:
+  const ExecContext* ctx_;
+  OperatorProfile* profile_;
+  int level_;
+  std::vector<std::unique_ptr<spill::SpillFile>> files_;
+};
+
+// One input of a Grace pass: the child operator on an operator's first
+// pass, a spilled partition on every later one. One branch per batch picks
+// the source, so the in-memory path, which reads only the child, pays no
+// per-row dispatch.
+struct PassInput {
+  ExecNode* child;
+  spill::SpillFile* file;  ///< Null on the first pass.
+
+  Result<bool> NextBatch(RowBatch* out, int max_rows) {
+    if (file == nullptr) return child->NextBatch(out, max_rows);
+    out->clear();
+    Row row;
+    while (static_cast<int>(out->rows.size()) < max_rows) {
+      DHQP_ASSIGN_OR_RETURN(bool has, file->Next(&row));
+      if (!has) break;
+      out->rows.push_back(std::move(row));
+    }
+    return !out->rows.empty();
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Scans (local + remote) and leaves.
@@ -760,12 +822,9 @@ class SortNode : public ExecNode {
   /// releasing their memory.
   Status SpillRun() {
     SortRows();
-    DHQP_ASSIGN_OR_RETURN(
-        auto run,
-        spill::SpillFile::Create(ctx_->spill_dir, &profile_->wait_tally));
+    DHQP_ASSIGN_OR_RETURN(auto run, NewSpillFile(ctx_, profile_));
     for (const Row& r : rows_) DHQP_RETURN_NOT_OK(run->Append(r));
-    DHQP_RETURN_NOT_OK(run->FinishWrite());
-    RecordSpill(profile_, *run);
+    DHQP_RETURN_NOT_OK(FinishSpill(profile_, run.get()));
     runs_.push_back(std::move(run));
     rows_.clear();
     mem_.ReleaseAll();
@@ -825,7 +884,6 @@ class SortNode : public ExecNode {
     heap_.clear();
     Row row;
     for (size_t i = 0; i < runs_.size(); ++i) {
-      DHQP_RETURN_NOT_OK(runs_[i]->Rewind());
       DHQP_ASSIGN_OR_RETURN(bool has, runs_[i]->Next(&row));
       if (has) heap_.push_back(MergeEntry{std::move(row), i});
     }
@@ -906,9 +964,7 @@ class SpoolNode : public ExecNode {
   /// Moves the buffered rows to a spill file; later rows append directly.
   /// Spool rescans reread the file (Rewind) instead of re-executing.
   Status StartSpill() {
-    DHQP_ASSIGN_OR_RETURN(
-        file_,
-        spill::SpillFile::Create(ctx_->spill_dir, &profile_->wait_tally));
+    DHQP_ASSIGN_OR_RETURN(file_, NewSpillFile(ctx_, profile_));
     for (const Row& r : rows_) DHQP_RETURN_NOT_OK(file_->Append(r));
     rows_.clear();
     mem_.ReleaseAll();
@@ -938,9 +994,7 @@ class SpoolNode : public ExecNode {
     }
     mem_.Flush();
     if (file_ != nullptr) {
-      DHQP_RETURN_NOT_OK(file_->FinishWrite());
-      RecordSpill(profile_, *file_);
-      DHQP_RETURN_NOT_OK(file_->Rewind());
+      DHQP_RETURN_NOT_OK(FinishSpill(profile_, file_.get()));
     }
     filled_ = true;
     return Status::OK();
@@ -1192,6 +1246,28 @@ class ConcatNode : public ExecNode {
 // Joins.
 // ---------------------------------------------------------------------------
 
+// Evaluates one side of an equi-join key over `row` into `key` (cleared
+// first): each key pair's left expression when `left`, else its right one,
+// with `row`'s columns placed by `col_pos`. Stops at the first NULL and
+// returns false — a key with a NULL equals nothing — leaving the NULL-free
+// prefix in `key`.
+Result<bool> EvalJoinKey(const PhysicalOp& op, bool left,
+                         const std::map<int, int>& col_pos, const Row& row,
+                         const ExecContext& ctx, IndexKey* key) {
+  EvalEnv env;
+  env.col_pos = &col_pos;
+  env.row = &row;
+  env.params = &ctx.params;
+  env.current_date = ctx.current_date;
+  key->clear();
+  for (const auto& [l, r] : op.key_pairs) {
+    DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(left ? *l : *r, env));
+    if (v.is_null()) return false;
+    key->push_back(std::move(v));
+  }
+  return true;
+}
+
 class HashJoinNode : public ExecNode {
  public:
   HashJoinNode(PhysicalOpPtr op, std::unique_ptr<ExecNode> left,
@@ -1205,7 +1281,7 @@ class HashJoinNode : public ExecNode {
   Status Open() override {
     DHQP_RETURN_NOT_OK(left_->Open());
     DHQP_RETURN_NOT_OK(right_->Open());
-    return Build();
+    return Start();
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
@@ -1223,7 +1299,7 @@ class HashJoinNode : public ExecNode {
   Status Restart() override {
     DHQP_RETURN_NOT_OK(left_->Restart());
     DHQP_RETURN_NOT_OK(right_->Restart());
-    return Build();
+    return Start();
   }
 
  private:
@@ -1276,319 +1352,140 @@ class HashJoinNode : public ExecNode {
         }
         continue;
       }
-      // Advance to the next probe row. Once the build side spilled, probe
-      // input comes from the Grace partition files instead of left_ (which
-      // was fully drained into them).
-      DHQP_ASSIGN_OR_RETURN(bool has, probe_from_file_
-                                          ? NextSpilledProbe(&probe_)
-                                          : probe_input_.Next(&probe_, want));
+      DHQP_ASSIGN_OR_RETURN(bool has, NextProbe(want));
       if (!has) return false;
       have_probe_ = true;
       any_emitted_ = false;
       match_pos_ = 0;
-      IndexKey key;
-      bool null_key = false;
-      env.row = &probe_;
-      env.row2 = nullptr;
-      for (const auto& [l, r] : op_->key_pairs) {
-        DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*l, env));
-        if (v.is_null()) {
-          null_key = true;
-          break;
-        }
-        key.push_back(std::move(v));
-      }
       static const std::vector<Row>& kNoMatches = *new std::vector<Row>();
-      if (null_key) {
-        matches_ = &kNoMatches;
-      } else {
-        auto it = table_.find(key);
-        matches_ = it == table_.end() ? &kNoMatches : &it->second;
-      }
+      DHQP_ASSIGN_OR_RETURN(bool complete,
+                            EvalJoinKey(*op_, /*left=*/true, left_->col_pos(),
+                                        probe_, *ctx_, &probe_key_));
+      auto it = complete ? table_.find(probe_key_) : table_.end();
+      matches_ = it == table_.end() ? &kNoMatches : &it->second;
     }
   }
 
-  Status Build() {
-    table_.clear();
-    mem_.ReleaseAll();
-    mem_.Bind(profile_, ctx_->memory);
-    match_pos_ = 0;
-    static const std::vector<Row>& kNone = *new std::vector<Row>();
-    matches_ = &kNone;
-    have_probe_ = false;
-    any_emitted_ = false;
-    probe_input_.Reset();
-    spilling_ = false;
-    probe_from_file_ = false;
-    build_parts_.clear();
-    worklist_.clear();
-    probe_reader_.reset();
-    EvalEnv env;
-    env.col_pos = &right_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    auto insert = [&](Row& row) -> Status {
-      env.row = &row;
-      IndexKey key;
-      bool null_key = false;
-      for (const auto& [l, r] : op_->key_pairs) {
-        DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*r, env));
-        if (v.is_null()) {
-          null_key = true;
-          break;
-        }
-        key.push_back(std::move(v));
-      }
-      if (null_key) return Status::OK();  // Build nulls never match.
-      // Key values duplicate row values; RowMemBytes(key) covers the
-      // map-node side of the entry well enough for accounting.
-      const int64_t add = RowMemBytes(row) + RowMemBytes(key);
-      if (!spilling_ && !table_.empty() &&
-          GrantExceeded(ctx_, mem_.pending(), add)) {
-        DHQP_RETURN_NOT_OK(StartBuildSpill());
-      }
-      if (spilling_) {
-        return build_parts_[static_cast<size_t>(SpillPartOf(key, 0))]->Append(
-            row);
-      }
-      mem_.Add(add);
-      table_[key].push_back(std::move(row));
-      return Status::OK();
-    };
-    RowBatch batch;
-    while (true) {
-      DHQP_ASSIGN_OR_RETURN(
-          bool has, right_->NextBatch(&batch, ctx_->options.batch_rows()));
-      if (!has) break;
-      for (Row& r : batch.rows) DHQP_RETURN_NOT_OK(insert(r));
-    }
-    mem_.Flush();
-    if (spilling_) return PartitionProbeInput();
-    return Status::OK();
-  }
-
-  // -- Grace hash join (grant-enforced spill) ------------------------------
+  // -- Grace passes (grant-enforced spill) ---------------------------------
   //
-  // When the build table breaches the grant, it is flushed to kSpillFanout
-  // partition files keyed by a hash of the join key; the probe input is
-  // then drained and partitioned the same way, and each (build, probe) pair
-  // is processed independently — load the build partition into table_,
-  // stream the probe partition through the normal Step logic. A build
-  // partition that still exceeds the grant is recursively repartitioned
-  // (disjoint hash bits per level) up to ctx_->spill_depth_cap, past which
-  // it loads regardless: correctness over enforcement.
+  // The join runs as a series of passes, each over one build side and one
+  // probe side: the children on the first pass, a spilled partition pair on
+  // every later one. A pass loads its build rows into table_, then streams
+  // its probe rows through Step. When the table would outgrow the grant at
+  // a hash level <= kSpillDepthCap, the pass sheds instead: the table, the
+  // rest of its build rows and then all of its probe rows go to
+  // kSpillFanout partition pairs keyed at that level, and each pair that
+  // can produce rows queues for a pass at the next level. Past the cap a
+  // pass loads regardless: correctness over enforcement.
 
-  struct PartPair {
-    std::unique_ptr<spill::SpillFile> build;
-    std::unique_ptr<spill::SpillFile> probe;
-    int depth = 0;
+  struct Pass {
+    std::unique_ptr<spill::SpillFile> build;  ///< Null on the first pass.
+    std::unique_ptr<spill::SpillFile> probe;  ///< Null on the first pass.
+    int level = 0;                            ///< The level it sheds at.
   };
 
-  Status MakeParts(std::vector<std::unique_ptr<spill::SpillFile>>* parts) {
-    return MakeSpillParts(ctx_, profile_, parts);
+  Status Start() {
+    have_probe_ = false;
+    probe_input_.Reset();
+    probe_file_.reset();
+    queue_.clear();
+    mem_.Bind(profile_, ctx_->memory);
+    return RunPass(Pass{});
   }
 
-  /// Flushes the in-memory build table to depth-0 partition files;
-  /// subsequent build rows append straight to their partition.
-  Status StartBuildSpill() {
-    DHQP_RETURN_NOT_OK(MakeParts(&build_parts_));
-    for (const auto& [key, rows] : table_) {
-      auto* f = build_parts_[static_cast<size_t>(SpillPartOf(key, 0))].get();
-      for (const Row& r : rows) DHQP_RETURN_NOT_OK(f->Append(r));
-    }
+  /// Loads `pass`'s build side into table_ and leaves its probe side to
+  /// stream, or sheds both sides into partition pairs.
+  Status RunPass(Pass pass) {
     table_.clear();
     mem_.ReleaseAll();
-    spilling_ = true;
-    return Status::OK();
-  }
-
-  /// Evaluates this row's probe key (left side of each key pair). A NULL
-  /// component leaves the key partial — such rows never match, but anti /
-  /// left-outer joins must still emit them, so they are routed by the hash
-  /// of the prefix (deterministic at every recursion depth) rather than
-  /// dropped.
-  Status ProbeKeyOf(EvalEnv& env, const Row& row, IndexKey* key) {
-    key->clear();
-    env.row = &row;
-    for (const auto& [l, r] : op_->key_pairs) {
-      DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*l, env));
-      if (v.is_null()) break;
-      key->push_back(std::move(v));
-    }
-    return Status::OK();
-  }
-
-  /// Drains left_ entirely into depth-0 probe partition files and queues
-  /// the (build, probe) pairs that can produce output.
-  Status PartitionProbeInput() {
-    for (auto& f : build_parts_) DHQP_RETURN_NOT_OK(f->FinishWrite());
-    std::vector<std::unique_ptr<spill::SpillFile>> probe_parts;
-    DHQP_RETURN_NOT_OK(MakeParts(&probe_parts));
-    EvalEnv env;
-    env.col_pos = &left_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    IndexKey key;
+    SpillPartitions build_parts(ctx_, profile_, pass.level);
+    PassInput build{right_.get(), pass.build.get()};
     RowBatch batch;
     while (true) {
       DHQP_ASSIGN_OR_RETURN(
-          bool has, left_->NextBatch(&batch, ctx_->options.batch_rows()));
+          bool has, build.NextBatch(&batch, ctx_->options.batch_rows()));
       if (!has) break;
-      for (const Row& r : batch.rows) {
-        DHQP_RETURN_NOT_OK(ProbeKeyOf(env, r, &key));
-        DHQP_RETURN_NOT_OK(
-            probe_parts[static_cast<size_t>(SpillPartOf(key, 0))]->Append(r));
-      }
-    }
-    for (int i = 0; i < kSpillFanout; ++i) {
-      DHQP_RETURN_NOT_OK(probe_parts[static_cast<size_t>(i)]->FinishWrite());
-      auto& bp = build_parts_[static_cast<size_t>(i)];
-      auto& pp = probe_parts[static_cast<size_t>(i)];
-      if (bp->rows() > 0) RecordSpill(profile_, *bp);
-      if (pp->rows() > 0) RecordSpill(profile_, *pp);
-      // Probe rows drive all supported join types (inner/semi/anti/left
-      // outer emit at most per probe row), so an empty probe partition
-      // produces nothing; drop the pair (files delete themselves).
-      if (pp->rows() > 0) {
-        worklist_.push_back(PartPair{std::move(bp), std::move(pp), 0});
-      }
-    }
-    build_parts_.clear();
-    probe_from_file_ = true;
-    return Status::OK();
-  }
-
-  /// Splits a partition whose build side still exceeds the grant into
-  /// kSpillFanout sub-pairs at depth+1. table_ holds the partial load (and
-  /// `key`/`row` the entry that overflowed); pair.build is mid-read.
-  Status Repartition(PartPair pair, IndexKey key, Row row) {
-    const int depth = pair.depth + 1;
-    std::vector<std::unique_ptr<spill::SpillFile>> subs_b, subs_p;
-    DHQP_RETURN_NOT_OK(MakeParts(&subs_b));
-    DHQP_RETURN_NOT_OK(MakeParts(&subs_p));
-    for (const auto& [k, rows] : table_) {
-      auto* f = subs_b[static_cast<size_t>(SpillPartOf(k, depth))].get();
-      for (const Row& r : rows) DHQP_RETURN_NOT_OK(f->Append(r));
-    }
-    table_.clear();
-    mem_.ReleaseAll();
-    DHQP_RETURN_NOT_OK(
-        subs_b[static_cast<size_t>(SpillPartOf(key, depth))]->Append(row));
-    EvalEnv env;
-    env.col_pos = &right_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    Row r;
-    while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has, pair.build->Next(&r));
-      if (!has) break;
-      env.row = &r;
-      IndexKey k;
-      bool null_key = false;
-      for (const auto& [l, rt] : op_->key_pairs) {
-        DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*rt, env));
-        if (v.is_null()) {
-          null_key = true;
-          break;
-        }
-        k.push_back(std::move(v));
-      }
-      if (null_key) continue;
-      DHQP_RETURN_NOT_OK(
-          subs_b[static_cast<size_t>(SpillPartOf(k, depth))]->Append(r));
-    }
-    DHQP_RETURN_NOT_OK(pair.probe->Rewind());
-    EvalEnv penv;
-    penv.col_pos = &left_->col_pos();
-    penv.params = &ctx_->params;
-    penv.current_date = ctx_->current_date;
-    IndexKey pk;
-    while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has, pair.probe->Next(&r));
-      if (!has) break;
-      DHQP_RETURN_NOT_OK(ProbeKeyOf(penv, r, &pk));
-      DHQP_RETURN_NOT_OK(
-          subs_p[static_cast<size_t>(SpillPartOf(pk, depth))]->Append(r));
-    }
-    for (int i = 0; i < kSpillFanout; ++i) {
-      auto& bp = subs_b[static_cast<size_t>(i)];
-      auto& pp = subs_p[static_cast<size_t>(i)];
-      DHQP_RETURN_NOT_OK(bp->FinishWrite());
-      DHQP_RETURN_NOT_OK(pp->FinishWrite());
-      if (bp->rows() > 0) RecordSpill(profile_, *bp);
-      if (pp->rows() > 0) RecordSpill(profile_, *pp);
-      if (pp->rows() > 0) {
-        worklist_.push_back(PartPair{std::move(bp), std::move(pp), depth});
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Loads the next worklist partition's build side into table_ and leaves
-  /// its probe file in probe_reader_ (null when the worklist is exhausted).
-  /// Repartitions instead when the build side overflows below the depth
-  /// cap; at the cap it loads regardless.
-  Status LoadNextPartition() {
-    while (!worklist_.empty()) {
-      PartPair pair = std::move(worklist_.front());
-      worklist_.pop_front();
-      table_.clear();
-      mem_.ReleaseAll();
-      DHQP_RETURN_NOT_OK(pair.build->Rewind());
-      EvalEnv env;
-      env.col_pos = &right_->col_pos();
-      env.params = &ctx_->params;
-      env.current_date = ctx_->current_date;
-      bool repartitioned = false;
-      Row row;
-      while (true) {
-        DHQP_ASSIGN_OR_RETURN(bool has, pair.build->Next(&row));
-        if (!has) break;
-        env.row = &row;
+      for (Row& row : batch.rows) {
         IndexKey key;
-        bool null_key = false;
-        for (const auto& [l, r] : op_->key_pairs) {
-          DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*r, env));
-          if (v.is_null()) {
-            null_key = true;
-            break;
+        DHQP_ASSIGN_OR_RETURN(bool complete,
+                              EvalJoinKey(*op_, /*left=*/false,
+                                          right_->col_pos(), row, *ctx_, &key));
+        if (!complete) continue;  // Build NULLs never match.
+        if (!build_parts.is_open()) {
+          const int64_t add =
+              HashJoinEntryBytes(RowMemBytes(row), RowMemBytes(key));
+          if (table_.empty() || pass.level > kSpillDepthCap ||
+              !GrantExceeded(ctx_, mem_.pending(), add)) {
+            mem_.Add(add);
+            table_[std::move(key)].push_back(std::move(row));
+            continue;
           }
-          key.push_back(std::move(v));
+          DHQP_RETURN_NOT_OK(build_parts.Open());
+          for (const auto& [k, rows] : table_) {
+            for (const Row& r : rows) {
+              DHQP_RETURN_NOT_OK(build_parts.Append(k, r));
+            }
+          }
+          table_.clear();
+          mem_.ReleaseAll();
         }
-        if (null_key) continue;
-        const int64_t add = RowMemBytes(row) + RowMemBytes(key);
-        if (!table_.empty() && pair.depth < ctx_->spill_depth_cap &&
-            GrantExceeded(ctx_, mem_.pending(), add)) {
-          DHQP_RETURN_NOT_OK(
-              Repartition(std::move(pair), std::move(key), std::move(row)));
-          repartitioned = true;
-          break;
-        }
-        mem_.Add(add);
-        table_[std::move(key)].push_back(std::move(row));
+        DHQP_RETURN_NOT_OK(build_parts.Append(key, row));
       }
-      if (repartitioned) continue;
-      mem_.Flush();
-      DHQP_RETURN_NOT_OK(pair.probe->Rewind());
-      probe_reader_ = std::move(pair.probe);
+    }
+    mem_.Flush();
+    probing_ = !build_parts.is_open();
+    if (probing_) {
+      probe_file_ = std::move(pass.probe);
       return Status::OK();
     }
-    probe_reader_.reset();
+    SpillPartitions probe_parts(ctx_, profile_, pass.level);
+    DHQP_RETURN_NOT_OK(probe_parts.Open());
+    PassInput probe{left_.get(), pass.probe.get()};
+    while (true) {
+      DHQP_ASSIGN_OR_RETURN(
+          bool has, probe.NextBatch(&batch, ctx_->options.batch_rows()));
+      if (!has) break;
+      for (const Row& row : batch.rows) {
+        // A probe row whose key has a NULL matches nothing, but anti and
+        // left outer joins still emit it: it routes by the key's non-NULL
+        // prefix, the same at every level.
+        DHQP_RETURN_NOT_OK(EvalJoinKey(*op_, /*left=*/true, left_->col_pos(),
+                                       row, *ctx_, &probe_key_)
+                               .status());
+        DHQP_RETURN_NOT_OK(probe_parts.Append(probe_key_, row));
+      }
+    }
+    DHQP_ASSIGN_OR_RETURN(auto builds, build_parts.Finish());
+    DHQP_ASSIGN_OR_RETURN(auto probes, probe_parts.Finish());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      // Probe rows drive every supported join type (inner, semi, anti and
+      // left outer emit at most per probe row), so a pair whose probe
+      // partition is empty produces nothing; its files delete themselves.
+      if (probes[i]->rows() > 0) {
+        queue_.push_back(Pass{std::move(builds[i]), std::move(probes[i]),
+                              pass.level + 1});
+      }
+    }
     return Status::OK();
   }
 
-  /// Next probe row across partition files; advances to the next partition
-  /// (swapping in its build table) as each probe file drains.
-  Result<bool> NextSpilledProbe(Row* out) {
+  /// Reads the next probe row into probe_: from left_ on the first pass,
+  /// from the pass's probe partition on later ones. A pass that runs out
+  /// of probe rows, or shed them, hands over to the next queued pair.
+  Result<bool> NextProbe(int want) {
     while (true) {
-      if (probe_reader_ != nullptr) {
-        DHQP_ASSIGN_OR_RETURN(bool has, probe_reader_->Next(out));
+      if (probing_) {
+        DHQP_ASSIGN_OR_RETURN(bool has, probe_file_ == nullptr
+                                            ? probe_input_.Next(&probe_, want)
+                                            : probe_file_->Next(&probe_));
         if (has) return true;
-        probe_reader_.reset();
+        probing_ = false;
+        probe_file_.reset();
       }
-      if (worklist_.empty()) return false;
-      DHQP_RETURN_NOT_OK(LoadNextPartition());
-      if (probe_reader_ == nullptr) return false;
+      if (queue_.empty()) return false;
+      Pass next = std::move(queue_.front());
+      queue_.pop_front();
+      DHQP_RETURN_NOT_OK(RunPass(std::move(next)));
     }
   }
 
@@ -1603,17 +1500,15 @@ class HashJoinNode : public ExecNode {
   std::map<IndexKey, std::vector<Row>, KeyLess> table_;
   OperatorMem mem_;
   Row probe_;
-  RowCursor probe_input_;  ///< Probe rows from left_ (before any spill).
+  IndexKey probe_key_;     ///< Scratch key of the latest probe row.
+  RowCursor probe_input_;  ///< Probe rows from left_ (the first pass).
   const std::vector<Row>* matches_ = nullptr;
   size_t match_pos_ = 0;
   bool have_probe_ = false;
   bool any_emitted_ = false;
-  // Grace-spill state.
-  bool spilling_ = false;         ///< Build side overflowed the grant.
-  bool probe_from_file_ = false;  ///< left_ drained into partition files.
-  std::vector<std::unique_ptr<spill::SpillFile>> build_parts_;
-  std::deque<PartPair> worklist_;
-  std::unique_ptr<spill::SpillFile> probe_reader_;
+  bool probing_ = false;  ///< The current pass has probe rows to stream.
+  std::unique_ptr<spill::SpillFile> probe_file_;  ///< Its probe partition.
+  std::deque<Pass> queue_;  ///< Partition pairs awaiting their pass.
 };
 
 class NestedLoopsJoinNode : public ExecNode {
@@ -1808,15 +1703,22 @@ class MergeJoinNode : public ExecNode {
         out->insert(out->end(), r.begin(), r.end());
         return true;
       }
-      // Advance left.
+      // Advance left, past rows whose key has a NULL: they match nothing.
       DHQP_ASSIGN_OR_RETURN(bool has, left_input_.Next(&left_row_, 1));
       if (!has) {
         done_ = true;
         return false;
       }
+      IndexKey lkey;
+      DHQP_ASSIGN_OR_RETURN(bool lcomplete,
+                            EvalJoinKey(*op_, /*left=*/true, left_->col_pos(),
+                                        left_row_, *ctx_, &lkey));
+      if (!lcomplete) {
+        have_left_ = false;
+        continue;
+      }
       have_left_ = true;
       group_pos_ = 0;
-      DHQP_ASSIGN_OR_RETURN(IndexKey lkey, KeyOf(left_row_, true, env));
       // If the buffered group matches, reuse it (duplicate left keys).
       if (!group_.empty() && CompareKeys(lkey, group_key_) == 0) continue;
       // Otherwise advance right until its key >= left key, buffering the
@@ -1832,8 +1734,13 @@ class MergeJoinNode : public ExecNode {
           }
           right_ahead_ = true;
         }
-        DHQP_ASSIGN_OR_RETURN(IndexKey rkey, KeyOf(right_row_, false, env));
-        int c = CompareKeys(rkey, lkey);
+        IndexKey rkey;
+        DHQP_ASSIGN_OR_RETURN(
+            bool rcomplete, EvalJoinKey(*op_, /*left=*/false, right_->col_pos(),
+                                        right_row_, *ctx_, &rkey));
+        // A right row whose key has a NULL matches nothing: skip it as if
+        // it sorted below the left key.
+        int c = rcomplete ? CompareKeys(rkey, lkey) : -1;
         if (c < 0) {
           right_ahead_ = false;  // Skip this right row.
           continue;
@@ -1858,17 +1765,6 @@ class MergeJoinNode : public ExecNode {
       }
       group_key_ = lkey;
     }
-  }
-
-  Result<IndexKey> KeyOf(const Row& row, bool left, EvalEnv env) {
-    env.row = left ? &row : nullptr;
-    env.row2 = left ? nullptr : &row;
-    IndexKey key;
-    for (const auto& [l, r] : op_->key_pairs) {
-      DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(left ? *l : *r, env));
-      key.push_back(std::move(v));
-    }
-    return key;
   }
 
   std::unique_ptr<ExecNode> left_, right_;
@@ -1944,21 +1840,23 @@ class HashAggregateNode : public ExecNode {
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(child_->Open());
-    return Aggregate();
+    return Start();
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    // Spilled partitions are re-aggregated one at a time as the groups
+    // Spilled partitions are aggregated one pass at a time as the groups
     // already served run out.
     while (pos_ >= results_.size() && !pending_.empty()) {
-      DHQP_RETURN_NOT_OK(ProcessPendingPartition());
+      PendingPart part = std::move(pending_.front());
+      pending_.pop_front();
+      DHQP_RETURN_NOT_OK(RunPass(part.file.get(), part.level));
     }
     return SliceRows(results_, &pos_, max_rows, out);
   }
 
   Status Restart() override {
     DHQP_RETURN_NOT_OK(child_->Restart());
-    return Aggregate();
+    return Start();
   }
 
  private:
@@ -1972,36 +1870,39 @@ class HashAggregateNode : public ExecNode {
 
   struct PendingPart {
     std::unique_ptr<spill::SpillFile> file;
-    int depth = 0;
+    int level = 0;  ///< The hash level its pass sheds at.
   };
 
-  Status Aggregate() {
+  Status Start() {
+    pending_.clear();
+    mem_.Bind(profile_, ctx_->memory);
+    return RunPass(/*file=*/nullptr, /*level=*/0);
+  }
+
+  /// One aggregation pass over the child (`file` null, level 0) or over a
+  /// spilled partition: groups its rows into results_. When a new key would
+  /// outgrow the grant at a level <= kSpillDepthCap, the pass sheds it —
+  /// and every later key not yet resident — into partitions at that level,
+  /// each queued for a pass of its own. Resident keys keep accumulating in
+  /// memory, so a key lives either in `groups` or in exactly one partition
+  /// file, and the partitions need no accumulator merging. Shedding is
+  /// STICKY even if the grant pressure recedes: the query-wide tracker
+  /// moves under concurrent workers, and admitting a key to memory after
+  /// some of its rows already went to a file would emit that group twice.
+  /// Past the cap a pass aggregates in memory regardless: correctness over
+  /// enforcement.
+  Status RunPass(spill::SpillFile* file, int level) {
     results_.clear();
     pos_ = 0;
-    pending_.clear();
     mem_.ReleaseAll();
-    mem_.Bind(profile_, ctx_->memory);
-    const int64_t acc_bytes = static_cast<int64_t>(
-        sizeof(Accumulator) * op_->aggregates.size());
     GroupMap groups;
-    // Grace-spill partitions for group keys first seen after the grant
-    // filled up. Keys already resident keep accumulating in memory, so a
-    // key lives either in `groups` or in exactly one partition file — the
-    // partitions need no accumulator merging, just a fresh aggregation
-    // pass each (ProcessPendingPartition).
-    std::vector<std::unique_ptr<spill::SpillFile>> parts;
+    SpillPartitions parts(ctx_, profile_, level);
     EvalEnv env;
     env.col_pos = &child_->col_pos();
     env.params = &ctx_->params;
     env.current_date = ctx_->current_date;
     // Finds or creates the accumulator group for `key`; leaves *accs null
-    // after routing the row to a spill partition instead. Spill mode is
-    // STICKY: once the first partition file exists, every key missing from
-    // `groups` routes to a file even if the grant pressure has receded —
-    // the query-wide tracker moves under concurrent workers, and admitting
-    // a key to memory after some of its rows already went to a file would
-    // emit that group twice (once from memory, once from the partition's
-    // re-aggregation pass).
+    // after routing the row to a partition instead.
     auto accs_for = [&](IndexKey& key, const Row& row,
                         std::vector<Accumulator>** accs) -> Status {
       *accs = nullptr;
@@ -2010,19 +1911,19 @@ class HashAggregateNode : public ExecNode {
         *accs = &it->second;
         return Status::OK();
       }
-      const int64_t add = RowMemBytes(key) + acc_bytes;
-      if (parts.empty() &&
-          (groups.empty() || !GrantExceeded(ctx_, mem_.pending(), add))) {
+      const int64_t add =
+          HashGroupBytes(RowMemBytes(key), op_->aggregates.size());
+      if (!parts.is_open() &&
+          (groups.empty() || level > kSpillDepthCap ||
+           !GrantExceeded(ctx_, mem_.pending(), add))) {
         auto [it2, inserted] = groups.try_emplace(std::move(key));
         it2->second.resize(op_->aggregates.size());
         mem_.Add(add);
         *accs = &it2->second;
         return Status::OK();
       }
-      if (parts.empty()) {
-        DHQP_RETURN_NOT_OK(MakeSpillParts(ctx_, profile_, &parts));
-      }
-      return parts[static_cast<size_t>(SpillPartOf(key, 0))]->Append(row);
+      if (!parts.is_open()) DHQP_RETURN_NOT_OK(parts.Open());
+      return parts.Append(key, row);
     };
     // Group positions are resolved once, aggregate arguments are evaluated
     // column-at-a-time per batch, and the scalar (no GROUP BY) case keeps a
@@ -2037,12 +1938,13 @@ class HashAggregateNode : public ExecNode {
       scalar_accs = &it->second;
     }
     const Value one = Value::Int64(1);  // Placeholder for COUNT(*).
+    PassInput input{child_.get(), file};
     RowBatch batch;
     std::vector<std::vector<Value>> arg_cols(op_->aggregates.size());
     IndexKey key;
     while (true) {
       DHQP_ASSIGN_OR_RETURN(
-          bool has, child_->NextBatch(&batch, ctx_->options.batch_rows()));
+          bool has, input.NextBatch(&batch, ctx_->options.batch_rows()));
       if (!has) break;
       for (size_t i = 0; i < op_->aggregates.size(); ++i) {
         if (op_->aggregates[i].arg == nullptr) continue;
@@ -2057,7 +1959,7 @@ class HashAggregateNode : public ExecNode {
           key.clear();
           for (int p : gpos) key.push_back(row[static_cast<size_t>(p)]);
           DHQP_RETURN_NOT_OK(accs_for(key, row, &accs));
-          if (accs == nullptr) continue;  // Routed to a spill partition.
+          if (accs == nullptr) continue;  // Routed to a partition.
         }
         for (size_t i = 0; i < op_->aggregates.size(); ++i) {
           const AggregateItem& item = op_->aggregates[i];
@@ -2066,17 +1968,12 @@ class HashAggregateNode : public ExecNode {
         }
       }
     }
-    // Scalar aggregate over an empty input still yields one row.
-    if (groups.empty() && op_->group_by.empty()) {
-      groups.try_emplace(IndexKey{});
-      groups.begin()->second.resize(op_->aggregates.size());
-    }
     FinalizeGroups(&groups);
-    for (auto& p : parts) {
-      DHQP_RETURN_NOT_OK(p->FinishWrite());
-      if (p->rows() > 0) {
-        RecordSpill(profile_, *p);
-        pending_.push_back(PendingPart{std::move(p), 0});
+    if (!parts.is_open()) return Status::OK();
+    DHQP_ASSIGN_OR_RETURN(auto files, parts.Finish());
+    for (auto& f : files) {
+      if (f->rows() > 0) {
+        pending_.push_back(PendingPart{std::move(f), level + 1});
       }
     }
     return Status::OK();
@@ -2095,81 +1992,6 @@ class HashAggregateNode : public ExecNode {
     mem_.ReleaseAll();
     for (const Row& r : results_) mem_.Add(RowMemBytes(r));
     mem_.Flush();
-  }
-
-  /// Re-aggregates one spilled partition into results_ (its keys are
-  /// disjoint from everything already served). A partition still too big
-  /// for the grant sheds its overflow keys into sub-partitions at the next
-  /// depth; at the depth cap it aggregates in memory regardless —
-  /// correctness over enforcement.
-  Status ProcessPendingPartition() {
-    PendingPart part = std::move(pending_.front());
-    pending_.pop_front();
-    results_.clear();
-    pos_ = 0;
-    mem_.ReleaseAll();
-    const int64_t acc_bytes = static_cast<int64_t>(
-        sizeof(Accumulator) * op_->aggregates.size());
-    GroupMap groups;
-    std::vector<std::unique_ptr<spill::SpillFile>> subs;
-    std::vector<int> gpos;
-    gpos.reserve(op_->group_by.size());
-    for (int g : op_->group_by) gpos.push_back(child_->col_pos().at(g));
-    EvalEnv env;
-    env.col_pos = &child_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    DHQP_RETURN_NOT_OK(part.file->Rewind());
-    Row row;
-    while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has, part.file->Next(&row));
-      if (!has) break;
-      env.row = &row;
-      IndexKey key;
-      for (int p : gpos) key.push_back(row[static_cast<size_t>(p)]);
-      std::vector<Accumulator>* accs = nullptr;
-      auto it = groups.find(key);
-      if (it != groups.end()) {
-        accs = &it->second;
-      } else {
-        // Sticky spill mode, as in Aggregate(): once sub-partitions exist,
-        // every missing key routes to them — never back into memory.
-        const int64_t add = RowMemBytes(key) + acc_bytes;
-        const bool can_shed = part.depth < ctx_->spill_depth_cap;
-        if (can_shed &&
-            (!subs.empty() ||
-             (!groups.empty() && GrantExceeded(ctx_, mem_.pending(), add)))) {
-          if (subs.empty()) {
-            DHQP_RETURN_NOT_OK(MakeSpillParts(ctx_, profile_, &subs));
-          }
-          DHQP_RETURN_NOT_OK(
-              subs[static_cast<size_t>(SpillPartOf(key, part.depth + 1))]
-                  ->Append(row));
-          continue;
-        }
-        auto [it2, inserted] = groups.try_emplace(std::move(key));
-        it2->second.resize(op_->aggregates.size());
-        mem_.Add(add);
-        accs = &it2->second;
-      }
-      for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-        const AggregateItem& item = op_->aggregates[i];
-        Value v = Value::Int64(1);  // Placeholder for COUNT(*).
-        if (item.arg != nullptr) {
-          DHQP_ASSIGN_OR_RETURN(v, EvalExpr(*item.arg, env));
-        }
-        DHQP_RETURN_NOT_OK(Accumulate(item, v, &(*accs)[i]));
-      }
-    }
-    FinalizeGroups(&groups);
-    for (auto& s : subs) {
-      DHQP_RETURN_NOT_OK(s->FinishWrite());
-      if (s->rows() > 0) {
-        RecordSpill(profile_, *s);
-        pending_.push_back(PendingPart{std::move(s), part.depth + 1});
-      }
-    }
-    return Status::OK();
   }
 
   std::unique_ptr<ExecNode> child_;
@@ -2565,6 +2387,10 @@ Result<std::unique_ptr<ExecNode>> BuildWorkerRec(
 
 }  // namespace
 
+int64_t HashGroupBytes(int64_t key_bytes, size_t aggregates) {
+  return key_bytes + static_cast<int64_t>(aggregates * sizeof(Accumulator));
+}
+
 // ---------------------------------------------------------------------------
 // Tree construction.
 // ---------------------------------------------------------------------------
@@ -2585,18 +2411,13 @@ Result<std::unique_ptr<ExecNode>> BuildFragmentTree(
   return BuildWorkerRec(plan, ctx, profile, frag, &next_exchange);
 }
 
-Result<std::unique_ptr<VectorRowset>> ExecutePlan(const PhysicalOpPtr& plan,
-                                                  ExecContext* ctx) {
+Result<std::vector<Row>> ExecutePlan(const PhysicalOpPtr& plan,
+                                     ExecContext* ctx) {
   DHQP_ASSIGN_OR_RETURN(auto root, BuildExecTree(plan, ctx));
   // Publish the profile tree to the in-flight request *before* Open so
   // dm_exec_requests sees live row counts from the first batch onward.
   sysview::PublishCurrentRequestProfile(ctx->profile);
   DHQP_RETURN_NOT_OK(root->Open());
-  Schema schema;
-  for (size_t i = 0; i < plan->output_cols.size(); ++i) {
-    schema.AddColumn(ColumnDef{plan->output_names[i], plan->output_types[i],
-                               true});
-  }
   // Batch sink: one virtual call per batch; the buffer is reused
   // (clear-and-refill) across pulls, rows move out of it.
   std::vector<Row> rows;
@@ -2607,7 +2428,7 @@ Result<std::unique_ptr<VectorRowset>> ExecutePlan(const PhysicalOpPtr& plan,
     if (!has) break;
     for (Row& r : batch.rows) rows.push_back(std::move(r));
   }
-  return std::make_unique<VectorRowset>(std::move(schema), std::move(rows));
+  return rows;
 }
 
 }  // namespace dhqp

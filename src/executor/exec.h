@@ -96,10 +96,6 @@ struct ExecContext {
   int64_t grant_bytes = 0;
   /// Directory for spill temp files; empty = the platform temp dir.
   std::string spill_dir;
-  /// Max recursive Grace-repartition depth. A partition that still exceeds
-  /// the grant at the cap is processed in memory regardless — correctness
-  /// over enforcement (the classic hash-recursion bailout).
-  int spill_depth_cap = 4;
 };
 
 /// A batch-at-a-time executor node: Open() prepares, NextBatch() streams
@@ -198,10 +194,10 @@ Result<std::unique_ptr<ExecNode>> BuildFragmentTree(
     const PhysicalOpPtr& plan, ExecContext* ctx, OperatorProfile* profile,
     const FragmentContext& frag);
 
-/// Runs a plan to completion, returning the materialized result with a
-/// schema derived from the plan's output names/types.
-Result<std::unique_ptr<VectorRowset>> ExecutePlan(const PhysicalOpPtr& plan,
-                                                  ExecContext* ctx);
+/// Runs a plan to completion, returning its rows in the plan's output
+/// column order.
+Result<std::vector<Row>> ExecutePlan(const PhysicalOpPtr& plan,
+                                     ExecContext* ctx);
 
 }  // namespace dhqp
 

@@ -57,6 +57,31 @@ inline int64_t RowMemBytes(const Row& row) {
   return bytes;
 }
 
+/// The planning-time analog of RowMemBytes for a row of these types: the
+/// same fixed overhead and per-value cost, and a flat allowance for each
+/// string payload. Grant estimates price rows with it.
+inline int64_t EstRowBytes(const std::vector<DataType>& types) {
+  int64_t bytes = static_cast<int64_t>(sizeof(Row)) +
+                  static_cast<int64_t>(types.size() * sizeof(Value));
+  for (DataType t : types) {
+    if (t == DataType::kString) bytes += 32;
+  }
+  return bytes;
+}
+
+// What each kind of hash-table entry charges, from the bytes of its row
+// and key: RowMemBytes when an operator charges the entry, EstRowBytes when
+// the grant estimate prices it, so the two agree.
+
+/// A hash-join build entry: the build row and the key copy stored with it.
+inline int64_t HashJoinEntryBytes(int64_t row_bytes, int64_t key_bytes) {
+  return row_bytes + key_bytes;
+}
+
+/// A hash-aggregate group: its key and one accumulator per aggregate.
+/// Defined beside the accumulator type, in exec.cc.
+int64_t HashGroupBytes(int64_t key_bytes, size_t aggregates);
+
 /// Actual execution statistics for one operator occurrence in an exec tree
 /// — the SET STATISTICS PROFILE analog, and the one place the executor
 /// counts: each event is counted once, in the slot of the operator that

@@ -255,25 +255,37 @@ Result<ColumnStatistics> StorageSession::GetStatistics(
 namespace {
 
 // Converts an IndexRange (prefix + bounds on the next column) to B+-tree
-// scan bounds.
-void RangeToKeys(const IndexRange& range, IndexKey* lo, bool* lo_inc,
+// scan bounds; false when the range is empty. A NULL equals and bounds
+// nothing, so a NULL in the prefix or a bound empties the range, and a
+// range that bounds the next column starts above that column's NULLs,
+// which sort first.
+bool RangeToKeys(const IndexRange& range, IndexKey* lo, bool* lo_inc,
                  IndexKey* hi, bool* hi_inc, bool* has_lo, bool* has_hi) {
+  for (const Value& v : range.eq_prefix) {
+    if (v.is_null()) return false;
+  }
+  if ((range.lo.has_value() && range.lo->is_null()) ||
+      (range.hi.has_value() && range.hi->is_null())) {
+    return false;
+  }
   *lo = range.eq_prefix;
   *hi = range.eq_prefix;
-  *has_lo = true;
-  *has_hi = true;
   *lo_inc = true;
   *hi_inc = true;
   if (range.lo.has_value()) {
     lo->push_back(*range.lo);
     *lo_inc = range.lo_inclusive;
+  } else if (range.hi.has_value()) {
+    lo->push_back(Value::Null(range.hi->type()));
+    *lo_inc = false;
   }
   if (range.hi.has_value()) {
     hi->push_back(*range.hi);
     *hi_inc = range.hi_inclusive;
   }
-  if (lo->empty()) *has_lo = false;
-  if (hi->empty()) *has_hi = false;
+  *has_lo = !lo->empty();
+  *has_hi = !hi->empty();
+  return true;
 }
 
 }  // namespace
@@ -288,10 +300,11 @@ Result<std::unique_ptr<Rowset>> StorageSession::OpenIndexRange(
   }
   IndexKey lo, hi;
   bool lo_inc, hi_inc, has_lo, has_hi;
-  RangeToKeys(range, &lo, &lo_inc, &hi, &hi_inc, &has_lo, &has_hi);
   std::vector<int64_t> row_ids;
-  idx->tree->Scan(has_lo ? &lo : nullptr, lo_inc, has_hi ? &hi : nullptr,
-                  hi_inc, &row_ids);
+  if (RangeToKeys(range, &lo, &lo_inc, &hi, &hi_inc, &has_lo, &has_hi)) {
+    idx->tree->Scan(has_lo ? &lo : nullptr, lo_inc, has_hi ? &hi : nullptr,
+                    hi_inc, &row_ids);
+  }
   return std::unique_ptr<Rowset>(new SlotCursor(t, std::move(row_ids)));
 }
 
@@ -305,10 +318,11 @@ Result<std::unique_ptr<Rowset>> StorageSession::OpenIndexKeys(
   }
   IndexKey lo, hi;
   bool lo_inc, hi_inc, has_lo, has_hi;
-  RangeToKeys(range, &lo, &lo_inc, &hi, &hi_inc, &has_lo, &has_hi);
   std::vector<std::pair<IndexKey, int64_t>> entries;
-  idx->tree->ScanEntries(has_lo ? &lo : nullptr, lo_inc,
-                         has_hi ? &hi : nullptr, hi_inc, &entries);
+  if (RangeToKeys(range, &lo, &lo_inc, &hi, &hi_inc, &has_lo, &has_hi)) {
+    idx->tree->ScanEntries(has_lo ? &lo : nullptr, lo_inc,
+                           has_hi ? &hi : nullptr, hi_inc, &entries);
+  }
   Schema schema;
   for (int ord : idx->key_ordinals) {
     schema.AddColumn(t->schema().column(static_cast<size_t>(ord)));

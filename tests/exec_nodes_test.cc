@@ -48,7 +48,7 @@ class ExecNodesTest : public ::testing::Test {
   std::vector<Row> RunAll(const PhysicalOpPtr& plan) {
     auto result = ExecutePlan(plan, &ctx_);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return (*result)->rows();
+    return *result;
   }
 
   StorageEngine storage_;
@@ -208,7 +208,7 @@ TEST(RemoteFetchNodeTest, CountsLookupsInItsProfileSlot) {
   ctx.catalog = host.catalog();
   auto rows = ExecutePlan(fetch, &ctx);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ((*rows)->rows().size(), 2u);
+  EXPECT_EQ(rows->size(), 2u);
   const ExecStats stats = FoldExecStats(*ctx.profile);
   EXPECT_EQ(stats.remote_fetches, 2);
   EXPECT_EQ(stats.remote_opens, 1);

@@ -1,6 +1,10 @@
 // Execution semantics: SQL three-valued logic, NULL handling in joins and
 // aggregates, DISTINCT aggregates, empty inputs, LIKE patterns.
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace dhqp {
@@ -148,6 +152,98 @@ TEST_F(ExecSemanticsTest, OrderByNullsFirstAscending) {
   EXPECT_EQ(RowsToString(r), "(2)(4)(1)(3)");
   r = MustExecute(&engine_, "SELECT id FROM t ORDER BY v DESC, id");
   EXPECT_EQ(RowsToString(r), "(3)(1)(2)(4)");
+}
+
+// A merge join drops NULL-keyed rows on both inputs: its answer over
+// indexed keys, NULL on every tenth and seventh row, matches the hash join
+// over unindexed copies of the same rows.
+TEST_F(ExecSemanticsTest, MergeJoinNeverMatchesNullKeys) {
+  auto fill = [&](const std::string& table, int null_every, int mod) {
+    MustExecute(&engine_,
+                "CREATE TABLE " + table + " (a INT PRIMARY KEY, k INT)");
+    std::string values;
+    for (int i = 0; i < 300; ++i) {
+      if (i != 0) values += ",";
+      values += "(" + std::to_string(i) + "," +
+                (i % null_every == 0 ? std::string("NULL")
+                                     : std::to_string(i % mod)) +
+                ")";
+    }
+    MustExecute(&engine_, "INSERT INTO " + table + " VALUES " + values);
+  };
+  fill("l", 10, 100);
+  fill("l_heap", 10, 100);
+  fill("r", 7, 120);
+  fill("r_heap", 7, 120);
+  MustExecute(&engine_, "CREATE INDEX l_k ON l (k)");
+  MustExecute(&engine_, "CREATE INDEX r_k ON r (k)");
+  auto sorted_rows = [](const QueryResult& result) {
+    std::vector<std::string> rows;
+    for (const Row& row : result.rowset->rows()) {
+      rows.push_back(RowToString(row));
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  QueryResult merge = MustExecute(
+      &engine_, "SELECT l.a, r.a FROM l JOIN r ON l.k = r.k ORDER BY l.k");
+  QueryResult hash = MustExecute(
+      &engine_, "SELECT l.a, r.a FROM l_heap l JOIN r_heap r ON l.k = r.k");
+  EXPECT_EQ(CountOps(merge.plan, PhysicalOpKind::kMergeJoin), 1);
+  EXPECT_EQ(CountOps(hash.plan, PhysicalOpKind::kHashJoin), 1);
+  EXPECT_EQ(hash.rowset->rows().size(), 606u);
+  EXPECT_EQ(sorted_rows(merge), sorted_rows(hash));
+}
+
+// An index range never returns a NULL key: a bound on the indexed column
+// starts above its NULLs, and an equality against NULL is empty. Answers
+// are checked against the scan plan over an unindexed copy, locally and
+// through an index provider, which serves the member's own index range.
+TEST_F(ExecSemanticsTest, IndexRangesNeverReturnNullKeys) {
+  ProviderCapabilities index = SqlServerCapabilities();
+  index.supports_command = false;
+  index.sql_support = SqlSupportLevel::kNone;
+  RemoteServer remote = AttachRemoteEngine(&engine_, "idx", index);
+  for (Engine* e : {&engine_, remote.engine.get()}) {
+    MustExecute(e, "CREATE TABLE n (a INT PRIMARY KEY, k INT)");
+    MustExecute(e, "CREATE TABLE n_heap (a INT PRIMARY KEY, k INT)");
+    for (int base = 0; base < 2000; base += 500) {
+      std::string values;
+      for (int i = base; i < base + 500; ++i) {
+        if (i != base) values += ",";
+        values += "(" + std::to_string(i) + "," +
+                  (i % 10 == 0 ? std::string("NULL") : std::to_string(i)) +
+                  ")";
+      }
+      MustExecute(e, "INSERT INTO n VALUES " + values);
+      MustExecute(e, "INSERT INTO n_heap VALUES " + values);
+    }
+    MustExecute(e, "CREATE INDEX n_k ON n (k)");
+  }
+  const std::map<std::string, Value> null_param = {
+      {"@p", Value::Null(DataType::kInt64)}};
+  struct Case {
+    const char* where;
+    const char* expected;
+  };
+  const Case cases[] = {{"k < 5", "(4)"}, {"k <= 11", "(10)"}, {"k = @p", "(0)"}};
+  for (const Case& c : cases) {
+    const std::string where = std::string(" WHERE ") + c.where;
+    QueryResult scan = MustExecute(
+        &engine_, "SELECT COUNT(*) FROM n_heap" + where, null_param);
+    QueryResult local =
+        MustExecute(&engine_, "SELECT COUNT(*) FROM n" + where, null_param);
+    QueryResult ranged = MustExecute(
+        &engine_, "SELECT COUNT(*) FROM idx.d.s.n" + where, null_param);
+    EXPECT_EQ(CountOps(scan.plan, PhysicalOpKind::kIndexRange), 0) << c.where;
+    EXPECT_EQ(CountOps(local.plan, PhysicalOpKind::kIndexRange), 1)
+        << c.where;
+    EXPECT_EQ(CountOps(ranged.plan, PhysicalOpKind::kRemoteRange), 1)
+        << c.where;
+    EXPECT_EQ(RowsToString(scan), c.expected) << c.where;
+    EXPECT_EQ(RowsToString(local), c.expected) << c.where;
+    EXPECT_EQ(RowsToString(ranged), c.expected) << c.where;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // dop-2 exchange query and a serial hash join that spills — must report
 // exactly the totals recorded here, and each exec.* registry counter must
 // move by exactly its field. prefetch_stalls depends on thread timing, so
-// it gets a bound instead of a value.
+// it gets a bound instead of a value. A second test pins the spill files
+// and bytes of a recursing hash aggregate and a multi-run sort.
 
 #include <functional>
 #include <map>
@@ -271,6 +272,26 @@ TEST_F(ExecStatsPinTest, EveryFieldKeepsItsValue) {
       EXPECT_EQ(registry_[i], totals_[i]) << f.metric;
     }
   }
+}
+
+// Spill files and bytes of two more spilling shapes, each under a 16 KiB
+// grant: a serial hash aggregate over 8000 groups, whose partitions recurse
+// past depth 1, and a serial sort that writes several runs.
+TEST_F(ExecStatsPinTest, SpillingAggregateAndSortKeepTheirFiles) {
+  host_.options()->max_server_memory_bytes = 256 << 20;
+  host_.options()->max_grant_per_query_bytes = 16 << 10;
+  QueryResult aggregate =
+      Measure("SELECT b, c, COUNT(*) FROM big1 GROUP BY b, c");
+  EXPECT_EQ(CountOps(aggregate.plan, PhysicalOpKind::kHashAggregate), 1);
+  EXPECT_EQ(aggregate.exec_stats.spills, 583);
+  EXPECT_EQ(aggregate.exec_stats.spill_bytes, 602485);
+  QueryResult sort = Measure("SELECT a, b FROM big1 ORDER BY c, a");
+  EXPECT_EQ(CountOps(sort.plan, PhysicalOpKind::kSort), 1);
+  EXPECT_EQ(sort.exec_stats.spills, 83);
+  EXPECT_EQ(sort.exec_stats.spill_bytes, 248000);
+  EXPECT_EQ(CountOps(aggregate.plan, PhysicalOpKind::kExchange) +
+                CountOps(sort.plan, PhysicalOpKind::kExchange),
+            0);
 }
 
 }  // namespace

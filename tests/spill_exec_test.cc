@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -115,6 +116,19 @@ class SpillExecTest : public ::testing::Test {
     Fill(&host_, "big1", kBig1Rows, 3);
     Fill(&host_, "big2", kBig2Rows, 2);
     Fill(&host_, "big3", 4000, 3);
+    // A nullable join and grouping key: every sixth k is NULL.
+    MustExecute(&host_, "CREATE TABLE nk (a INT PRIMARY KEY, k INT, v INT)");
+    for (int base = 0; base < 3000; base += 1000) {
+      std::string sql = "INSERT INTO nk VALUES ";
+      for (int i = base; i < base + 1000; ++i) {
+        if (i != base) sql += ",";
+        sql += "(" + std::to_string(i) + "," +
+               (i % 6 == 0 ? std::string("NULL")
+                           : std::to_string((i * 7) % 1500)) +
+               "," + std::to_string(i % 13) + ")";
+      }
+      MustExecute(&host_, sql);
+    }
   }
 
   void TearDown() override {
@@ -150,6 +164,19 @@ class SpillExecTest : public ::testing::Test {
   std::filesystem::path spill_dir_;
 };
 
+// NULL keys through the spilled hash paths: a probe row whose key is NULL
+// routes by the key's non-NULL prefix and must still come out of a left
+// outer or anti join, and the NULL group must form exactly once.
+const char kNullLeftJoin[] =
+    "SELECT nk.a, big1.a FROM nk LEFT JOIN big1 ON nk.k = big1.c "
+    "WHERE nk.a < 1500";
+const char kNullSemiJoin[] =
+    "SELECT a, v FROM nk WHERE k IN (SELECT c FROM big1 WHERE b < 50)";
+const char kNullAntiJoin[] =
+    "SELECT a FROM nk WHERE NOT EXISTS "
+    "(SELECT * FROM big1 WHERE big1.c = nk.k)";
+const char kNullGroupBy[] = "SELECT k, COUNT(*), SUM(v) FROM nk GROUP BY k";
+
 // Every operator that buffers. Join, sort, and grouping keys are mostly
 // NON-indexed columns on purpose: keys covered by the primary-key index
 // give the optimizer order for free (merge join, stream aggregate — no
@@ -182,7 +209,30 @@ const char* kCorpus[] = {
     // Correlated EXISTS on an unindexed column (spooled inner side).
     "SELECT a FROM big1 WHERE b = 5 AND EXISTS "
     "(SELECT * FROM big2 WHERE big2.d = big1.c)",
+    kNullLeftJoin,
+    kNullSemiJoin,
+    kNullAntiJoin,
+    kNullGroupBy,
 };
+
+// Each NULL-key corpus entry plans the hash operator it exercises, serial
+// and parallel.
+TEST_F(SpillExecTest, NullKeyCorpusPlansItsHashOperators) {
+  const std::pair<const char*, PhysicalOpKind> targets[] = {
+      {kNullLeftJoin, PhysicalOpKind::kHashJoin},
+      {kNullSemiJoin, PhysicalOpKind::kHashJoin},
+      {kNullAntiJoin, PhysicalOpKind::kHashJoin},
+      {kNullGroupBy, PhysicalOpKind::kHashAggregate},
+  };
+  for (const auto& [sql, kind] : targets) {
+    for (int dop : {1, 4}) {
+      host_.options()->execution.dop = dop;
+      auto prepared = host_.Prepare(sql);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      EXPECT_GT(CountOps(prepared->plan, kind), 0) << sql << " dop=" << dop;
+    }
+  }
+}
 
 TEST_F(SpillExecTest, CorpusIsBudgetInvariant) {
   // Baseline: unlimited memory, serial, default batch size.
@@ -322,6 +372,27 @@ TEST_F(SpillExecTest, ExchangeGrantFollowsQueueDepth) {
   exec.prefetch_queue_depth = 4;
   const int64_t deep = governor::EstimateGrantBytes(prepared->plan, exec);
   EXPECT_LT(shallow, deep);
+}
+
+// A grant prices each hash-join build entry and hash-aggregate group as
+// the operator charges it, so a statement whose cardinalities are
+// estimated exactly runs without spilling under an ample budget.
+TEST_F(SpillExecTest, ExactlyEstimatedHashOperatorsFitTheirGrant) {
+  MustExecute(&host_, "CREATE TABLE small (a INT PRIMARY KEY, b INT, c INT)");
+  Fill(&host_, "small", 1000, 3);
+  ApplyBudget(&host_, {"ample", int64_t{1} << 30, 0});
+  const std::pair<const char*, PhysicalOpKind> statements[] = {
+      {"SELECT big1.a, small.a FROM big1 JOIN small ON big1.c = small.c",
+       PhysicalOpKind::kHashJoin},
+      {"SELECT c, COUNT(*), SUM(b) FROM small GROUP BY c",
+       PhysicalOpKind::kHashAggregate},
+  };
+  for (const auto& [sql, kind] : statements) {
+    QueryResult r = MustExecute(&host_, sql);
+    EXPECT_EQ(CountOps(r.plan, kind), 1) << sql;
+    EXPECT_EQ(r.exec_stats.spills, 0) << sql;
+    ExpectNoSpillFiles(sql, "ample");
+  }
 }
 
 // External merge must reproduce the in-memory stable sort bit-for-bit:
