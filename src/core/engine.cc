@@ -22,6 +22,9 @@ namespace dhqp {
 
 namespace {
 
+// Compiled plans the cache holds before it starts over.
+constexpr size_t kPlanCacheCapacity = 256;
+
 // True if any table reference in the FROM tree names the reserved system
 // source (as server part, or as catalog/schema shorthand: sys..dm_x).
 bool TableRefTouchesSys(const TableRef* ref) {
@@ -618,6 +621,7 @@ Result<QueryResult> Engine::RunCachedPlan(
   }
   request->SetPhase(sysview::RequestPhase::kExecute);
   ExecContext ectx;
+  ectx.request = request.get();
   ectx.catalog = catalog_.get();
   ectx.fulltext = &fulltext_;
   ectx.params = params;
@@ -797,7 +801,7 @@ Result<QueryResult> Engine::ExecuteSelect(
     if (use_cache && !request->exclude.load(std::memory_order_relaxed)) {
       auto lock = waits::LockRecordingWait(plan_cache_mu_,
                                            waits::WaitType::kPlanCacheMutex);
-      if (plan_cache_.size() >= options_.plan_cache_capacity) {
+      if (plan_cache_.size() >= kPlanCacheCapacity) {
         plan_cache_.clear();  // Crude but bounded; capacity is generous.
       }
       plan_cache_.emplace(full_key, std::move(compiled));

@@ -35,7 +35,6 @@ struct EngineOptions {
   /// same statement text. Startup filters (§4.1.5) are what make cached
   /// parameterized plans correct for every parameter value.
   bool enable_plan_cache = true;
-  size_t plan_cache_capacity = 256;
   /// Query Store: every completed statement is recorded (per-execution ring
   /// of this many entries + per-fingerprint aggregates) and exposed through
   /// the sys DMVs. Queries against the DMVs themselves are never recorded.

@@ -13,18 +13,18 @@ namespace dhqp {
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<ExchangeSegment> ExchangeSegmentRegistry::GetOrCreate(
-    int ordinal,
+    const OperatorProfile* slot,
     const std::function<std::shared_ptr<ExchangeSegment>()>& factory) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = segments_.find(ordinal);
+  auto it = segments_.find(slot);
   if (it != segments_.end()) return it->second;
   auto segment = factory();
-  segments_[ordinal] = segment;
+  segments_[slot] = segment;
   return segment;
 }
 
 void ExchangeSegmentRegistry::Clear() {
-  std::map<int, std::shared_ptr<ExchangeSegment>> dropped;
+  std::map<const OperatorProfile*, std::shared_ptr<ExchangeSegment>> dropped;
   {
     std::lock_guard<std::mutex> lock(mu_);
     dropped.swap(segments_);
@@ -169,25 +169,20 @@ void ExchangeSegment::Stop() {
 // ---------------------------------------------------------------------------
 
 ExchangeNode::ExchangeNode(PhysicalOpPtr op, ExecContext* ctx,
-                           OperatorProfile* child_profile,
-                           ExchangeSegmentRegistry* registry, int ordinal,
-                           int partition)
+                           ExchangeSegmentRegistry* registry, int partition)
     : ExecNode(std::move(op)),
       ctx_(ctx),
-      child_profile_(child_profile),
       registry_(registry),
-      ordinal_(ordinal),
       partition_(partition) {}
 
 Status ExchangeNode::Open() {
   if (segment_ == nullptr) {
     auto factory = [this] {
-      return std::make_shared<ExchangeSegment>(op_, ctx_, child_profile_,
-                                               profile());
+      return std::make_shared<ExchangeSegment>(
+          op_, ctx_, profile()->children[0].get(), profile());
     };
-    segment_ =
-        registry_ != nullptr ? registry_->GetOrCreate(ordinal_, factory)
-                             : factory();
+    segment_ = registry_ != nullptr ? registry_->GetOrCreate(profile(), factory)
+                                    : factory();
   }
   if (partition_ < 0 || partition_ >= segment_->consumers()) {
     return Status::Internal("exchange consumer partition " +

@@ -18,14 +18,14 @@ class ExchangeSegment;
 /// Shares nested exchange segments between the sibling workers of one
 /// fragment: all consumers of a repartition exchange must pop from ONE set
 /// of producer threads, so the first worker to open the exchange creates
-/// the segment and the rest attach. Keyed by the exchange's occurrence
-/// ordinal within the fragment plan — every worker builds the same plan in
-/// the same order, so ordinals agree across workers (and, unlike the plan
-/// node pointer, distinguish two occurrences of a shared subplan).
+/// the segment and the rest attach. Keyed by the exchange's profile slot —
+/// every worker's instance of an operator attaches to the same slot, and
+/// each occurrence has its own (unlike the plan node pointer, which two
+/// occurrences of a shared subplan share).
 class ExchangeSegmentRegistry {
  public:
   std::shared_ptr<ExchangeSegment> GetOrCreate(
-      int ordinal,
+      const OperatorProfile* slot,
       const std::function<std::shared_ptr<ExchangeSegment>()>& factory);
 
   /// Drops all references. Segments no consumer kept alive stop here.
@@ -33,7 +33,8 @@ class ExchangeSegmentRegistry {
 
  private:
   std::mutex mu_;
-  std::map<int, std::shared_ptr<ExchangeSegment>> segments_;
+  std::map<const OperatorProfile*, std::shared_ptr<ExchangeSegment>>
+      segments_;
 };
 
 /// The shared half of one exchange operator occurrence: P query workers
@@ -101,15 +102,16 @@ class ExchangeSegment {
 
 /// Consumer-side exchange operator: one instance per consumer stream,
 /// bound to its partition's queue. The top-level instance (in the serial
-/// region of the plan) owns its segment privately; instances inside a
-/// fragment share the segment through the enclosing registry. Restart is
-/// unsupported by design — the optimizer marks exchanges non-rescannable,
-/// so a Spool enforcer sits above when rescans are required.
+/// region of the plan, `registry` null) owns its segment privately;
+/// instances inside a fragment share the segment through the enclosing
+/// registry. The segment counts in this node's profile slot and runs the
+/// child against the slot's child. Restart is unsupported by design — the
+/// optimizer marks exchanges non-rescannable, so a Spool enforcer sits
+/// above when rescans are required.
 class ExchangeNode : public ExecNode {
  public:
   ExchangeNode(PhysicalOpPtr op, ExecContext* ctx,
-               OperatorProfile* child_profile,
-               ExchangeSegmentRegistry* registry, int ordinal, int partition);
+               ExchangeSegmentRegistry* registry, int partition);
 
   Status Open() override;
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
@@ -121,9 +123,7 @@ class ExchangeNode : public ExecNode {
 
  private:
   ExecContext* ctx_;
-  OperatorProfile* child_profile_;
   ExchangeSegmentRegistry* registry_;
-  int ordinal_;
   int partition_;
   std::shared_ptr<ExchangeSegment> segment_;
 };

@@ -73,16 +73,6 @@ class RowCursor {
   size_t pos_ = 0;
 };
 
-// Remote block-fetch granularity stays governed by remote_batch_rows no
-// matter what the local executor's batch size is, so wire-message counts
-// do not shift when exec_batch_rows changes.
-int ClampRemoteBatch(int max_rows, const ExecOptions& options) {
-  if (options.remote_batch_rows > 0 && max_rows > options.remote_batch_rows) {
-    return options.remote_batch_rows;
-  }
-  return max_rows;
-}
-
 // Evaluates a RangeSpec's bound expressions against the current parameters.
 Result<IndexRange> EvalRangeSpec(const RangeSpec& spec, ExecContext* ctx) {
   EvalEnv env;
@@ -104,19 +94,6 @@ Result<IndexRange> EvalRangeSpec(const RangeSpec& spec, ExecContext* ctx) {
     range.hi_inclusive = spec.hi_inclusive;
   }
   return range;
-}
-
-// Wraps a remote result stream in the async block-fetch pipeline when the
-// context enables it: the producer thread pays the link's latency while the
-// consumer keeps working on earlier batches. `profile` receives batch
-// counts and — via the producer thread's charge sink — the link traffic the
-// pipeline generates on behalf of the owning operator.
-std::unique_ptr<Rowset> MaybePrefetch(std::unique_ptr<Rowset> rowset,
-                                      ExecContext* ctx,
-                                      OperatorProfile* profile) {
-  if (!ctx->options.enable_remote_prefetch) return rowset;
-  return std::make_unique<PrefetchingRowset>(std::move(rowset), ctx->options,
-                                             profile, ctx->memory);
 }
 
 // Memory-charge bookkeeping for one buffering operator: accumulates bytes
@@ -291,9 +268,10 @@ struct PassInput {
 };
 
 // ---------------------------------------------------------------------------
-// Scans (local + remote) and leaves.
+// Scans, remote streams and leaves.
 // ---------------------------------------------------------------------------
 
+// A local table scan.
 class ScanNode : public ExecNode {
  public:
   /// `partition`/`partitions`: block-cyclic slice of the table this instance
@@ -311,10 +289,6 @@ class ScanNode : public ExecNode {
                           ctx_->catalog->GetSession(op_->table.source_id));
     DHQP_ASSIGN_OR_RETURN(rowset_,
                           session->OpenRowset(op_->table.metadata.name));
-    if (op_->kind == PhysicalOpKind::kRemoteScan) {
-      profile_->remote_opens++;
-      rowset_ = MaybePrefetch(std::move(rowset_), ctx_, profile_);
-    }
     block_ = 0;
     block_left_ = 0;
     return Status::OK();
@@ -334,24 +308,10 @@ class ScanNode : public ExecNode {
     }
     // Forwards the rowset's own block fetch: one virtual call per batch
     // instead of one per row.
-    if (op_->kind != PhysicalOpKind::kRemoteScan) {
-      return rowset_->NextBatch(out, max_rows);
-    }
-    // Without the prefetch pipeline, pull one row at a time: an
-    // unprefetched remote stream's wire contract is the provider's own
-    // settle cadence, so message (and fault) ordinals stay independent of
-    // the local batch size, where block-fetching here would merge messages.
-    if (!ctx_->options.enable_remote_prefetch) {
-      return FillBatch(out, max_rows,
-                       [this](Row* row) { return rowset_->Next(row); });
-    }
-    return rowset_->NextBatch(out, ClampRemoteBatch(max_rows, ctx_->options));
+    return rowset_->NextBatch(out, max_rows);
   }
 
   Status Restart() override {
-    // Rewinding a remote cursor is another round trip's worth of work on
-    // the provider; account for it (the spool ablation measures this).
-    if (op_->kind == PhysicalOpKind::kRemoteScan) profile_->remote_opens++;
     block_ = 0;
     block_left_ = 0;
     Status st = rowset_->Restart();
@@ -389,6 +349,7 @@ class ScanNode : public ExecNode {
   int64_t block_left_ = 0;  ///< Rows left in the current owned block.
 };
 
+// A local index range.
 class IndexRangeNode : public ExecNode {
  public:
   IndexRangeNode(PhysicalOpPtr op, ExecContext* ctx)
@@ -401,17 +362,10 @@ class IndexRangeNode : public ExecNode {
     DHQP_ASSIGN_OR_RETURN(
         rowset_, session->OpenIndexRange(op_->table.metadata.name,
                                          op_->index_name, range));
-    if (op_->kind == PhysicalOpKind::kRemoteRange) profile_->remote_opens++;
     return Status::OK();
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    // Remote ranges are never prefetched, so they pull one row at a time
-    // (see ScanNode::NextBatch).
-    if (op_->kind == PhysicalOpKind::kRemoteRange) {
-      return FillBatch(out, max_rows,
-                       [this](Row* row) { return rowset_->Next(row); });
-    }
     return rowset_->NextBatch(out, max_rows);
   }
 
@@ -419,6 +373,88 @@ class IndexRangeNode : public ExecNode {
 
  private:
   ExecContext* ctx_;
+  std::unique_ptr<Rowset> rowset_;
+};
+
+// One remote stream, opened by kind: a remote table scan, a remote index
+// range, or a remote query ("build remote query" at run time: a command on
+// the provider session with its parameters bound from the context).
+//
+// Bulk streams — a scan, or a query with no parameters — flow through the
+// prefetch pipeline when the context enables it: its producer thread
+// fetches remote_batch_rows-row blocks and pays the link's latency while
+// the consumer works on earlier ones, and its queue never holds a larger
+// batch. A range or a parameterized query stays inline (each rescan
+// returns a handful of rows, so a producer thread per rescan would cost
+// more than the latency it hides), as does every stream with prefetch
+// off. An inline stream is read row by row from the provider's own blocks
+// (LinkedRowset::Next), so its wire messages — and the fault ordinals
+// scripted against them — do not depend on the local batch size or on how
+// many rows the parent asks for at a time.
+class RemoteNode : public ExecNode {
+ public:
+  RemoteNode(PhysicalOpPtr op, ExecContext* ctx)
+      : ExecNode(std::move(op)),
+        ctx_(ctx),
+        prefetch_(ctx->options.enable_remote_prefetch &&
+                  op_->kind != PhysicalOpKind::kRemoteRange &&
+                  op_->remote_param_names.empty()) {}
+
+  Status Open() override {
+    DHQP_ASSIGN_OR_RETURN(rowset_, OpenStream());
+    profile_->remote_opens++;
+    if (prefetch_) {
+      rowset_ = std::make_unique<PrefetchingRowset>(
+          std::move(rowset_), ctx_->options, profile_, ctx_->memory);
+    }
+    return Status::OK();
+  }
+
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    if (prefetch_) return rowset_->NextBatch(out, max_rows);
+    return FillBatch(out, max_rows,
+                     [this](Row* row) { return rowset_->Next(row); });
+  }
+
+  // A scan rewinds its stream in place — another round trip's worth of
+  // work on the provider, counted as an open — and reopens when the
+  // provider cannot rewind. A range re-evaluates its bounds and a query
+  // re-binds its parameters, so both reopen.
+  Status Restart() override {
+    if (op_->kind == PhysicalOpKind::kRemoteScan) {
+      profile_->remote_opens++;
+      if (rowset_->Restart().ok()) return Status::OK();
+    }
+    return Open();
+  }
+
+ private:
+  Result<std::unique_ptr<Rowset>> OpenStream() {
+    DHQP_ASSIGN_OR_RETURN(Session * session,
+                          ctx_->catalog->GetSession(op_->table.source_id));
+    if (op_->kind == PhysicalOpKind::kRemoteScan) {
+      return session->OpenRowset(op_->table.metadata.name);
+    }
+    if (op_->kind == PhysicalOpKind::kRemoteRange) {
+      DHQP_ASSIGN_OR_RETURN(IndexRange range, EvalRangeSpec(op_->range, ctx_));
+      return session->OpenIndexRange(op_->table.metadata.name,
+                                     op_->index_name, range);
+    }
+    DHQP_ASSIGN_OR_RETURN(auto command, session->CreateCommand());
+    DHQP_RETURN_NOT_OK(command->SetText(op_->remote_sql));
+    for (const std::string& name : op_->remote_param_names) {
+      auto it = ctx_->params.find(name);
+      if (it == ctx_->params.end()) {
+        return Status::ExecutionError("remote parameter '" + name +
+                                      "' not bound");
+      }
+      DHQP_RETURN_NOT_OK(command->BindParameter(name, it->second));
+    }
+    return command->Execute();
+  }
+
+  ExecContext* ctx_;
+  const bool prefetch_;
   std::unique_ptr<Rowset> rowset_;
 };
 
@@ -535,60 +571,6 @@ class FullTextLookupNode : public ExecNode {
   ExecContext* ctx_;
   std::vector<std::pair<Value, double>> matches_;
   size_t pos_ = 0;
-};
-
-// Remote query dispatch ("build remote query" at run time): creates a
-// command on the provider session, binds parameters, executes, streams.
-class RemoteQueryNode : public ExecNode {
- public:
-  RemoteQueryNode(PhysicalOpPtr op, ExecContext* ctx)
-      : ExecNode(std::move(op)), ctx_(ctx) {}
-
-  Status Open() override {
-    DHQP_ASSIGN_OR_RETURN(Session * session,
-                          ctx_->catalog->GetSession(op_->source_id));
-    DHQP_ASSIGN_OR_RETURN(auto command, session->CreateCommand());
-    DHQP_RETURN_NOT_OK(command->SetText(op_->remote_sql));
-    for (const std::string& name : op_->remote_param_names) {
-      auto it = ctx_->params.find(name);
-      if (it == ctx_->params.end()) {
-        return Status::ExecutionError("remote parameter '" + name +
-                                      "' not bound");
-      }
-      DHQP_RETURN_NOT_OK(command->BindParameter(name, it->second));
-    }
-    DHQP_ASSIGN_OR_RETURN(rowset_, command->Execute());
-    profile_->remote_opens++;
-    // Bulk (unparameterized) remote results flow through the prefetch
-    // pipeline. Parameterized dispatch stays inline: each rescan returns a
-    // handful of rows, so a producer thread per rescan would cost more
-    // than the latency it hides.
-    if (op_->remote_param_names.empty()) {
-      rowset_ = MaybePrefetch(std::move(rowset_), ctx_, profile_);
-    }
-    return Status::OK();
-  }
-
-  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    // Forwards the remote stream's block fetch instead of unbatching it
-    // into single rows only to re-batch above. Only the prefetched (bulk)
-    // path may block-fetch: its producer fixes the wire granularity at
-    // remote_batch_rows. Inline streams (parameterized dispatch, prefetch
-    // disabled) keep the provider's own settle cadence (see
-    // ScanNode::NextBatch).
-    if (!op_->remote_param_names.empty() ||
-        !ctx_->options.enable_remote_prefetch) {
-      return FillBatch(out, max_rows,
-                       [this](Row* row) { return rowset_->Next(row); });
-    }
-    return rowset_->NextBatch(out, ClampRemoteBatch(max_rows, ctx_->options));
-  }
-
-  Status Restart() override { return Open(); }  // Re-binds current params.
-
- private:
-  ExecContext* ctx_;
-  std::unique_ptr<Rowset> rowset_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1023,9 +1005,6 @@ void ProfileSubtree(const PhysicalOp& op, BranchProfile* profile) {
   if (!op.remote_params.empty()) profile->safe = false;
   switch (op.kind) {
     case PhysicalOpKind::kRemoteQuery:
-      profile->has_remote = true;
-      profile->sources.insert(op.source_id);
-      break;
     case PhysicalOpKind::kRemoteScan:
     case PhysicalOpKind::kRemoteRange:
     case PhysicalOpKind::kRemoteFetch:
@@ -2210,10 +2189,9 @@ class ProfiledNode : public ExecNode {
   int64_t next_ticks_ = 0;     ///< NextBatch time, flushed on destruction.
 };
 
-// Constructs the bare node for `plan` from already-built children (the
-// former BuildExecTree switch). `frag` is non-null when building one
-// worker's instance of an exchange fragment: a parallel table scan then
-// reads only this worker's block-cyclic slice.
+// Constructs the bare node for `plan` from already-built children. `frag`
+// is non-null when building one worker's instance of an exchange fragment:
+// a parallel table scan then reads only this worker's block-cyclic slice.
 Result<std::unique_ptr<ExecNode>> BuildNode(
     const PhysicalOpPtr& plan, std::vector<std::unique_ptr<ExecNode>> children,
     ExecContext* ctx, const FragmentContext* frag) {
@@ -2224,11 +2202,12 @@ Result<std::unique_ptr<ExecNode>> BuildNode(
             new ScanNode(plan, ctx, frag->partition, frag->dop));
       }
       return std::unique_ptr<ExecNode>(new ScanNode(plan, ctx));
-    case PhysicalOpKind::kRemoteScan:
-      return std::unique_ptr<ExecNode>(new ScanNode(plan, ctx));
     case PhysicalOpKind::kIndexRange:
-    case PhysicalOpKind::kRemoteRange:
       return std::unique_ptr<ExecNode>(new IndexRangeNode(plan, ctx));
+    case PhysicalOpKind::kRemoteScan:
+    case PhysicalOpKind::kRemoteRange:
+    case PhysicalOpKind::kRemoteQuery:
+      return std::unique_ptr<ExecNode>(new RemoteNode(plan, ctx));
     case PhysicalOpKind::kRemoteFetch:
       return std::unique_ptr<ExecNode>(new RemoteFetchNode(plan, ctx));
     case PhysicalOpKind::kConstTable:
@@ -2237,8 +2216,6 @@ Result<std::unique_ptr<ExecNode>> BuildNode(
       return std::unique_ptr<ExecNode>(new EmptyNode(plan));
     case PhysicalOpKind::kFullTextLookup:
       return std::unique_ptr<ExecNode>(new FullTextLookupNode(plan, ctx));
-    case PhysicalOpKind::kRemoteQuery:
-      return std::unique_ptr<ExecNode>(new RemoteQueryNode(plan, ctx));
     case PhysicalOpKind::kFilter:
       return std::unique_ptr<ExecNode>(
           new FilterNode(plan, std::move(children[0]), ctx));
@@ -2297,10 +2274,11 @@ std::unique_ptr<OperatorProfile> MakeProfileSlot(const PhysicalOpPtr& plan,
   return p;
 }
 
-// Grows profile slots (pre-order ids matching EXPLAIN) for a whole subtree
-// WITHOUT building exec nodes: the consumer-side pass over an exchange's
-// child, whose exec instances are created later — one per producer thread —
-// against these same shared slots.
+// Grows the profile tree for a whole plan: one slot per operator
+// occurrence, with pre-order ids matching the EXPLAIN rendering. Grown
+// before any exec node is built, so every exec-node instance of an
+// operator — the serial region's one, or each exchange worker's — attaches
+// to the same slot.
 void BuildProfileRec(const PhysicalOpPtr& plan, int* next_id,
                      std::unique_ptr<OperatorProfile>* slot) {
   *slot = MakeProfileSlot(plan, next_id);
@@ -2311,75 +2289,40 @@ void BuildProfileRec(const PhysicalOpPtr& plan, int* next_id,
   }
 }
 
-// Recursive builder: assigns pre-order operator ids (matching the EXPLAIN
-// rendering), grows the profile tree in `slot`, and wraps every node in a
-// ProfiledNode. Runs in the serial region of the plan; an exchange ends the
-// recursion — its child subtree gets profile slots only (BuildProfileRec)
-// and executes on the segment's producers.
-Result<std::unique_ptr<ExecNode>> BuildTreeRec(
-    const PhysicalOpPtr& plan, ExecContext* ctx, int* next_id,
-    std::unique_ptr<OperatorProfile>* slot) {
-  *slot = MakeProfileSlot(plan, next_id);
-  OperatorProfile* prof = slot->get();
+// Builds the exec nodes for `plan` against its profile slot `prof`,
+// wrapping each in a ProfiledNode. `frag` is null in the serial region of
+// the plan and names the worker when building one instance of an exchange
+// fragment; each instance adds its own counts and times to the shared
+// slots, so the merge never double-counts. An exchange ends the walk: its
+// child runs on the segment's producers, which build their own instances
+// of it. Inside a fragment, sibling workers attach to one shared nested
+// segment, registered under the exchange's slot — unique per occurrence,
+// shared by the siblings.
+Result<std::unique_ptr<ExecNode>> BuildTreeRec(const PhysicalOpPtr& plan,
+                                               ExecContext* ctx,
+                                               OperatorProfile* prof,
+                                               const FragmentContext* frag) {
   std::unique_ptr<ExecNode> node;
   if (plan->kind == PhysicalOpKind::kExchange) {
-    if (plan->dop > 1) {
+    if (frag == nullptr && plan->dop > 1) {
       // A multi-consumer exchange only makes sense inside a fragment where
       // every partition has a worker draining it; the serial region drains
       // partition 0 only and the rest would wedge the producers.
       return Status::Internal("multi-consumer exchange in serial plan region");
     }
-    prof->children.emplace_back();
-    BuildProfileRec(plan->children[0], next_id, &prof->children.back());
-    node.reset(new ExchangeNode(plan, ctx, prof->children.back().get(),
-                                /*registry=*/nullptr, /*ordinal=*/0,
-                                /*partition=*/0));
-  } else {
-    std::vector<std::unique_ptr<ExecNode>> children;
-    for (const PhysicalOpPtr& child : plan->children) {
-      prof->children.emplace_back();
-      // The slot is used only within this call, before the next
-      // emplace_back can invalidate it.
-      DHQP_ASSIGN_OR_RETURN(auto built, BuildTreeRec(child, ctx, next_id,
-                                                     &prof->children.back()));
-      children.push_back(std::move(built));
-    }
-    DHQP_ASSIGN_OR_RETURN(
-        node, BuildNode(plan, std::move(children), ctx, /*frag=*/nullptr));
-  }
-  node->set_profile(prof);
-  return std::unique_ptr<ExecNode>(new ProfiledNode(std::move(node), prof));
-}
-
-// Builds one worker's exec-node instance of a fragment subtree, walking the
-// plan and the consumer-built profile tree (BuildProfileRec) in lockstep so
-// every worker's instance of an operator attaches to that operator's ONE
-// shared profile slot — each instance adds its own counts and times, so the
-// merge never double-counts. `next_exchange`
-// numbers kExchange occurrences in walk order: the registry key under
-// which sibling workers attach to one shared nested segment (every worker
-// walks the same plan in the same order, so ordinals agree). The walk does
-// NOT descend through a nested exchange — its child belongs to that
-// segment's own producers, which number their exchanges from zero again.
-Result<std::unique_ptr<ExecNode>> BuildWorkerRec(
-    const PhysicalOpPtr& plan, ExecContext* ctx, OperatorProfile* prof,
-    const FragmentContext& frag, int* next_exchange) {
-  std::unique_ptr<ExecNode> node;
-  if (plan->kind == PhysicalOpKind::kExchange) {
-    const int ordinal = (*next_exchange)++;
-    node.reset(new ExchangeNode(plan, ctx, prof->children[0].get(),
-                                frag.exchanges, ordinal, frag.partition));
+    node.reset(new ExchangeNode(plan, ctx,
+                                frag != nullptr ? frag->exchanges : nullptr,
+                                frag != nullptr ? frag->partition : 0));
   } else {
     std::vector<std::unique_ptr<ExecNode>> children;
     for (size_t i = 0; i < plan->children.size(); ++i) {
-      DHQP_ASSIGN_OR_RETURN(
-          auto child, BuildWorkerRec(plan->children[i], ctx,
-                                     prof->children[i].get(), frag,
-                                     next_exchange));
+      DHQP_ASSIGN_OR_RETURN(auto child,
+                            BuildTreeRec(plan->children[i], ctx,
+                                         prof->children[i].get(), frag));
       children.push_back(std::move(child));
     }
     DHQP_ASSIGN_OR_RETURN(node,
-                          BuildNode(plan, std::move(children), ctx, &frag));
+                          BuildNode(plan, std::move(children), ctx, frag));
   }
   node->set_profile(prof);
   return std::unique_ptr<ExecNode>(new ProfiledNode(std::move(node), prof));
@@ -2399,16 +2342,15 @@ Result<std::unique_ptr<ExecNode>> BuildExecTree(const PhysicalOpPtr& plan,
                                                 ExecContext* ctx) {
   int next_id = 1;
   std::unique_ptr<OperatorProfile> root;
-  DHQP_ASSIGN_OR_RETURN(auto tree, BuildTreeRec(plan, ctx, &next_id, &root));
+  BuildProfileRec(plan, &next_id, &root);
   ctx->profile = std::shared_ptr<OperatorProfile>(std::move(root));
-  return tree;
+  return BuildTreeRec(plan, ctx, ctx->profile.get(), /*frag=*/nullptr);
 }
 
 Result<std::unique_ptr<ExecNode>> BuildFragmentTree(
     const PhysicalOpPtr& plan, ExecContext* ctx, OperatorProfile* profile,
     const FragmentContext& frag) {
-  int next_exchange = 0;
-  return BuildWorkerRec(plan, ctx, profile, frag, &next_exchange);
+  return BuildTreeRec(plan, ctx, profile, &frag);
 }
 
 Result<std::vector<Row>> ExecutePlan(const PhysicalOpPtr& plan,
@@ -2416,7 +2358,7 @@ Result<std::vector<Row>> ExecutePlan(const PhysicalOpPtr& plan,
   DHQP_ASSIGN_OR_RETURN(auto root, BuildExecTree(plan, ctx));
   // Publish the profile tree to the in-flight request *before* Open so
   // dm_exec_requests sees live row counts from the first batch onward.
-  sysview::PublishCurrentRequestProfile(ctx->profile);
+  if (ctx->request != nullptr) ctx->request->set_profile(ctx->profile);
   DHQP_RETURN_NOT_OK(root->Open());
   // Batch sink: one virtual call per batch; the buffer is reused
   // (clear-and-refill) across pulls, rows move out of it.

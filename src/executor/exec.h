@@ -15,6 +15,10 @@
 
 namespace dhqp {
 
+namespace sysview {
+struct RequestState;  // requests.h
+}  // namespace sysview
+
 /// Runtime knobs for remote data movement. Independent of plan choice —
 /// and so excluded from the plan-cache key — with one exception: `dop`
 /// feeds the optimizer (OptimizerOptions::max_dop) and is part of the key.
@@ -28,8 +32,9 @@ struct ExecOptions {
   /// Drain remote scans / remote queries through a background prefetch
   /// thread so link latency overlaps with local processing.
   bool enable_remote_prefetch = true;
-  /// Rows per block fetch (Rowset::NextBatch) on remote streams — the
-  /// IRowset::GetNextRows cRows argument.
+  /// Rows per block fetch (Rowset::NextBatch) on prefetched remote streams
+  /// — the IRowset::GetNextRows cRows argument. Inline remote streams read
+  /// the provider's own blocks.
   int remote_batch_rows = 512;
   /// Rows per batch in the *local* executor: operators stream RowBatches of
   /// up to this many rows through ExecNode::NextBatch, and predicates and
@@ -37,7 +42,7 @@ struct ExecOptions {
   /// per-row virtual dispatch of the Volcano model. The same size is the
   /// publish unit of exchange producers and parallel Concat workers.
   /// Results are identical at every size (the batch differential suite
-  /// holds this); remote block-fetch granularity stays remote_batch_rows.
+  /// holds this); remote wire blocks never depend on it.
   /// Values below 1 mean one-row batches (see batch_rows()).
   int exec_batch_rows = 1024;
   /// Batches buffered ahead of the consumer (double buffering and beyond)
@@ -76,6 +81,11 @@ struct ExecContext {
   /// workers append concurrently.
   std::mutex warnings_mu;
   std::vector<std::string> warnings;
+  /// The statement's record (wired by RunCachedPlan; null for a bare
+  /// executor run). ExecutePlan publishes the profile tree to it before
+  /// Open, so dm_exec_requests reads live row counts mid-statement. Must
+  /// outlive the execution.
+  sysview::RequestState* request = nullptr;
   /// Per-operator actual stats tree (rows, wall time, remote traffic, waits,
   /// memory — the STATISTICS PROFILE analog behind EXPLAIN ANALYZE), grown
   /// by BuildExecTree for every execution. Every executor count lives in
@@ -169,7 +179,9 @@ class ExecNode {
   Status deferred_status_;  ///< Mid-batch error held back by FillBatch.
 };
 
-/// Builds an executable tree from a physical plan.
+/// Builds an executable tree from a physical plan: grows the whole profile
+/// tree into ctx->profile first, then builds the serial region's exec nodes
+/// against its slots.
 Result<std::unique_ptr<ExecNode>> BuildExecTree(const PhysicalOpPtr& plan,
                                                 ExecContext* ctx);
 
@@ -184,12 +196,12 @@ struct FragmentContext {
   ExchangeSegmentRegistry* exchanges = nullptr;
 };
 
-/// Builds an executable tree for one worker of an exchange fragment.
-/// Unlike BuildExecTree, exec nodes attach to the EXISTING profile subtree
-/// `profile` (created by the consumer-side build) instead of creating new
-/// slots — per-worker instances of an operator aggregate additively into
-/// one shared OperatorProfile, so EXPLAIN ANALYZE totals stay truthful at
-/// any dop. Called by ExchangeSegment from its producer threads.
+/// Builds an executable tree for one worker of an exchange fragment, with
+/// the same walker as BuildExecTree, against the existing profile subtree
+/// `profile` (grown by BuildExecTree) — per-worker instances of an operator
+/// aggregate additively into one shared OperatorProfile, so EXPLAIN ANALYZE
+/// totals stay truthful at any dop. Called by ExchangeSegment from its
+/// producer threads.
 Result<std::unique_ptr<ExecNode>> BuildFragmentTree(
     const PhysicalOpPtr& plan, ExecContext* ctx, OperatorProfile* profile,
     const FragmentContext& frag);

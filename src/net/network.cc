@@ -173,43 +173,52 @@ void Link::ChargeRows(int64_t n, size_t bytes) {
   Delay(us_per_kb_ * static_cast<double>(bytes) / 1024.0);
 }
 
-Status LinkedRowset::SettlePending() {
-  if (in_batch_ == 0) return Status::OK();
-  // Rows are charged only after the settle message succeeds: a failed
-  // (retries-exhausted) settle leaves the rows pending, so a later retry or
-  // Restart never double-counts them — messages per attempt, rows per
-  // successful drain.
-  DHQP_RETURN_NOT_OK(link_->SendMessage(batch_bytes_));
-  link_->ChargeRows(in_batch_, 0);
-  in_batch_ = 0;
-  batch_bytes_ = 0;
-  return Status::OK();
+Result<bool> LinkedRowset::Fetch(RowBatch* out, int max_rows) {
+  out->clear();
+  DHQP_RETURN_NOT_OK(error_);
+  Result<bool> has = inner_->NextBatch(out, max_rows);
+  if (has.ok() && *has) {
+    size_t bytes = 0;
+    for (const Row& row : out->rows) bytes += RowWireSize(row);
+    Status sent = link_->SendMessage(bytes);
+    if (sent.ok()) {
+      link_->ChargeRows(static_cast<int64_t>(out->rows.size()), 0);
+      return true;
+    }
+    has = sent;
+  }
+  out->clear();
+  if (!has.ok()) error_ = has.status();
+  return has;
 }
 
 Result<bool> LinkedRowset::Next(Row* out) {
-  DHQP_ASSIGN_OR_RETURN(bool has, inner_->Next(out));
-  if (!has) {
-    DHQP_RETURN_NOT_OK(SettlePending());
-    return false;
+  if (pos_ == block_.rows.size()) {
+    pos_ = 0;
+    DHQP_ASSIGN_OR_RETURN(bool has, Fetch(&block_, batch_rows_));
+    if (!has) return false;
   }
-  batch_bytes_ += RowWireSize(*out);
-  if (++in_batch_ >= batch_rows_) {
-    DHQP_RETURN_NOT_OK(SettlePending());
-  }
+  *out = std::move(block_.rows[pos_++]);
   return true;
 }
 
 Result<bool> LinkedRowset::NextBatch(RowBatch* out, int max_rows) {
-  // Switching to block fetch settles any rows pulled incrementally through
-  // Next() first, so every shipped row lands in exactly one message.
-  DHQP_RETURN_NOT_OK(SettlePending());
-  DHQP_ASSIGN_OR_RETURN(bool has, inner_->NextBatch(out, max_rows));
-  if (!has) return false;
-  size_t bytes = 0;
-  for (const Row& row : out->rows) bytes += RowWireSize(row);
-  DHQP_RETURN_NOT_OK(link_->SendMessage(bytes));
-  link_->ChargeRows(static_cast<int64_t>(out->rows.size()), 0);
-  return true;
+  if (pos_ == block_.rows.size()) return Fetch(out, max_rows);
+  // The rest of a block Next() started: already fetched and charged.
+  out->clear();
+  while (pos_ < block_.rows.size() &&
+         static_cast<int>(out->rows.size()) < max_rows) {
+    out->rows.push_back(std::move(block_.rows[pos_++]));
+  }
+  return !out->rows.empty();
+}
+
+Status LinkedRowset::Restart() {
+  DHQP_RETURN_NOT_OK(inner_->Restart());
+  block_.clear();
+  pos_ = 0;
+  error_ = Status::OK();
+  return Status::OK();
 }
 
 }  // namespace net

@@ -197,13 +197,18 @@ class Link {
   metrics::Counter* m_faults_ = nullptr;
 };
 
-/// Wraps a rowset so that rows streaming through it are charged to a link
-/// in batches. Used by remote providers to account (and pace) result
-/// shipping.
+/// Wraps a provider rowset so that its rows cross a link in blocks. Every
+/// row it hands on came in a block that one SendMessage fetched and charged
+/// — one message carrying the block's bytes, then the block's rows — before
+/// any of the block's rows surfaced. A fetch that fails (the message after
+/// its retries, or the provider) hands on none of its rows, and the stream
+/// keeps failing with that error until Restart: the provider has moved past
+/// the lost block, so serving the next one would skip it. Used by remote
+/// providers to account (and pace) result shipping.
 class LinkedRowset : public Rowset {
  public:
-  /// `batch_rows` models the provider's fetch batch size: every batch costs
-  /// one message plus bandwidth.
+  /// `batch_rows` is the provider's fetch block for row-at-a-time reads:
+  /// Next() serves rows from blocks of this many rows.
   LinkedRowset(std::unique_ptr<Rowset> inner, Link* link, int batch_rows = 64)
       : inner_(std::move(inner)), link_(link), batch_rows_(batch_rows) {}
 
@@ -211,26 +216,25 @@ class LinkedRowset : public Rowset {
 
   Result<bool> Next(Row* out) override;
 
-  /// Block fetch: one batch costs exactly one round trip (ChargeMessage)
-  /// plus one ChargeRows — this is where batching beats row-at-a-time
-  /// streaming on a high-latency link.
+  /// Block fetch: serves the rest of the block Next() started, if any, and
+  /// otherwise fetches a block of up to `max_rows` rows in one round trip —
+  /// where batching beats row-at-a-time streaming on a high-latency link.
   Result<bool> NextBatch(RowBatch* out, int max_rows) override;
 
-  Status Restart() override {
-    in_batch_ = 0;
-    batch_bytes_ = 0;
-    return inner_->Restart();
-  }
+  Status Restart() override;
 
  private:
-  /// Charges any rows pulled incrementally through Next() as one message.
-  Status SettlePending();
+  /// Fetches up to `max_rows` rows from the provider into `out` and charges
+  /// them to the link; on any failure leaves `out` empty and fails the
+  /// stream.
+  Result<bool> Fetch(RowBatch* out, int max_rows);
 
   std::unique_ptr<Rowset> inner_;
   Link* link_;
   int batch_rows_;
-  int in_batch_ = 0;
-  size_t batch_bytes_ = 0;
+  RowBatch block_;  ///< The block Next() serves from.
+  size_t pos_ = 0;  ///< Next row of block_ to hand on.
+  Status error_;    ///< The failed fetch's error, until Restart.
 };
 
 }  // namespace net

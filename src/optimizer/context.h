@@ -47,10 +47,6 @@ struct OptimizerOptions {
   /// Multi-phase search (§4.1.1): transaction-processing, quick plan, full
   /// optimization. When false, a single full pass runs.
   bool multi_phase = true;
-  double tp_phase_cost_threshold = 500;
-  double quick_phase_cost_threshold = 100000;
-
-  int max_exploration_rounds = 12;  ///< Fixpoint guard per group.
 
   /// Maximum degree of parallelism for intra-query parallel plans. The
   /// engine plumbs ExecOptions::dop here (making dop part of the plan-cache

@@ -11,6 +11,14 @@ namespace dhqp {
 
 namespace {
 
+// Multi-phase search (§4.1.1): a phase's plan at or below its threshold
+// cost ends the search; the full phase always ends it.
+constexpr double kTpPhaseCostThreshold = 500;
+constexpr double kQuickPhaseCostThreshold = 100000;
+
+// Fixpoint guard on exploration rounds per group.
+constexpr int kMaxExplorationRounds = 12;
+
 // Registers column origins for every Get in the tree (needed by cardinality
 // estimation and the decoder before memo insertion).
 void RegisterOrigins(const LogicalOpPtr& tree, OptimizerContext* ctx) {
@@ -185,11 +193,9 @@ Result<OptimizeResult> Optimizer::Optimize(
     ctx_->run_stats()->phases_run++;
     ctx_->run_stats()->phase_name = OptPhaseName(phase);
     double threshold =
-        phase == OptPhase::kTransactionProcessing
-            ? ctx_->options().tp_phase_cost_threshold
-            : phase == OptPhase::kQuickPlan
-                  ? ctx_->options().quick_phase_cost_threshold
-                  : -1;
+        phase == OptPhase::kTransactionProcessing ? kTpPhaseCostThreshold
+        : phase == OptPhase::kQuickPlan           ? kQuickPhaseCostThreshold
+                                                  : -1;
     if (threshold >= 0 && final.cost <= threshold) break;
     if (phase == OptPhase::kFull) break;
   }
@@ -210,7 +216,7 @@ void Optimizer::ExploreGroup(int gid) {
   const auto& rules = ExplorationRules();
   int rounds = 0;
   bool changed = true;
-  while (changed && rounds++ < ctx_->options().max_exploration_rounds &&
+  while (changed && rounds++ < kMaxExplorationRounds &&
          memo_.num_exprs() < ctx_->options().max_memo_exprs) {
     changed = false;
     for (size_t i = 0; i < memo_.group(gid).exprs.size(); ++i) {
@@ -1114,7 +1120,7 @@ Status Optimizer::ImplementJoin(int gid, const GroupExpr& expr,
             auto left = OptimizeGroup(left_gid, PhysicalProps{});
             if (left.ok()) {
               auto inner = NewPhysicalOp(PhysicalOpKind::kRemoteQuery);
-              inner->source_id = loc;
+              inner->table.source_id = loc;
               inner->table.server_name = ctx_->catalog()->ServerName(loc);
               inner->remote_sql = decoded->sql;
               inner->remote_param_names = decoded->params;
@@ -1247,7 +1253,7 @@ Status Optimizer::TryBuildRemoteQuery(int gid, const PhysicalProps& required,
     auto decoded = decoder_.Decode(tree, caps, order);
     if (!decoded.ok()) return;
     auto op = NewPhysicalOp(PhysicalOpKind::kRemoteQuery);
-    op->source_id = loc;
+    op->table.source_id = loc;
     op->table.server_name = ctx_->catalog()->ServerName(loc);
     op->remote_sql = decoded->sql;
     op->remote_param_names = decoded->params;

@@ -90,7 +90,8 @@ struct PhysicalOp {
   std::vector<std::string> output_names;
   ///@}
 
-  // Scans (local + remote).
+  // Scans (local + remote). A remote query keeps its linked server here
+  // too (source_id, server_name), like every other remote operator.
   ResolvedTable table;
   std::string alias;
   std::string index_name;
@@ -121,7 +122,6 @@ struct PhysicalOp {
   std::vector<Row> const_rows;
 
   // kRemoteQuery.
-  int source_id = kLocalSource;
   std::string remote_sql;
   /// Parameter names the remote statement references; bound from the
   /// execution context at dispatch.

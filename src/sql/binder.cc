@@ -671,13 +671,8 @@ Result<ScalarExprPtr> Binder::BindExpr(const Expr& expr, const Scope& scope) {
       return ScalarExprPtr(out);
     }
     case ExprKind::kIsNull: {
-      auto out = std::make_shared<ScalarExpr>();
-      out->kind = ScalarKind::kIsNull;
-      out->negated = expr.negated;
-      out->type = DataType::kBool;
       DHQP_ASSIGN_OR_RETURN(ScalarExprPtr x, BindExpr(*expr.args[0], scope));
-      out->args.push_back(std::move(x));
-      return ScalarExprPtr(out);
+      return MakeIsNull(std::move(x), expr.negated);
     }
     case ExprKind::kCast: {
       auto out = std::make_shared<ScalarExpr>();
@@ -792,8 +787,16 @@ Result<LogicalOpPtr> Binder::ApplySubqueryPredicate(LogicalOpPtr tree,
       item = MakeColumn(id, registry_->TypeOf(id), "subq");
     }
     DHQP_ASSIGN_OR_RETURN(ScalarExprPtr probe, BindExpr(*pred.args[0], scope));
-    join_pred = MakeAnd(std::move(join_pred),
-                        MakeComparison("=", std::move(probe), std::move(item)));
+    ScalarExprPtr match = MakeComparison("=", probe, item);
+    if (anti) {
+      // probe NOT IN (...) is false or unknown — the row goes — as soon as
+      // one item makes probe = item true or unknown, so the anti join
+      // matches on probe = item OR probe IS NULL OR item IS NULL. An empty
+      // subquery still keeps every row, a NULL probe included.
+      match = MakeOr(MakeOr(std::move(match), MakeIsNull(std::move(probe))),
+                     MakeIsNull(std::move(item)));
+    }
+    join_pred = MakeAnd(std::move(join_pred), std::move(match));
   }
   if (join_pred == nullptr) join_pred = MakeLiteral(Value::Bool(true));
 

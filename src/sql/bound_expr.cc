@@ -139,6 +139,13 @@ ScalarExprPtr MakeOr(ScalarExprPtr lhs, ScalarExprPtr rhs) {
   return MakeBinary("OR", std::move(lhs), std::move(rhs), DataType::kBool);
 }
 
+ScalarExprPtr MakeIsNull(ScalarExprPtr arg, bool negated) {
+  auto e = NewExpr(ScalarKind::kIsNull, DataType::kBool);
+  e->negated = negated;
+  e->args.push_back(std::move(arg));
+  return e;
+}
+
 void SplitConjuncts(const ScalarExprPtr& pred,
                     std::vector<ScalarExprPtr>* out) {
   if (pred == nullptr) return;

@@ -74,6 +74,8 @@ ScalarExprPtr MakeComparison(std::string op, ScalarExprPtr lhs,
                              ScalarExprPtr rhs);
 ScalarExprPtr MakeAnd(ScalarExprPtr lhs, ScalarExprPtr rhs);
 ScalarExprPtr MakeOr(ScalarExprPtr lhs, ScalarExprPtr rhs);
+/// x IS NULL, or x IS NOT NULL when `negated`.
+ScalarExprPtr MakeIsNull(ScalarExprPtr arg, bool negated = false);
 ///@}
 
 /// Splits a predicate into its top-level conjuncts ("splitting predicates",

@@ -17,8 +17,6 @@ namespace {
 /// not a SQL archive; the fingerprint hashes the full text.
 constexpr size_t kStatementCap = 512;
 
-thread_local RequestState* t_current_request = nullptr;
-
 }  // namespace
 
 const char* PhaseName(RequestPhase phase) {
@@ -86,21 +84,11 @@ RequestScope::RequestScope(const std::string& engine,
                            const std::string& activity_id,
                            const std::string& statement, int dop)
     : state_(RequestRegistry::Global().Register(engine, activity_id, statement,
-                                                dop)),
-      prev_(t_current_request) {
-  t_current_request = state_.get();
-}
+                                                dop)) {}
 
 RequestScope::~RequestScope() {
   state_->SetPhase(RequestPhase::kFinished);
   RequestRegistry::Global().Unregister(state_->request_id);
-  t_current_request = prev_;
-}
-
-void PublishCurrentRequestProfile(
-    const std::shared_ptr<const OperatorProfile>& profile) {
-  if (t_current_request == nullptr) return;
-  t_current_request->set_profile(profile);
 }
 
 int64_t RowsProcessed(const OperatorProfile& root) {

@@ -99,9 +99,9 @@ struct RequestState {
     phase.store(static_cast<int>(p), std::memory_order_relaxed);
   }
 
-  /// The root of the executing profile tree, published by ExecutePlan just
-  /// before Open. Null until execution starts (and for DDL/DML). Shared
-  /// ownership so a snapshot outlives the query.
+  /// The root of the executing profile tree, published by ExecutePlan (via
+  /// ExecContext::request) just before Open. Null until execution starts
+  /// (and for DDL/DML). Shared ownership so a snapshot outlives the query.
   std::shared_ptr<const OperatorProfile> profile() const;
   void set_profile(std::shared_ptr<const OperatorProfile> p);
 
@@ -135,9 +135,7 @@ class RequestRegistry {
 };
 
 /// RAII registration installed by Engine::Execute for the statement's full
-/// lifetime. Also publishes the state as the calling thread's *current
-/// request* (innermost wins, like activity::Scope) so the executor's
-/// profile publication reaches it without plumbing.
+/// lifetime.
 class RequestScope {
  public:
   RequestScope(const std::string& engine, const std::string& activity_id,
@@ -151,13 +149,7 @@ class RequestScope {
 
  private:
   std::shared_ptr<RequestState> state_;
-  RequestState* prev_ = nullptr;
 };
-
-/// Hands the executing profile tree to the thread's current request so
-/// dm_exec_requests can read live row counts. Called by ExecutePlan.
-void PublishCurrentRequestProfile(
-    const std::shared_ptr<const OperatorProfile>& profile);
 
 /// Live rows produced so far, summed over every operator in the tree.
 /// Monotonically non-decreasing while the query runs: profile counters

@@ -2,10 +2,13 @@
 // under exec_batch_rows in {1024, 1, 3} — the production default (the
 // baseline), the degenerate one-row batch, and a deliberately awkward size
 // that never aligns with operator buffers — and must produce identical
-// result multisets, warnings, and ExecStats row counts. Covers a fixed
-// semantics corpus (NULL logic, aggregates, DISTINCT, joins, LIKE, TOP,
-// subqueries with Restart mid-batch), randomly generated distributed
-// queries, and a seeded fault schedule on the remote link.
+// result multisets, warnings, and ExecStats row counts. Where remote rows
+// are compared, the link messages and wire rows must agree too, with the
+// prefetch pipeline on and off: a remote stream's wire blocks never depend
+// on the local batch size. Covers a fixed semantics corpus (NULL logic,
+// aggregates, DISTINCT, joins, LIKE, TOP, subqueries with Restart
+// mid-batch), randomly generated distributed queries, and a seeded fault
+// schedule on the remote link.
 
 #include <set>
 #include <string>
@@ -20,6 +23,9 @@ namespace {
 
 // The first size is the baseline every other size is compared against.
 const int kBatchSizes[] = {1024, 1, 3};
+
+// Remote streams read through the prefetch pipeline, then inline.
+const bool kPrefetchModes[] = {true, false};
 
 // Failure-message label and comparison via the shared harness.
 void ExpectEquivalent(const Observation& base, const Observation& obs,
@@ -86,19 +92,24 @@ TEST_F(BatchExecTest, SemanticsCorpusIsBatchSizeInvariant) {
       "SELECT t.id, r.e FROM t, rsrv.db.dbo.r r "
       "WHERE t.id = r.a AND r.e > 150 ORDER BY t.id",
       "SELECT 1 / 0",  // Errors must be batch-size-invariant too.
+      "SELECT TOP 2 a FROM rsrv.db.dbo.r",
+      "SELECT r.a FROM rsrv.db.dbo.r r WHERE r.a > 2 ORDER BY r.a",
   };
-  for (const char* sql : kCorpus) {
-    Observation base;
-    for (int bs : kBatchSizes) {
-      Observation obs = Observe(&host_, sql, bs);
-      if (bs == kBatchSizes[0]) {
-        base = obs;
-      } else {
-        ExpectEquivalent(base, obs, sql, bs);
-      }
-      if (obs.ok && obs.rows_output > 0) {
-        // The sink pulled real batches.
-        EXPECT_GT(obs.exec_batches, 0) << sql;
+  for (bool prefetch : kPrefetchModes) {
+    host_.options()->execution.enable_remote_prefetch = prefetch;
+    for (const char* sql : kCorpus) {
+      Observation base;
+      for (int bs : kBatchSizes) {
+        Observation obs = Observe(&host_, sql, bs);
+        if (bs == kBatchSizes[0]) {
+          base = obs;
+        } else {
+          ExpectEquivalent(base, obs, sql, bs);
+        }
+        if (obs.ok && obs.rows_output > 0) {
+          // The sink pulled real batches.
+          EXPECT_GT(obs.exec_batches, 0) << sql;
+        }
       }
     }
   }
@@ -124,6 +135,42 @@ TEST_F(BatchExecTest, SubqueryRestartMidBatchIsBatchSizeInvariant) {
       // Semi-join early termination can legitimately pull a different
       // number of remote rows per mode; the answer may not change.
       ExpectEquivalent(base, obs, sql, bs, /*compare_remote_rows=*/false);
+    }
+  }
+}
+
+// Remote streams that span several wire blocks — read to the end, merged
+// row by row, probed by a semi join, cut short by a TOP — keep their link
+// messages and wire rows at every batch size, prefetched or inline.
+TEST_F(BatchExecTest, MultiBlockRemoteStreamsAreBatchSizeInvariant) {
+  std::string values;
+  for (int i = 0; i < 300; ++i) {
+    if (i) values += ",";
+    values += "(" + std::to_string(i) + "," + std::to_string(i % 97) + ")";
+  }
+  for (Engine* e : {&host_, remote_.engine.get()}) {
+    MustExecute(e, "CREATE TABLE big (a INT PRIMARY KEY, k INT)");
+    MustExecute(e, "INSERT INTO big VALUES " + values);
+    MustExecute(e, "CREATE INDEX big_k ON big (k)");
+  }
+  const char* kQueries[] = {
+      "SELECT a, k FROM rsrv.db.dbo.big WHERE a >= 10",
+      "SELECT l.a, r.a FROM big l JOIN rsrv.db.dbo.big r ON l.k = r.k "
+      "ORDER BY l.k",
+      "SELECT a FROM big WHERE k IN "
+      "(SELECT r.k FROM rsrv.db.dbo.big r WHERE r.a < 200)",
+      "SELECT TOP 70 a FROM rsrv.db.dbo.big",
+  };
+  for (bool prefetch : kPrefetchModes) {
+    host_.options()->execution.enable_remote_prefetch = prefetch;
+    for (const char* sql : kQueries) {
+      Observation base = Observe(&host_, sql, kBatchSizes[0]);
+      EXPECT_TRUE(base.ok) << sql;
+      EXPECT_GE(base.wire_rows, base.rows_from_remote) << sql;
+      for (int bs : kBatchSizes) {
+        if (bs == kBatchSizes[0]) continue;
+        ExpectEquivalent(base, Observe(&host_, sql, bs), sql, bs);
+      }
     }
   }
 }
@@ -187,11 +234,14 @@ TEST_P(BatchDifferentialTest, RandomQueriesAgreeAcrossBatchSizes) {
       GetParam(), {{"t1", "t1"}, {"t2", "t2"}, {"rsrv.db.dbo.r", "r"}});
   for (int q = 0; q < 20; ++q) {
     std::string sql = generator.Next();
-    Observation base = Observe(&host, sql, kBatchSizes[0]);
-    for (int bs : kBatchSizes) {
-      if (bs == kBatchSizes[0]) continue;
-      Observation obs = Observe(&host, sql, bs);
-      ExpectEquivalent(base, obs, sql, bs);
+    for (bool prefetch : kPrefetchModes) {
+      host.options()->execution.enable_remote_prefetch = prefetch;
+      Observation base = Observe(&host, sql, kBatchSizes[0]);
+      for (int bs : kBatchSizes) {
+        if (bs == kBatchSizes[0]) continue;
+        Observation obs = Observe(&host, sql, bs);
+        ExpectEquivalent(base, obs, sql, bs);
+      }
     }
   }
 }
@@ -200,10 +250,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferentialTest,
                          ::testing::Values(1, 2, 3, 4));
 
 // ---------------------------------------------------------------------------
-// Seeded fault schedules: the outcome (success fingerprint or error code)
-// must not depend on the local batch size, because remote block-fetch
-// granularity — and with it the wire-message ordinals the injector scripts
-// against — stays clamped to remote_batch_rows in every mode.
+// Seeded fault schedules: the outcome (success fingerprint or error code),
+// and on success the link messages and wire rows, must not depend on the
+// local batch size, because a remote stream's wire blocks — and with them
+// the message ordinals the injector scripts against — are the prefetch
+// producer's remote_batch_rows-row blocks or, inline, the provider's own.
 // ---------------------------------------------------------------------------
 
 TEST(BatchExecFaultTest, FaultScheduleOutcomesAreBatchSizeInvariant) {
@@ -224,32 +275,40 @@ TEST(BatchExecFaultTest, FaultScheduleOutcomesAreBatchSizeInvariant) {
   // (schema/statistics fetches) does not consume scripted ordinals.
   MustExecute(&host, sql);
 
-  for (uint64_t schedule = 0; schedule < 6; ++schedule) {
-    const uint64_t seed = ChaosSeed(/*suite_tag=*/0xBA7C4, schedule);
-    Rng rng(seed);
-    const int64_t after = rng.Uniform(0, 6);
-    const int64_t count = rng.Uniform(1, 4);
-    const bool down = rng.Uniform(0, 3) == 0;
+  for (bool prefetch : kPrefetchModes) {
+    host.options()->execution.enable_remote_prefetch = prefetch;
+    for (uint64_t schedule = 0; schedule < 6; ++schedule) {
+      const uint64_t seed = ChaosSeed(/*suite_tag=*/0xBA7C4, schedule);
+      Rng rng(seed);
+      const int64_t after = rng.Uniform(0, 6);
+      const int64_t count = rng.Uniform(1, 4);
+      const bool down = rng.Uniform(0, 3) == 0;
 
-    Observation base;
-    bool first = true;
-    for (int bs : kBatchSizes) {
-      remote.injector->Reset(seed);
-      if (down) {
-        remote.injector->LinkDownAfter(after);
-      } else {
-        remote.injector->FailMessages(after, count);
+      Observation base;
+      bool first = true;
+      for (int bs : kBatchSizes) {
+        // Every mode starts from a live session: a failed run drops the
+        // cached sessions, and the reconnect handshake would cost the next
+        // mode alone a message and shift its fault ordinals by one.
+        MustExecute(&host, sql);
+        remote.injector->Reset(seed);
+        if (down) {
+          remote.injector->LinkDownAfter(after);
+        } else {
+          remote.injector->FailMessages(after, count);
+        }
+        Observation obs = Observe(&host, sql, bs);
+        remote.injector->Reset();
+        if (first) {
+          base = obs;
+          first = false;
+          continue;
+        }
+        ExpectEquivalent(base, obs,
+                         sql + " [schedule " + std::to_string(schedule) +
+                             (prefetch ? ", prefetch]" : ", inline]"),
+                         bs);
       }
-      Observation obs = Observe(&host, sql, bs);
-      remote.injector->Reset();
-      if (first) {
-        base = obs;
-        first = false;
-        continue;
-      }
-      ExpectEquivalent(base, obs, sql + " [schedule " +
-                                      std::to_string(schedule) + "]",
-                       bs);
     }
   }
 }

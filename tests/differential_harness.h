@@ -63,6 +63,10 @@ struct Observation {
   std::string warnings;
   int64_t rows_output = 0;
   int64_t rows_from_remote = 0;
+  /// Link messages and the rows they carried, summed over the operator
+  /// tree's link_charges (only remote operators charge a link).
+  int64_t link_messages = 0;
+  int64_t wire_rows = 0;
   int64_t exec_batches = 0;
   int64_t parallel_branches = 0;  ///< Exchange workers + Concat branches.
   int exchange_ops = 0;           ///< Exchange operators in the chosen plan.
@@ -106,6 +110,10 @@ inline Observation Observe(Engine* host, const std::string& sql,
   EXPECT_NE(result->profile, nullptr) << sql << " (" << mode.Label() << ")";
   if (result->profile != nullptr) {
     SumProfileWaits(*result->profile, &obs.profile_wait_totals);
+    for (const FlatOperator& f : FlattenOperatorProfile(*result->profile)) {
+      obs.link_messages += f.op->link_charges.messages.load();
+      obs.wire_rows += f.op->link_charges.rows.load();
+    }
   }
   return obs;
 }
@@ -117,7 +125,8 @@ inline Observation Observe(Engine* host, const std::string& sql,
 }
 
 /// Asserts the mode-invariant parts of two observations agree. `mode` names
-/// the non-base mode in failure messages. Remote row counts are optionally
+/// the non-base mode in failure messages. Remote row counts — rows handed
+/// on by remote operators, link messages and wire rows — are optionally
 /// excluded: semi-join early termination may legitimately pull a different
 /// number of remote rows per mode without changing the answer.
 inline void ExpectEquivalent(const Observation& base, const Observation& obs,
@@ -134,6 +143,9 @@ inline void ExpectEquivalent(const Observation& base, const Observation& obs,
   if (compare_remote_rows) {
     EXPECT_EQ(base.rows_from_remote, obs.rows_from_remote)
         << sql << " (" << mode << ")";
+    EXPECT_EQ(base.link_messages, obs.link_messages)
+        << sql << " (" << mode << ")";
+    EXPECT_EQ(base.wire_rows, obs.wire_rows) << sql << " (" << mode << ")";
   }
 }
 

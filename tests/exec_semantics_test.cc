@@ -140,6 +140,38 @@ TEST_F(ExecSemanticsTest, InListWithNullSemantics) {
   EXPECT_EQ(r.rowset->rows().size(), 0u);
 }
 
+// x NOT IN (SELECT y ...) is false or unknown — the row goes — as soon as
+// some y equals x or either side is NULL; only an empty subquery keeps a
+// NULL x. The same answers with the subquery's table local and on a linked
+// engine.
+TEST_F(ExecSemanticsTest, NotInSubqueryNullSemantics) {
+  RemoteServer remote = AttachRemoteEngine(&engine_, "rsrv");
+  for (Engine* e : {&engine_, remote.engine.get()}) {
+    MustExecute(e, "CREATE TABLE u (k INT)");
+    MustExecute(e, "INSERT INTO u VALUES (10), (NULL)");
+  }
+  struct Case {
+    const char* subquery_where;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {"", ""},                       // A NULL item: nothing survives.
+      {" WHERE k IS NOT NULL", "(3)"},  // NULL v is unknown against 10.
+      {" WHERE k > 100", "(1)(2)(3)(4)"},  // Empty: every row survives.
+  };
+  for (const char* u : {"u", "rsrv.db.dbo.u"}) {
+    for (const Case& c : cases) {
+      const std::string sql = std::string("SELECT id FROM t WHERE v NOT IN ") +
+                              "(SELECT k FROM " + u + c.subquery_where +
+                              ") ORDER BY id";
+      QueryResult r = MustExecute(&engine_, sql);
+      EXPECT_EQ(RowsToString(r), c.expected) << sql;
+      // The anti join's predicate has no equi-key.
+      EXPECT_EQ(CountOps(r.plan, PhysicalOpKind::kNestedLoopsJoin), 1) << sql;
+    }
+  }
+}
+
 TEST_F(ExecSemanticsTest, StringConcatenationAndFunctions) {
   QueryResult r = MustExecute(
       &engine_,

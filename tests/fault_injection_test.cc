@@ -245,7 +245,7 @@ TEST(LinkedRowsetFaultTest, TransientFaultsChargeMessagesButRowsOnce) {
       std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link,
       /*batch_rows=*/64);
 
-  // Fault-free drain: 200 rows at batch 64 -> 3 full settles + final settle.
+  // Fault-free drain: 200 rows in 64-row blocks -> 3 full + 1 partial.
   auto drained = DrainRowset(&rowset);
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
   ASSERT_EQ(drained->size(), 200u);
@@ -293,10 +293,10 @@ TEST(LinkedRowsetFaultTest, RestartNextBatchInterleavingsUnderFaults) {
   // 4 block messages plus the one faulted attempt.
   EXPECT_EQ(stats.messages, 5);
 
-  // Interleave: restart, pull a few rows through Next() (pending,
-  // unsettled), then Restart again and re-drain in blocks. The pending rows
-  // are discarded by the second Restart without ever being settled, so the
-  // final totals are exactly one extra full drain.
+  // Interleave: restart, pull a few rows through Next(), then Restart again
+  // and re-drain in blocks. The first Next() fetched and charged a whole
+  // 64-row provider block before handing on a row, so the abandoned read
+  // pays for that block and the re-drain for every row once more.
   ASSERT_OK(rowset.Restart());
   Row row;
   for (int i = 0; i < 10; ++i) {
@@ -313,7 +313,8 @@ TEST(LinkedRowsetFaultTest, RestartNextBatchInterleavingsUnderFaults) {
     total += static_cast<int64_t>(batch.size());
   }
   EXPECT_EQ(total, 200);
-  EXPECT_EQ(link.stats().rows, 400);  // Exactly two drains, no double count.
+  // Two drains plus the one block read before the restart.
+  EXPECT_EQ(link.stats().rows, 200 + 64 + 200);
 }
 
 TEST(LinkedRowsetFaultTest, RestartRecoversAfterExhaustedRetries) {
@@ -628,6 +629,53 @@ TEST(EndToEndFaultTest, LinkDownSurfacesAttributedErrorAndEngineRecovers) {
   EXPECT_EQ(RowsToString(MustExecute(&host, "SELECT a FROM r.d.s.t")), "(5)");
 }
 
+// The wire rule end to end: a remote operator hands on only rows from a
+// block that one message fetched and charged. A TOP that stops inside the
+// first block has still paid for that block, so its wire rows cover its
+// rows out, and with the link down after the open it fails — inline and
+// prefetched alike — instead of returning rows no message carried.
+TEST(EndToEndFaultTest, RemoteRowsArriveOnlyInChargedBlocks) {
+  Engine host;
+  // Keep execution the only fallible phase: with the plan cached, the
+  // statement's first message is the remote query's open.
+  host.options()->delayed_schema_validation = false;
+  RemoteServer remote = AttachRemoteEngine(&host, "rsrv");
+  MustExecute(remote.engine.get(), "CREATE TABLE r (a INT, e INT)");
+  std::string insert = "INSERT INTO r VALUES ";
+  for (int i = 0; i < 200; ++i) {
+    if (i) insert += ",";
+    insert += "(" + std::to_string(i) + "," + std::to_string(i % 7) + ")";
+  }
+  MustExecute(remote.engine.get(), insert);
+  const std::string sql = "SELECT TOP 10 a FROM rsrv.db.dbo.r";
+  for (bool prefetch : {false, true}) {
+    host.options()->execution.enable_remote_prefetch = prefetch;
+    const std::string mode = prefetch ? "prefetch" : "inline";
+    // Fault-free (and reconnecting after the previous mode's failure).
+    const int64_t rows_before = remote.link->stats().rows;
+    QueryResult ok = MustExecute(&host, sql);
+    EXPECT_EQ(ok.rowset->rows().size(), 10u) << mode;
+    EXPECT_EQ(CountOps(ok.plan, PhysicalOpKind::kRemoteQuery), 1) << mode;
+    int64_t wire_rows = 0;
+    for (const FlatOperator& f : FlattenOperatorProfile(*ok.profile)) {
+      if (!IsRemoteOp(f.op->kind)) continue;
+      const int64_t charged = f.op->link_charges.rows.load();
+      EXPECT_GE(charged, f.op->rows_out.load()) << mode << " " << f.op->name;
+      wire_rows += charged;
+    }
+    EXPECT_GE(wire_rows, 10) << mode;
+    EXPECT_EQ(wire_rows, remote.link->stats().rows - rows_before) << mode;
+
+    remote.injector->Reset();
+    remote.injector->LinkDownAfter(1);
+    auto failed = host.Execute(sql);
+    remote.injector->Reset();
+    ASSERT_FALSE(failed.ok()) << mode;
+    EXPECT_EQ(failed.status().code(), StatusCode::kNetworkError) << mode;
+    EXPECT_EQ(QueryWorkers::live(), 0) << mode;
+  }
+}
+
 TEST(EndToEndFaultTest, DropRemoteSessionsForcesReconnect) {
   Engine host;
   RemoteServer remote = AttachRemoteEngine(&host, "r");
@@ -740,10 +788,10 @@ TEST_F(DegradationTest, KnobOnStillFailsWhenMemberDiesMidStream) {
   host_.options()->execution.skip_unreachable_members = true;
   host_.options()->execution.enable_remote_prefetch = false;
   // Grow the member past one wire block (64 rows) so the scan spans several
-  // settles: ordinal 0 is the open/execute message, ordinal 1 the first
-  // block's settle (64 rows delivered to the consumer), ordinal 2 the next
-  // settle — by then rows have already surfaced, so the skip must be
-  // refused even with the knob on.
+  // blocks: ordinal 0 is the open/execute message, ordinal 1 the first
+  // block (64 rows, charged and then delivered to the consumer), ordinal 2
+  // the next block — by then rows have already surfaced, so the skip must
+  // be refused even with the knob on.
   for (int i = 20; i < 120; ++i) {
     MustExecute(servers_[1].engine.get(),
                 "INSERT INTO part (id, v) VALUES (" +
@@ -751,6 +799,11 @@ TEST_F(DegradationTest, KnobOnStillFailsWhenMemberDiesMidStream) {
   }
   for (int dop : {1, 4}) {
     host_.options()->execution.concat_dop = dop;
+    servers_[1].injector->Reset();
+    // Reconnect before arming the fault: the previous failure dropped the
+    // cached sessions, and a new session's handshake would take ordinal 0,
+    // so the link would die on the first block, before any row surfaced.
+    MustExecute(&host_, kQuery);
     servers_[1].injector->Reset();
     servers_[1].injector->LinkDownAfter(2);
     auto result = host_.Execute(kQuery);

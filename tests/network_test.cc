@@ -111,27 +111,29 @@ TEST(LinkTest, MixedNextAndNextBatchSettlesPartialBatch) {
   net::LinkedRowset rowset(
       std::make_unique<VectorRowset>(schema, rows), &link, /*batch_rows=*/64);
 
-  // Row-at-a-time pulls accumulate into an open (uncharged) batch...
+  // The first row-at-a-time pull fetches and charges a provider block (up
+  // to 64 rows: all 10 here) before it hands on any row...
   Row row;
   for (int i = 0; i < 3; ++i) {
     auto has = rowset.Next(&row);
     ASSERT_TRUE(has.ok());
     ASSERT_TRUE(*has);
   }
-  EXPECT_EQ(link.stats().messages, 0);
-  // ...then the first block fetch settles the open batch before charging
-  // its own round trip, so no pulled row goes unaccounted.
+  EXPECT_EQ(link.stats().messages, 1);
+  EXPECT_EQ(link.stats().rows, 10);
+  // ...then a block fetch serves the rest of that paid block without
+  // another round trip, so every row lands in exactly one message.
   RowBatch batch;
   auto has = rowset.NextBatch(&batch, 100);
   ASSERT_TRUE(has.ok());
   ASSERT_TRUE(*has);
   EXPECT_EQ(batch.size(), 7u);
-  EXPECT_EQ(link.stats().messages, 2);  // Settled tail + the block fetch.
+  EXPECT_EQ(link.stats().messages, 1);
   has = rowset.NextBatch(&batch, 100);
   ASSERT_TRUE(has.ok());
   EXPECT_FALSE(*has);
   EXPECT_EQ(link.stats().rows, 10);
-  EXPECT_EQ(link.stats().messages, 2);  // End of stream adds nothing.
+  EXPECT_EQ(link.stats().messages, 1);  // End of stream adds nothing.
 }
 
 TEST(TpccFederationTest, NewOrderRoutesAndCommits) {
