@@ -176,8 +176,15 @@ Result<Value> Value::CastTo(DataType target) const {
       switch (type_) {
         case DataType::kBool:
           return Value::Int64(bool_value() ? 1 : 0);
-        case DataType::kDouble:
-          return Value::Int64(static_cast<int64_t>(double_value()));
+        case DataType::kDouble: {
+          // Only [-2^63, 2^63) truncates to an int64; a NaN, an infinity
+          // or anything else out of range has no int64 value.
+          const double d = double_value();
+          if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+            return Status::ExecutionError("arithmetic overflow");
+          }
+          return Value::Int64(static_cast<int64_t>(d));
+        }
         case DataType::kDate:
           return Value::Int64(date_value());
         case DataType::kString: {

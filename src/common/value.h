@@ -89,6 +89,8 @@ class Value {
 
   /// Casts this value to `target`, following SQL semantics for the supported
   /// conversions (numeric widening/narrowing, string parse, date<->int64).
+  /// A double outside the int64 range, or NaN, fails to cast to int64 with
+  /// an "arithmetic overflow" execution error.
   Result<Value> CastTo(DataType target) const;
 
  private:

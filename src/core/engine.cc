@@ -67,10 +67,23 @@ bool PlanTouchesSys(const PhysicalOpPtr& plan) {
 
 // Evaluates one VALUES expression (constants, @params, scalar functions).
 Result<Value> EvalInsertExpr(const Expr& expr, Catalog* catalog,
-                             const EvalEnv& env) {
+                             const std::map<std::string, Value>& params,
+                             int64_t current_date) {
   Binder binder(catalog);
   DHQP_ASSIGN_OR_RETURN(ScalarExprPtr bound, binder.BindValueExpr(expr));
-  return EvalExpr(*bound, env);
+  CompiledExpr program(*bound, EvalLayout{});
+  program.Bind(params, current_date);
+  return program.EvalRow(EvalInput{});
+}
+
+// `expr` cast to `type`, as an UPDATE assigns it to a column of that type.
+ScalarExprPtr CastForColumn(ScalarExprPtr expr, DataType type) {
+  auto cast = std::make_shared<ScalarExpr>();
+  cast->kind = ScalarKind::kCast;
+  cast->type = type;
+  cast->cast_type = type;
+  cast->args.push_back(std::move(expr));
+  return cast;
 }
 
 // Expands (column-list, rows) into full schema-ordered rows; unlisted
@@ -476,15 +489,19 @@ Result<std::vector<std::pair<int64_t, Row>>> Engine::MatchDmlRows(
   for (size_t i = 0; i < column_ids->size(); ++i) {
     positions[(*column_ids)[i]] = static_cast<int>(i);
   }
-  EvalEnv env;
-  env.col_pos = &positions;
-  env.params = &params;
-  env.current_date = options_.current_date;
+  std::vector<Row> rows;
+  rows.reserve(live.size());
+  for (auto& entry : live) rows.push_back(std::move(entry.second));
+  CompiledExpr program(*pred, EvalLayout{&positions});
+  program.Bind(params, options_.current_date);
+  SelectionVector pass;
+  DHQP_RETURN_NOT_OK(
+      program.Select(EvalInput{&rows}, nullptr, rows.size(), &pass));
   std::vector<std::pair<int64_t, Row>> matched;
-  for (auto& [id, row] : live) {
-    env.row = &row;
-    DHQP_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*pred, env));
-    if (pass) matched.emplace_back(id, std::move(row));
+  matched.reserve(pass.size());
+  for (int i : pass) {
+    const size_t r = static_cast<size_t>(i);
+    matched.emplace_back(live[r].first, std::move(rows[r]));
   }
   return matched;
 }
@@ -539,21 +556,31 @@ Result<QueryResult> Engine::ExecuteUpdate(
   for (size_t i = 0; i < column_ids.size(); ++i) {
     positions[column_ids[i]] = static_cast<int>(i);
   }
-  EvalEnv env;
-  env.col_pos = &positions;
-  env.params = &params;
-  env.current_date = options_.current_date;
+  // Each assignment is compiled with its cast to the column type, and
+  // evaluated over all matched rows; rows before the first failing one are
+  // still updated, as row by row.
+  std::vector<Row> rows;
+  rows.reserve(matched.size());
+  for (const auto& entry : matched) rows.push_back(entry.second);
+  std::vector<CompiledExpr> programs;
+  programs.reserve(assignments.size());
+  for (const auto& [ord, expr] : assignments) {
+    programs.emplace_back(
+        *CastForColumn(expr, schema.column(static_cast<size_t>(ord)).type),
+        EvalLayout{&positions});
+    programs.back().Bind(params, options_.current_date);
+  }
+  size_t n = rows.size();
+  const Status failed = EvalEach(&programs, EvalInput{&rows}, &n);
 
   // Update as delete + reinsert (constraints and indexes re-validated); on
   // a constraint violation the original row is restored.
   QueryResult result;
-  for (auto& [id, row] : matched) {
-    env.row = &row;
+  for (size_t r = 0; r < n; ++r) {
+    const auto& [id, row] = matched[r];
     Row updated = row;
-    for (const auto& [ord, expr] : assignments) {
-      DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, env));
-      DHQP_ASSIGN_OR_RETURN(updated[static_cast<size_t>(ord)],
-                            v.CastTo(schema.column(static_cast<size_t>(ord)).type));
+    for (size_t j = 0; j < assignments.size(); ++j) {
+      updated[static_cast<size_t>(assignments[j].first)] = programs[j].Take(r);
     }
     DHQP_RETURN_NOT_OK(storage_.DeleteRow(-1, stmt.table.table, id));
     auto inserted = storage_.InsertRow(-1, stmt.table.table, updated);
@@ -564,6 +591,7 @@ Result<QueryResult> Engine::ExecuteUpdate(
     }
     ++result.rows_affected;
   }
+  DHQP_RETURN_NOT_OK(failed);
   return std::move(result);
 }
 
@@ -898,14 +926,12 @@ Result<QueryResult> Engine::ExecuteCreateView(
 Result<QueryResult> Engine::ExecuteInsert(
     const InsertStatement& stmt, const std::map<std::string, Value>& params) {
   // Evaluate the VALUES rows (constants, parameters, scalar functions).
-  EvalEnv env;
-  env.params = &params;
-  env.current_date = options_.current_date;
   std::vector<Row> rows;
   for (const auto& exprs : stmt.rows) {
     Row row;
     for (const ExprPtr& e : exprs) {
-      DHQP_ASSIGN_OR_RETURN(Value v, EvalInsertExpr(*e, catalog_.get(), env));
+      DHQP_ASSIGN_OR_RETURN(Value v, EvalInsertExpr(*e, catalog_.get(), params,
+                                                    options_.current_date));
       row.push_back(std::move(v));
     }
     rows.push_back(std::move(row));

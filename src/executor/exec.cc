@@ -4,6 +4,7 @@
 #include <atomic>
 #include <deque>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <vector>
@@ -40,14 +41,14 @@ bool SliceRows(const std::vector<Row>& rows, size_t* pos, int max_rows,
 }
 
 // Row-at-a-time view of a child's batch stream, for the operators that step
-// through their input one row at a time (hash-join probe, nested-loops and
-// merge join, stream aggregation). Rows move out of a reused buffer; an
-// empty buffer is refilled with up to `want` rows. A join that may stop
-// before its child's end of data pulls single rows where it stops on its
-// own (merge join, semi/anti inner side) and at most its caller's demand
-// elsewhere, so the rows it reads ahead — and, for a remote child, ships —
-// are bounded by what its caller asked for, not by the batch size. Reset()
-// drops buffered rows; call it whenever the child is opened or restarted.
+// through their input one row at a time (nested-loops and merge join).
+// Rows move out of a reused buffer; an empty buffer is refilled with up to
+// `want` rows. A join that may stop before its child's end of data pulls
+// single rows where it stops on its own (merge join, semi/anti inner side)
+// and at most its caller's demand elsewhere, so the rows it reads ahead —
+// and, for a remote child, ships — are bounded by what its caller asked
+// for, not by the batch size. Reset() drops buffered rows; call it
+// whenever the child is opened or restarted.
 class RowCursor {
  public:
   explicit RowCursor(ExecNode* child) : child_(child) {}
@@ -73,28 +74,73 @@ class RowCursor {
   size_t pos_ = 0;
 };
 
-// Evaluates a RangeSpec's bound expressions against the current parameters.
-Result<IndexRange> EvalRangeSpec(const RangeSpec& spec, ExecContext* ctx) {
-  EvalEnv env;
-  env.params = &ctx->params;
-  env.current_date = ctx->current_date;
-  IndexRange range;
-  for (const ScalarExprPtr& e : spec.eq_prefix) {
-    DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
-    range.eq_prefix.push_back(std::move(v));
-  }
-  if (spec.lo != nullptr) {
-    DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*spec.lo, env));
-    range.lo = std::move(v);
-    range.lo_inclusive = spec.lo_inclusive;
-  }
-  if (spec.hi != nullptr) {
-    DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*spec.hi, env));
-    range.hi = std::move(v);
-    range.hi_inclusive = spec.hi_inclusive;
-  }
-  return range;
+// An operator compiles each expression it evaluates when it is built,
+// against its input layout, and binds it to the statement's parameters at
+// every Open and Restart — nested loops write their correlation bindings
+// just before restarting the inner side. Compiling at build time, on the
+// thread that builds the tree, leaves a parallel Concat worker that only
+// evaluates a startup filter with no heap allocation to make: a thread's
+// first one sets up its allocator cache, which costs more than the filter.
+// A null expression compiles to no program.
+std::optional<CompiledExpr> Compile(const ScalarExprPtr& expr,
+                                    const EvalLayout& layout) {
+  if (expr == nullptr) return std::nullopt;
+  return CompiledExpr(*expr, layout);
 }
+
+std::vector<CompiledExpr> Compile(const std::vector<ScalarExprPtr>& exprs,
+                                  const EvalLayout& layout) {
+  std::vector<CompiledExpr> programs;
+  programs.reserve(exprs.size());
+  for (const ScalarExprPtr& e : exprs) programs.emplace_back(*e, layout);
+  return programs;
+}
+
+void Bind(std::optional<CompiledExpr>* program, const ExecContext& ctx) {
+  if (program->has_value()) (*program)->Bind(ctx.params, ctx.current_date);
+}
+
+void Bind(std::vector<CompiledExpr>* programs, const ExecContext& ctx) {
+  for (CompiledExpr& p : *programs) p.Bind(ctx.params, ctx.current_date);
+}
+
+// A RangeSpec's bound expressions: compiled with the operator, evaluated
+// against the current parameters at every Open and Restart.
+class RangeBounds {
+ public:
+  explicit RangeBounds(const RangeSpec& spec)
+      : spec_(spec), programs_(Compile(Exprs(spec), EvalLayout{})) {}
+
+  Result<IndexRange> Eval(const ExecContext& ctx) {
+    Bind(&programs_, ctx);
+    IndexRange range;
+    size_t i = 0;
+    for (; i < spec_.eq_prefix.size(); ++i) {
+      DHQP_ASSIGN_OR_RETURN(Value v, programs_[i].EvalRow(EvalInput{}));
+      range.eq_prefix.push_back(std::move(v));
+    }
+    if (spec_.lo != nullptr) {
+      DHQP_ASSIGN_OR_RETURN(range.lo, programs_[i++].EvalRow(EvalInput{}));
+      range.lo_inclusive = spec_.lo_inclusive;
+    }
+    if (spec_.hi != nullptr) {
+      DHQP_ASSIGN_OR_RETURN(range.hi, programs_[i].EvalRow(EvalInput{}));
+      range.hi_inclusive = spec_.hi_inclusive;
+    }
+    return range;
+  }
+
+ private:
+  static std::vector<ScalarExprPtr> Exprs(const RangeSpec& spec) {
+    std::vector<ScalarExprPtr> exprs = spec.eq_prefix;
+    if (spec.lo != nullptr) exprs.push_back(spec.lo);
+    if (spec.hi != nullptr) exprs.push_back(spec.hi);
+    return exprs;
+  }
+
+  const RangeSpec& spec_;
+  std::vector<CompiledExpr> programs_;
+};
 
 // Memory-charge bookkeeping for one buffering operator: accumulates bytes
 // and flushes them in chunks to the operator's profile slot and the query
@@ -353,12 +399,12 @@ class ScanNode : public ExecNode {
 class IndexRangeNode : public ExecNode {
  public:
   IndexRangeNode(PhysicalOpPtr op, ExecContext* ctx)
-      : ExecNode(std::move(op)), ctx_(ctx) {}
+      : ExecNode(std::move(op)), ctx_(ctx), bounds_(op_->range) {}
 
   Status Open() override {
     DHQP_ASSIGN_OR_RETURN(Session * session,
                           ctx_->catalog->GetSession(op_->table.source_id));
-    DHQP_ASSIGN_OR_RETURN(IndexRange range, EvalRangeSpec(op_->range, ctx_));
+    DHQP_ASSIGN_OR_RETURN(IndexRange range, bounds_.Eval(*ctx_));
     DHQP_ASSIGN_OR_RETURN(
         rowset_, session->OpenIndexRange(op_->table.metadata.name,
                                          op_->index_name, range));
@@ -373,6 +419,7 @@ class IndexRangeNode : public ExecNode {
 
  private:
   ExecContext* ctx_;
+  RangeBounds bounds_;
   std::unique_ptr<Rowset> rowset_;
 };
 
@@ -398,7 +445,8 @@ class RemoteNode : public ExecNode {
         ctx_(ctx),
         prefetch_(ctx->options.enable_remote_prefetch &&
                   op_->kind != PhysicalOpKind::kRemoteRange &&
-                  op_->remote_param_names.empty()) {}
+                  op_->remote_param_names.empty()),
+        bounds_(op_->range) {}
 
   Status Open() override {
     DHQP_ASSIGN_OR_RETURN(rowset_, OpenStream());
@@ -436,7 +484,7 @@ class RemoteNode : public ExecNode {
       return session->OpenRowset(op_->table.metadata.name);
     }
     if (op_->kind == PhysicalOpKind::kRemoteRange) {
-      DHQP_ASSIGN_OR_RETURN(IndexRange range, EvalRangeSpec(op_->range, ctx_));
+      DHQP_ASSIGN_OR_RETURN(IndexRange range, bounds_.Eval(*ctx_));
       return session->OpenIndexRange(op_->table.metadata.name,
                                      op_->index_name, range);
     }
@@ -455,6 +503,7 @@ class RemoteNode : public ExecNode {
 
   ExecContext* ctx_;
   const bool prefetch_;
+  RangeBounds bounds_;  ///< A remote range's bounds.
   std::unique_ptr<Rowset> rowset_;
 };
 
@@ -464,12 +513,12 @@ class RemoteNode : public ExecNode {
 class RemoteFetchNode : public ExecNode {
  public:
   RemoteFetchNode(PhysicalOpPtr op, ExecContext* ctx)
-      : ExecNode(std::move(op)), ctx_(ctx) {}
+      : ExecNode(std::move(op)), ctx_(ctx), bounds_(op_->range) {}
 
   Status Open() override {
     DHQP_ASSIGN_OR_RETURN(session_,
                           ctx_->catalog->GetSession(op_->table.source_id));
-    DHQP_ASSIGN_OR_RETURN(IndexRange range, EvalRangeSpec(op_->range, ctx_));
+    DHQP_ASSIGN_OR_RETURN(IndexRange range, bounds_.Eval(*ctx_));
     DHQP_ASSIGN_OR_RETURN(
         keys_, session_->OpenIndexKeys(op_->table.metadata.name,
                                        op_->index_name, range));
@@ -503,6 +552,7 @@ class RemoteFetchNode : public ExecNode {
   }
 
   ExecContext* ctx_;
+  RangeBounds bounds_;
   Session* session_ = nullptr;
   std::unique_ptr<Rowset> keys_;
 };
@@ -581,25 +631,28 @@ class FilterNode : public ExecNode {
  public:
   FilterNode(PhysicalOpPtr op, std::unique_ptr<ExecNode> child,
              ExecContext* ctx)
-      : ExecNode(std::move(op)), child_(std::move(child)), ctx_(ctx) {}
+      : ExecNode(std::move(op)),
+        child_(std::move(child)),
+        ctx_(ctx),
+        predicate_(*op_->predicate, EvalLayout{&child_->col_pos()}) {}
 
-  Status Open() override { return child_->Open(); }
+  Status Open() override {
+    DHQP_RETURN_NOT_OK(child_->Open());
+    predicate_.Bind(ctx_->params, ctx_->current_date);
+    return Status::OK();
+  }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
     if (max_rows <= 0) return false;
-    EvalEnv env;
-    env.col_pos = &child_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    // Qualify whole child batches through the batched predicate (selection
-    // vector); loop until at least one row survives — an empty batch may
-    // only mean end of data.
+    // Qualify whole child batches through the selection vector; loop until
+    // at least one row survives — an empty batch may only mean end of data.
     while (out->rows.empty()) {
       DHQP_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_batch_, max_rows));
       if (!has) return false;
-      DHQP_RETURN_NOT_OK(
-          EvalPredicateBatch(*op_->predicate, env, in_batch_, &sel_));
+      DHQP_RETURN_NOT_OK(predicate_.Select(EvalInput{&in_batch_.rows},
+                                           nullptr, in_batch_.rows.size(),
+                                           &sel_));
       out->rows.reserve(sel_.size());
       for (int idx : sel_) {
         out->rows.push_back(std::move(in_batch_.rows[static_cast<size_t>(idx)]));
@@ -608,11 +661,16 @@ class FilterNode : public ExecNode {
     return true;
   }
 
-  Status Restart() override { return child_->Restart(); }
+  Status Restart() override {
+    DHQP_RETURN_NOT_OK(child_->Restart());
+    predicate_.Bind(ctx_->params, ctx_->current_date);
+    return Status::OK();
+  }
 
  private:
   std::unique_ptr<ExecNode> child_;
   ExecContext* ctx_;
+  CompiledExpr predicate_;
   RowBatch in_batch_;    ///< Reused (clear-and-refill) across batch pulls.
   SelectionVector sel_;  ///< Reused qualification buffer.
 };
@@ -624,13 +682,14 @@ class StartupFilterNode : public ExecNode {
  public:
   StartupFilterNode(PhysicalOpPtr op, std::unique_ptr<ExecNode> child,
                     ExecContext* ctx)
-      : ExecNode(std::move(op)), child_(std::move(child)), ctx_(ctx) {}
+      : ExecNode(std::move(op)),
+        child_(std::move(child)),
+        ctx_(ctx),
+        predicate_(*op_->predicate, EvalLayout{}) {}
 
   Status Open() override {
-    EvalEnv env;
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    DHQP_ASSIGN_OR_RETURN(active_, EvalPredicate(*op_->predicate, env));
+    predicate_.Bind(ctx_->params, ctx_->current_date);
+    DHQP_ASSIGN_OR_RETURN(active_, predicate_.Test(EvalInput{}));
     if (!active_) {
       profile_->startup_skips++;
       return Status::OK();
@@ -655,6 +714,7 @@ class StartupFilterNode : public ExecNode {
  private:
   std::unique_ptr<ExecNode> child_;
   ExecContext* ctx_;
+  CompiledExpr predicate_;
   bool active_ = false;
   bool child_opened_ = false;
 };
@@ -663,49 +723,48 @@ class ProjectNode : public ExecNode {
  public:
   ProjectNode(PhysicalOpPtr op, std::unique_ptr<ExecNode> child,
               ExecContext* ctx)
-      : ExecNode(std::move(op)), child_(std::move(child)), ctx_(ctx) {}
+      : ExecNode(std::move(op)),
+        child_(std::move(child)),
+        ctx_(ctx),
+        exprs_(Compile(op_->exprs, EvalLayout{&child_->col_pos()})) {}
 
-  Status Open() override { return child_->Open(); }
+  Status Open() override {
+    DHQP_RETURN_NOT_OK(child_->Open());
+    Bind(&exprs_, *ctx_);
+    return Status::OK();
+  }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
     if (max_rows <= 0) return false;
     DHQP_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&in_batch_, max_rows));
     if (!has) return false;
-    EvalEnv env;
-    env.col_pos = &child_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
     // Evaluate column-major — one expression over the whole batch — then
-    // assemble output rows; column/literal expressions never re-enter the
-    // recursive evaluator.
+    // assemble output rows.
     const size_t n = in_batch_.rows.size();
-    const size_t width = op_->exprs.size();
-    col_buf_.clear();
-    col_buf_.reserve(n * width);
-    for (const ScalarExprPtr& e : op_->exprs) {
-      DHQP_RETURN_NOT_OK(
-          EvalExprBatch(*e, env, in_batch_, /*sel=*/nullptr, &col_buf_));
-    }
+    size_t live = n;
+    DHQP_RETURN_NOT_OK(EvalEach(&exprs_, EvalInput{&in_batch_.rows}, &live));
     out->rows.resize(n);
     for (size_t r = 0; r < n; ++r) {
       Row& row = out->rows[r];
       row.clear();
-      row.reserve(width);
-      for (size_t c = 0; c < width; ++c) {
-        row.push_back(std::move(col_buf_[c * n + r]));
-      }
+      row.reserve(exprs_.size());
+      for (CompiledExpr& e : exprs_) row.push_back(e.Take(r));
     }
     return true;
   }
 
-  Status Restart() override { return child_->Restart(); }
+  Status Restart() override {
+    DHQP_RETURN_NOT_OK(child_->Restart());
+    Bind(&exprs_, *ctx_);
+    return Status::OK();
+  }
 
  private:
   std::unique_ptr<ExecNode> child_;
   ExecContext* ctx_;
-  RowBatch in_batch_;           ///< Reused across batch pulls.
-  std::vector<Value> col_buf_;  ///< Column-major eval scratch, reused.
+  std::vector<CompiledExpr> exprs_;
+  RowBatch in_batch_;  ///< Reused across batch pulls.
 };
 
 class TopNode : public ExecNode {
@@ -1225,26 +1284,84 @@ class ConcatNode : public ExecNode {
 // Joins.
 // ---------------------------------------------------------------------------
 
-// Evaluates one side of an equi-join key over `row` into `key` (cleared
-// first): each key pair's left expression when `left`, else its right one,
-// with `row`'s columns placed by `col_pos`. Stops at the first NULL and
-// returns false — a key with a NULL equals nothing — leaving the NULL-free
-// prefix in `key`.
-Result<bool> EvalJoinKey(const PhysicalOp& op, bool left,
-                         const std::map<int, int>& col_pos, const Row& row,
-                         const ExecContext& ctx, IndexKey* key) {
-  EvalEnv env;
-  env.col_pos = &col_pos;
-  env.row = &row;
-  env.params = &ctx.params;
-  env.current_date = ctx.current_date;
-  key->clear();
-  for (const auto& [l, r] : op.key_pairs) {
-    DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(left ? *l : *r, env));
-    if (v.is_null()) return false;
-    key->push_back(std::move(v));
+// One side of an equi-join key, compiled: each key pair's left expression
+// (`left`) or right one, over that input. A key value that is NULL ends
+// its key, which then equals nothing: each expression runs only at the
+// rows whose earlier key values are all non-NULL, as the row loop stopped
+// at the first NULL.
+class JoinKeys {
+ public:
+  JoinKeys(const PhysicalOp& op, bool left, const ExecNode& input)
+      : programs_(Compile(Exprs(op, left), EvalLayout{&input.col_pos()})) {}
+
+  void Bind(const ExecContext& ctx) { dhqp::Bind(&programs_, ctx); }
+
+  /// Evaluates the keys of `in`'s first `n` rows (n = 1 over a fixed row).
+  /// Returns the first failing row's error, with `*done` set to that row;
+  /// the keys of the rows before it stay readable.
+  Status Eval(const EvalInput& in, size_t n, size_t* done) {
+    const size_t width = programs_.size();
+    values_.resize(n * width);
+    lengths_.assign(n, 0);
+    rows_.resize(n);
+    std::iota(rows_.begin(), rows_.end(), 0);
+    Status first;
+    for (size_t k = 0; k < width; ++k) {
+      size_t evaluated = rows_.size();
+      Status st = programs_[k].Eval(in, rows_.data(), rows_.size(), &evaluated);
+      if (!st.ok()) {
+        n = static_cast<size_t>(rows_[evaluated]);
+        first = std::move(st);
+      }
+      next_.clear();
+      for (size_t j = 0; j < evaluated; ++j) {
+        const Value& v = programs_[k].value(j);
+        if (v.is_null()) continue;
+        const int row = rows_[j];
+        values_[static_cast<size_t>(row) * width + k] = &v;
+        lengths_[static_cast<size_t>(row)] = k + 1;
+        next_.push_back(row);
+      }
+      rows_.swap(next_);
+    }
+    *done = n;
+    return first;
   }
-  return true;
+
+  /// Row `i`'s key, built at its exact size: its values up to the first
+  /// NULL. True when it has no NULL.
+  bool Key(size_t i, IndexKey* key) const {
+    const size_t width = programs_.size();
+    key->clear();
+    key->reserve(lengths_[i]);
+    for (size_t k = 0; k < lengths_[i]; ++k) {
+      key->push_back(*values_[i * width + k]);
+    }
+    return lengths_[i] == width;
+  }
+
+ private:
+  static std::vector<ScalarExprPtr> Exprs(const PhysicalOp& op, bool left) {
+    std::vector<ScalarExprPtr> exprs;
+    for (const auto& [l, r] : op.key_pairs) exprs.push_back(left ? l : r);
+    return exprs;
+  }
+
+  std::vector<CompiledExpr> programs_;
+  std::vector<const Value*> values_;  ///< Row-major, width per row.
+  std::vector<size_t> lengths_;       ///< Non-NULL key prefix per row.
+  SelectionVector rows_, next_;       ///< Rows still building a key.
+};
+
+// The rows among `matches` that pass a join residual with `probe` on the
+// left, as the row loop would find them: `pass` holds the passing matches
+// before the first failing one, whose error is returned.
+Status ResidualMatches(std::optional<CompiledExpr>* residual, const Row& probe,
+                       const std::vector<Row>& matches, SelectionVector* pass) {
+  EvalInput in;
+  in.row = &probe;
+  in.rows2 = &matches;
+  return (*residual)->Select(in, nullptr, matches.size(), pass);
 }
 
 class HashJoinNode : public ExecNode {
@@ -1255,7 +1372,10 @@ class HashJoinNode : public ExecNode {
         left_(std::move(left)),
         right_(std::move(right)),
         ctx_(ctx),
-        probe_input_(left_.get()) {}
+        build_keys_(*op_, /*left=*/false, *right_),
+        probe_keys_(*op_, /*left=*/true, *left_),
+        residual_(Compile(op_->predicate,
+                          EvalLayout{&left_->col_pos(), &right_->col_pos()})) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(left_->Open());
@@ -1264,15 +1384,10 @@ class HashJoinNode : public ExecNode {
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    // One env setup per batch; Step advances the probe side row by row,
-    // pulling at most this call's demand from left_.
-    EvalEnv env;
-    env.col_pos = &left_->col_pos();
-    env.col_pos2 = &right_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
+    // Step advances the probe side row by row, pulling at most this call's
+    // demand from left_.
     return FillBatch(out, max_rows,
-                     [&](Row* row) { return Step(env, max_rows, row); });
+                     [&](Row* row) { return Step(max_rows, row); });
   }
 
   Status Restart() override {
@@ -1282,24 +1397,16 @@ class HashJoinNode : public ExecNode {
   }
 
  private:
-  Result<bool> Step(EvalEnv& env, int want, Row* out) {
+  Result<bool> Step(int want, Row* out) {
     while (true) {
       if (have_probe_) {
-        env.row = &probe_;
         if (op_->join_type == JoinType::kSemi ||
             op_->join_type == JoinType::kAnti) {
-          bool any = false;
-          for (const Row& build_row : *matches_) {
-            env.row2 = &build_row;
-            bool pass = true;
-            if (op_->predicate != nullptr) {
-              DHQP_ASSIGN_OR_RETURN(pass, EvalPredicate(*op_->predicate, env));
-            }
-            if (pass) {
-              any = true;
-              break;
-            }
-          }
+          // The row loop stops at the first passing match, so an error
+          // after it never surfaces.
+          const bool any =
+              residual_.has_value() ? !pass_.empty() : !matches_->empty();
+          if (!any && !residual_status_.ok()) return residual_status_;
           have_probe_ = false;
           if (any == (op_->join_type == JoinType::kSemi)) {
             *out = probe_;
@@ -1307,20 +1414,22 @@ class HashJoinNode : public ExecNode {
           }
           continue;
         }
-        // Inner / left outer: emit every passing combination.
-        while (match_pos_ < matches_->size()) {
-          const Row& build_row = (*matches_)[match_pos_++];
-          env.row2 = &build_row;
-          bool pass = true;
-          if (op_->predicate != nullptr) {
-            DHQP_ASSIGN_OR_RETURN(pass, EvalPredicate(*op_->predicate, env));
-          }
-          if (!pass) continue;
+        // Inner / left outer: emit every passing combination, then the
+        // residual's error, if any.
+        const size_t passing =
+            residual_.has_value() ? pass_.size() : matches_->size();
+        if (match_pos_ < passing) {
+          const size_t i = residual_.has_value()
+                               ? static_cast<size_t>(pass_[match_pos_])
+                               : match_pos_;
+          ++match_pos_;
+          const Row& build_row = (*matches_)[i];
           any_emitted_ = true;
           *out = probe_;
           out->insert(out->end(), build_row.begin(), build_row.end());
           return true;
         }
+        if (!residual_status_.ok()) return residual_status_;
         have_probe_ = false;
         if (op_->join_type == JoinType::kLeftOuter && !any_emitted_) {
           *out = probe_;
@@ -1337,11 +1446,14 @@ class HashJoinNode : public ExecNode {
       any_emitted_ = false;
       match_pos_ = 0;
       static const std::vector<Row>& kNoMatches = *new std::vector<Row>();
-      DHQP_ASSIGN_OR_RETURN(bool complete,
-                            EvalJoinKey(*op_, /*left=*/true, left_->col_pos(),
-                                        probe_, *ctx_, &probe_key_));
-      auto it = complete ? table_.find(probe_key_) : table_.end();
+      auto it = probe_complete_ ? table_.find(probe_key_) : table_.end();
       matches_ = it == table_.end() ? &kNoMatches : &it->second;
+      residual_status_ = Status::OK();
+      pass_.clear();
+      if (residual_.has_value() && !matches_->empty()) {
+        residual_status_ =
+            ResidualMatches(&residual_, probe_, *matches_, &pass_);
+      }
     }
   }
 
@@ -1364,8 +1476,12 @@ class HashJoinNode : public ExecNode {
   };
 
   Status Start() {
+    build_keys_.Bind(*ctx_);
+    probe_keys_.Bind(*ctx_);
+    Bind(&residual_, *ctx_);
     have_probe_ = false;
-    probe_input_.Reset();
+    probe_batch_.clear();
+    probe_pos_ = 0;
     probe_file_.reset();
     queue_.clear();
     mem_.Bind(profile_, ctx_->memory);
@@ -1384,12 +1500,13 @@ class HashJoinNode : public ExecNode {
       DHQP_ASSIGN_OR_RETURN(
           bool has, build.NextBatch(&batch, ctx_->options.batch_rows()));
       if (!has) break;
-      for (Row& row : batch.rows) {
+      size_t done = 0;
+      DHQP_RETURN_NOT_OK(build_keys_.Eval(EvalInput{&batch.rows},
+                                          batch.rows.size(), &done));
+      for (size_t r = 0; r < batch.rows.size(); ++r) {
+        Row& row = batch.rows[r];
         IndexKey key;
-        DHQP_ASSIGN_OR_RETURN(bool complete,
-                              EvalJoinKey(*op_, /*left=*/false,
-                                          right_->col_pos(), row, *ctx_, &key));
-        if (!complete) continue;  // Build NULLs never match.
+        if (!build_keys_.Key(r, &key)) continue;  // Build NULLs never match.
         if (!build_parts.is_open()) {
           const int64_t add =
               HashJoinEntryBytes(RowMemBytes(row), RowMemBytes(key));
@@ -1424,14 +1541,15 @@ class HashJoinNode : public ExecNode {
       DHQP_ASSIGN_OR_RETURN(
           bool has, probe.NextBatch(&batch, ctx_->options.batch_rows()));
       if (!has) break;
-      for (const Row& row : batch.rows) {
+      size_t done = 0;
+      DHQP_RETURN_NOT_OK(probe_keys_.Eval(EvalInput{&batch.rows},
+                                          batch.rows.size(), &done));
+      for (size_t r = 0; r < batch.rows.size(); ++r) {
         // A probe row whose key has a NULL matches nothing, but anti and
         // left outer joins still emit it: it routes by the key's non-NULL
         // prefix, the same at every level.
-        DHQP_RETURN_NOT_OK(EvalJoinKey(*op_, /*left=*/true, left_->col_pos(),
-                                       row, *ctx_, &probe_key_)
-                               .status());
-        DHQP_RETURN_NOT_OK(probe_parts.Append(probe_key_, row));
+        probe_keys_.Key(r, &probe_key_);
+        DHQP_RETURN_NOT_OK(probe_parts.Append(probe_key_, batch.rows[r]));
       }
     }
     DHQP_ASSIGN_OR_RETURN(auto builds, build_parts.Finish());
@@ -1448,18 +1566,32 @@ class HashJoinNode : public ExecNode {
     return Status::OK();
   }
 
-  /// Reads the next probe row into probe_: from left_ on the first pass,
-  /// from the pass's probe partition on later ones. A pass that runs out
-  /// of probe rows, or shed them, hands over to the next queued pair.
+  /// Reads the next probe row into probe_, with its key: from left_ on the
+  /// first pass, from the pass's probe partition on later ones, a batch at
+  /// a time. A pass that runs out of probe rows, or shed them, hands over
+  /// to the next queued pair. A row whose key failed returns the error.
   Result<bool> NextProbe(int want) {
     while (true) {
       if (probing_) {
-        DHQP_ASSIGN_OR_RETURN(bool has, probe_file_ == nullptr
-                                            ? probe_input_.Next(&probe_, want)
-                                            : probe_file_->Next(&probe_));
-        if (has) return true;
-        probing_ = false;
-        probe_file_.reset();
+        if (probe_pos_ >= probe_batch_.rows.size()) {
+          PassInput input{left_.get(), probe_file_.get()};
+          DHQP_ASSIGN_OR_RETURN(bool has, input.NextBatch(&probe_batch_, want));
+          probe_pos_ = 0;
+          if (has) {
+            probe_status_ = probe_keys_.Eval(EvalInput{&probe_batch_.rows},
+                                             probe_batch_.rows.size(),
+                                             &probe_done_);
+          } else {
+            probing_ = false;
+            probe_file_.reset();
+          }
+        }
+        if (probing_) {
+          if (probe_pos_ == probe_done_) return probe_status_;
+          probe_complete_ = probe_keys_.Key(probe_pos_, &probe_key_);
+          probe_ = std::move(probe_batch_.rows[probe_pos_++]);
+          return true;
+        }
       }
       if (queue_.empty()) return false;
       Pass next = std::move(queue_.front());
@@ -1476,12 +1608,21 @@ class HashJoinNode : public ExecNode {
 
   std::unique_ptr<ExecNode> left_, right_;
   ExecContext* ctx_;
+  JoinKeys build_keys_, probe_keys_;
+  std::optional<CompiledExpr> residual_;
   std::map<IndexKey, std::vector<Row>, KeyLess> table_;
   OperatorMem mem_;
+  // The probe side: the current batch, its keys, and the row being joined.
+  RowBatch probe_batch_;
+  size_t probe_pos_ = 0;
+  size_t probe_done_ = 0;  ///< Rows of the batch whose keys evaluated.
+  Status probe_status_;    ///< The error of the row at probe_done_.
   Row probe_;
-  IndexKey probe_key_;     ///< Scratch key of the latest probe row.
-  RowCursor probe_input_;  ///< Probe rows from left_ (the first pass).
+  IndexKey probe_key_;  ///< Key of the latest probe row (its NULL-free prefix).
+  bool probe_complete_ = false;  ///< probe_key_ has no NULL.
   const std::vector<Row>* matches_ = nullptr;
+  SelectionVector pass_;    ///< Matches passing the residual.
+  Status residual_status_;  ///< The residual's error after pass_.
   size_t match_pos_ = 0;
   bool have_probe_ = false;
   bool any_emitted_ = false;
@@ -1507,10 +1648,14 @@ class NestedLoopsJoinNode : public ExecNode {
         inner_want_(op_->join_type == JoinType::kSemi ||
                             op_->join_type == JoinType::kAnti
                         ? 1
-                        : ctx->options.batch_rows()) {}
+                        : ctx->options.batch_rows()),
+        bindings_(Compile(BindingExprs(*op_), EvalLayout{&outer_->col_pos()})),
+        predicate_(Compile(op_->predicate, EvalLayout{&outer_->col_pos(),
+                                                      &inner_->col_pos()})) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(outer_->Open());
+    BindPrograms();
     outer_input_.Reset();
     inner_opened_ = false;
     have_outer_ = false;
@@ -1518,26 +1663,33 @@ class NestedLoopsJoinNode : public ExecNode {
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    EvalEnv env;
-    env.col_pos = &outer_->col_pos();
-    env.col_pos2 = &inner_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
     return FillBatch(out, max_rows,
-                     [&](Row* row) { return Step(env, max_rows, row); });
+                     [&](Row* row) { return Step(max_rows, row); });
   }
 
   Status Restart() override {
     DHQP_RETURN_NOT_OK(outer_->Restart());
+    BindPrograms();
     outer_input_.Reset();
     have_outer_ = false;
     return Status::OK();
   }
 
  private:
+  static std::vector<ScalarExprPtr> BindingExprs(const PhysicalOp& op) {
+    std::vector<ScalarExprPtr> exprs;
+    for (const auto& [name, expr] : op.remote_params) exprs.push_back(expr);
+    return exprs;
+  }
+
+  void BindPrograms() {
+    Bind(&bindings_, *ctx_);
+    Bind(&predicate_, *ctx_);
+  }
+
   /// Next join row; pulls at most `want` (the caller's demand) outer rows
   /// at a time.
-  Result<bool> Step(EvalEnv& env, int want, Row* out) {
+  Result<bool> Step(int want, Row* out) {
     while (true) {
       if (!have_outer_) {
         DHQP_ASSIGN_OR_RETURN(bool has, outer_input_.Next(&outer_row_, want));
@@ -1546,11 +1698,12 @@ class NestedLoopsJoinNode : public ExecNode {
         matched_ = false;
         // Correlation bindings (parameterized remote queries, §4.1.2):
         // evaluate outer-row expressions into the parameter map before
-        // (re)starting the inner side.
-        env.row = &outer_row_;
-        for (const auto& [name, expr] : op_->remote_params) {
-          DHQP_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, env));
-          ctx_->params[name] = std::move(v);
+        // (re)starting the inner side, which binds them.
+        EvalInput outer;
+        outer.row = &outer_row_;
+        for (size_t i = 0; i < bindings_.size(); ++i) {
+          DHQP_ASSIGN_OR_RETURN(Value v, bindings_[i].EvalRow(outer));
+          ctx_->params[op_->remote_params[i].first] = std::move(v);
         }
         if (!inner_opened_) {
           DHQP_RETURN_NOT_OK(inner_->Open());
@@ -1578,11 +1731,12 @@ class NestedLoopsJoinNode : public ExecNode {
         }
         continue;
       }
-      env.row = &outer_row_;
-      env.row2 = &inner_row_;
       bool pass = true;
-      if (op_->predicate != nullptr) {
-        DHQP_ASSIGN_OR_RETURN(pass, EvalPredicate(*op_->predicate, env));
+      if (predicate_.has_value()) {
+        EvalInput pair;
+        pair.row = &outer_row_;
+        pair.row2 = &inner_row_;
+        DHQP_ASSIGN_OR_RETURN(pass, predicate_->Test(pair));
       }
       if (!pass) continue;
       matched_ = true;
@@ -1607,6 +1761,8 @@ class NestedLoopsJoinNode : public ExecNode {
   RowCursor outer_input_;
   RowCursor inner_input_;  ///< Reset on every inner (re)start.
   int inner_want_;         ///< Inner rows pulled per refill.
+  std::vector<CompiledExpr> bindings_;  ///< One per op_->remote_params.
+  std::optional<CompiledExpr> predicate_;
   Row outer_row_;
   Row inner_row_;
   bool have_outer_ = false;
@@ -1623,6 +1779,10 @@ class MergeJoinNode : public ExecNode {
         left_(std::move(left)),
         right_(std::move(right)),
         ctx_(ctx),
+        left_keys_(*op_, /*left=*/true, *left_),
+        right_keys_(*op_, /*left=*/false, *right_),
+        predicate_(Compile(op_->predicate,
+                           EvalLayout{&left_->col_pos(), &right_->col_pos()})),
         left_input_(left_.get()),
         right_input_(right_.get()) {}
 
@@ -1634,12 +1794,7 @@ class MergeJoinNode : public ExecNode {
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    EvalEnv env;
-    env.col_pos = &left_->col_pos();
-    env.col_pos2 = &right_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    return FillBatch(out, max_rows, [&](Row* row) { return Step(env, row); });
+    return FillBatch(out, max_rows, [&](Row* row) { return Step(row); });
   }
 
   Status Restart() override {
@@ -1651,6 +1806,9 @@ class MergeJoinNode : public ExecNode {
 
  private:
   void Reset() {
+    left_keys_.Bind(*ctx_);
+    right_keys_.Bind(*ctx_);
+    Bind(&predicate_, *ctx_);
     left_input_.Reset();
     right_input_.Reset();
     right_done_ = false;
@@ -1665,17 +1823,18 @@ class MergeJoinNode : public ExecNode {
   /// ends as soon as either side runs out, and must not have read ahead
   /// into the other. Sticky end-of-stream: a post-EOF call must not
   /// advance the surviving child.
-  Result<bool> Step(EvalEnv& env, Row* out) {
+  Result<bool> Step(Row* out) {
     if (done_) return false;
     while (true) {
       // Emit pending (left row x buffered right group) combinations.
       while (have_left_ && group_pos_ < group_.size()) {
         const Row& r = group_[group_pos_++];
-        env.row = &left_row_;
-        env.row2 = &r;
         bool pass = true;
-        if (op_->predicate != nullptr) {
-          DHQP_ASSIGN_OR_RETURN(pass, EvalPredicate(*op_->predicate, env));
+        if (predicate_.has_value()) {
+          EvalInput pair;
+          pair.row = &left_row_;
+          pair.row2 = &r;
+          DHQP_ASSIGN_OR_RETURN(pass, predicate_->Test(pair));
         }
         if (!pass) continue;
         *out = left_row_;
@@ -1689,9 +1848,7 @@ class MergeJoinNode : public ExecNode {
         return false;
       }
       IndexKey lkey;
-      DHQP_ASSIGN_OR_RETURN(bool lcomplete,
-                            EvalJoinKey(*op_, /*left=*/true, left_->col_pos(),
-                                        left_row_, *ctx_, &lkey));
+      DHQP_ASSIGN_OR_RETURN(bool lcomplete, KeyOf(&left_keys_, left_row_, &lkey));
       if (!lcomplete) {
         have_left_ = false;
         continue;
@@ -1714,9 +1871,8 @@ class MergeJoinNode : public ExecNode {
           right_ahead_ = true;
         }
         IndexKey rkey;
-        DHQP_ASSIGN_OR_RETURN(
-            bool rcomplete, EvalJoinKey(*op_, /*left=*/false, right_->col_pos(),
-                                        right_row_, *ctx_, &rkey));
+        DHQP_ASSIGN_OR_RETURN(bool rcomplete,
+                              KeyOf(&right_keys_, right_row_, &rkey));
         // A right row whose key has a NULL matches nothing: skip it as if
         // it sorted below the left key.
         int c = rcomplete ? CompareKeys(rkey, lkey) : -1;
@@ -1746,8 +1902,19 @@ class MergeJoinNode : public ExecNode {
     }
   }
 
+  /// One row's key through `keys`; false when it has a NULL.
+  static Result<bool> KeyOf(JoinKeys* keys, const Row& row, IndexKey* key) {
+    EvalInput in;
+    in.row = &row;
+    size_t done = 0;
+    DHQP_RETURN_NOT_OK(keys->Eval(in, 1, &done));
+    return keys->Key(0, key);
+  }
+
   std::unique_ptr<ExecNode> left_, right_;
   ExecContext* ctx_;
+  JoinKeys left_keys_, right_keys_;
+  std::optional<CompiledExpr> predicate_;
   RowCursor left_input_, right_input_;
   Row left_row_, right_row_;
   bool have_left_ = false, right_ahead_ = false;
@@ -1771,51 +1938,149 @@ struct Accumulator {
   std::set<std::string> distinct;  ///< Fingerprints for DISTINCT.
 };
 
-Status Accumulate(const AggregateItem& item, const Value& v,
-                  Accumulator* acc) {
-  if (item.func != "COUNT*" && v.is_null()) return Status::OK();
-  if (item.distinct) {
-    std::string fp = DataTypeName(v.type()) + v.ToString();
-    if (!acc->distinct.insert(fp).second) return Status::OK();
-  }
-  acc->count++;
-  if (item.func == "SUM" || item.func == "AVG") {
-    if (v.type() == DataType::kDouble) {
-      acc->sum_d += v.double_value();
-    } else {
-      acc->sum_i += v.int64_value();
-      acc->sum_d += static_cast<double>(v.int64_value());
+// An aggregate operator's aggregates, compiled at its first Open: each
+// function an enum, each argument a program over the operator's input.
+class Aggregates {
+ public:
+  Aggregates(const std::vector<AggregateItem>& items, const ExecNode& input) {
+    for (const AggregateItem& item : items) {
+      Spec spec{FuncOf(item.func), item.distinct, item.type, -1};
+      if (item.arg != nullptr) {
+        spec.arg = static_cast<int>(args_.size());
+        args_.emplace_back(*item.arg, EvalLayout{&input.col_pos()});
+      }
+      specs_.push_back(spec);
     }
-  } else if (item.func == "MIN") {
-    if (!acc->any || v.Compare(acc->min) < 0) acc->min = v;
-  } else if (item.func == "MAX") {
-    if (!acc->any || v.Compare(acc->max) > 0) acc->max = v;
   }
-  acc->any = true;
-  return Status::OK();
+
+  void Bind(const ExecContext& ctx) { dhqp::Bind(&args_, ctx); }
+
+  size_t size() const { return specs_.size(); }
+
+  /// Evaluates every argument over the first `*n` of `rows`, cutting `*n`
+  /// to the first failing row, whose error is returned.
+  Status Eval(const std::vector<Row>& rows, size_t* n) {
+    return EvalEach(&args_, EvalInput{&rows}, n);
+  }
+
+  /// Folds row `r` of the last Eval into `accs`, one per aggregate. SUM
+  /// over integers checks its running total; AVG sums in double.
+  Status Accumulate(size_t r, std::vector<Accumulator>* accs) const {
+    for (size_t i = 0; i < specs_.size(); ++i) {
+      const Spec& spec = specs_[i];
+      const Value& v = spec.arg >= 0
+                           ? args_[static_cast<size_t>(spec.arg)].value(r)
+                           : count_star_arg_;
+      if (spec.func != Func::kCountStar && v.is_null()) continue;
+      Accumulator& acc = (*accs)[i];
+      if (spec.distinct) {
+        std::string fp = DataTypeName(v.type()) + v.ToString();
+        if (!acc.distinct.insert(std::move(fp)).second) continue;
+      }
+      acc.count++;
+      switch (spec.func) {
+        case Func::kSum:
+        case Func::kAvg:
+          if (v.type() == DataType::kDouble) {
+            acc.sum_d += v.double_value();
+            break;
+          }
+          acc.sum_d += static_cast<double>(v.int64_value());
+          if (spec.func == Func::kSum && spec.type != DataType::kDouble &&
+              __builtin_add_overflow(acc.sum_i, v.int64_value(), &acc.sum_i)) {
+            return Status::ExecutionError("arithmetic overflow");
+          }
+          break;
+        case Func::kMin:
+          if (!acc.any || v.Compare(acc.min) < 0) acc.min = v;
+          break;
+        case Func::kMax:
+          if (!acc.any || v.Compare(acc.max) > 0) acc.max = v;
+          break;
+        case Func::kCount:
+        case Func::kCountStar:
+          break;
+      }
+      acc.any = true;
+    }
+    return Status::OK();
+  }
+
+  /// Aggregate `i`'s result from its accumulator.
+  Value Finalize(size_t i, const Accumulator& acc) const {
+    const Spec& spec = specs_[i];
+    switch (spec.func) {
+      case Func::kCount:
+      case Func::kCountStar:
+        return Value::Int64(acc.count);
+      default:
+        break;
+    }
+    if (!acc.any) return Value::Null(spec.type);
+    switch (spec.func) {
+      case Func::kSum:
+        return spec.type == DataType::kDouble ? Value::Double(acc.sum_d)
+                                              : Value::Int64(acc.sum_i);
+      case Func::kAvg:
+        return Value::Double(acc.sum_d / static_cast<double>(acc.count));
+      case Func::kMin:
+        return acc.min;
+      default:
+        return acc.max;
+    }
+  }
+
+ private:
+  enum class Func { kCount, kCountStar, kSum, kAvg, kMin, kMax };
+
+  struct Spec {
+    Func func;
+    bool distinct;
+    DataType type;
+    int arg;  ///< Index into args_; -1 for COUNT(*).
+  };
+
+  static Func FuncOf(const std::string& name) {
+    if (name == "COUNT") return Func::kCount;
+    if (name == "COUNT*") return Func::kCountStar;
+    if (name == "SUM") return Func::kSum;
+    if (name == "AVG") return Func::kAvg;
+    if (name == "MIN") return Func::kMin;
+    return Func::kMax;
+  }
+
+  std::vector<Spec> specs_;
+  std::vector<CompiledExpr> args_;
+  const Value count_star_arg_ = Value::Int64(1);
+};
+
+// Group-column positions in an aggregate's input, resolved once.
+std::vector<size_t> GroupPositions(const PhysicalOp& op, const ExecNode& input) {
+  std::vector<size_t> positions;
+  positions.reserve(op.group_by.size());
+  for (int g : op.group_by) {
+    positions.push_back(static_cast<size_t>(input.col_pos().at(g)));
+  }
+  return positions;
 }
 
-Value Finalize(const AggregateItem& item, const Accumulator& acc) {
-  if (item.func == "COUNT" || item.func == "COUNT*") {
-    return Value::Int64(acc.count);
-  }
-  if (!acc.any) return Value::Null(item.type);
-  if (item.func == "SUM") {
-    return item.type == DataType::kDouble ? Value::Double(acc.sum_d)
-                                          : Value::Int64(acc.sum_i);
-  }
-  if (item.func == "AVG") {
-    return Value::Double(acc.sum_d / static_cast<double>(acc.count));
-  }
-  if (item.func == "MIN") return acc.min;
-  return acc.max;  // MAX
+// A row's group key, built at its exact size.
+void GroupKey(const Row& row, const std::vector<size_t>& positions,
+              IndexKey* key) {
+  key->clear();
+  key->reserve(positions.size());
+  for (size_t p : positions) key->push_back(row[p]);
 }
 
 class HashAggregateNode : public ExecNode {
  public:
   HashAggregateNode(PhysicalOpPtr op, std::unique_ptr<ExecNode> child,
                     ExecContext* ctx)
-      : ExecNode(std::move(op)), child_(std::move(child)), ctx_(ctx) {}
+      : ExecNode(std::move(op)),
+        child_(std::move(child)),
+        ctx_(ctx),
+        aggs_(op_->aggregates, *child_),
+        group_pos_(GroupPositions(*op_, *child_)) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(child_->Open());
@@ -1853,6 +2118,7 @@ class HashAggregateNode : public ExecNode {
   };
 
   Status Start() {
+    aggs_.Bind(*ctx_);
     pending_.clear();
     mem_.Bind(profile_, ctx_->memory);
     return RunPass(/*file=*/nullptr, /*level=*/0);
@@ -1876,10 +2142,6 @@ class HashAggregateNode : public ExecNode {
     mem_.ReleaseAll();
     GroupMap groups;
     SpillPartitions parts(ctx_, profile_, level);
-    EvalEnv env;
-    env.col_pos = &child_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
     // Finds or creates the accumulator group for `key`; leaves *accs null
     // after routing the row to a partition instead.
     auto accs_for = [&](IndexKey& key, const Row& row,
@@ -1890,13 +2152,12 @@ class HashAggregateNode : public ExecNode {
         *accs = &it->second;
         return Status::OK();
       }
-      const int64_t add =
-          HashGroupBytes(RowMemBytes(key), op_->aggregates.size());
+      const int64_t add = HashGroupBytes(RowMemBytes(key), aggs_.size());
       if (!parts.is_open() &&
           (groups.empty() || level > kSpillDepthCap ||
            !GrantExceeded(ctx_, mem_.pending(), add))) {
         auto [it2, inserted] = groups.try_emplace(std::move(key));
-        it2->second.resize(op_->aggregates.size());
+        it2->second.resize(aggs_.size());
         mem_.Add(add);
         *accs = &it2->second;
         return Status::OK();
@@ -1904,48 +2165,34 @@ class HashAggregateNode : public ExecNode {
       if (!parts.is_open()) DHQP_RETURN_NOT_OK(parts.Open());
       return parts.Append(key, row);
     };
-    // Group positions are resolved once, aggregate arguments are evaluated
-    // column-at-a-time per batch, and the scalar (no GROUP BY) case keeps a
-    // direct pointer to its single accumulator group.
-    std::vector<int> gpos;
-    gpos.reserve(op_->group_by.size());
-    for (int g : op_->group_by) gpos.push_back(child_->col_pos().at(g));
+    // Aggregate arguments are evaluated a batch at a time, and the scalar
+    // (no GROUP BY) case keeps a direct pointer to its single group.
     std::vector<Accumulator>* scalar_accs = nullptr;
     if (op_->group_by.empty()) {
       auto [it, inserted] = groups.try_emplace(IndexKey{});
-      it->second.resize(op_->aggregates.size());
+      it->second.resize(aggs_.size());
       scalar_accs = &it->second;
     }
-    const Value one = Value::Int64(1);  // Placeholder for COUNT(*).
     PassInput input{child_.get(), file};
     RowBatch batch;
-    std::vector<std::vector<Value>> arg_cols(op_->aggregates.size());
     IndexKey key;
     while (true) {
       DHQP_ASSIGN_OR_RETURN(
           bool has, input.NextBatch(&batch, ctx_->options.batch_rows()));
       if (!has) break;
-      for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-        if (op_->aggregates[i].arg == nullptr) continue;
-        arg_cols[i].clear();
-        DHQP_RETURN_NOT_OK(EvalExprBatch(*op_->aggregates[i].arg, env, batch,
-                                         /*sel=*/nullptr, &arg_cols[i]));
-      }
-      for (size_t r = 0; r < batch.rows.size(); ++r) {
+      size_t n = batch.rows.size();
+      const Status failed = aggs_.Eval(batch.rows, &n);
+      for (size_t r = 0; r < n; ++r) {
         std::vector<Accumulator>* accs = scalar_accs;
         if (accs == nullptr) {
           const Row& row = batch.rows[r];
-          key.clear();
-          for (int p : gpos) key.push_back(row[static_cast<size_t>(p)]);
+          GroupKey(row, group_pos_, &key);
           DHQP_RETURN_NOT_OK(accs_for(key, row, &accs));
           if (accs == nullptr) continue;  // Routed to a partition.
         }
-        for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-          const AggregateItem& item = op_->aggregates[i];
-          const Value& v = item.arg != nullptr ? arg_cols[i][r] : one;
-          DHQP_RETURN_NOT_OK(Accumulate(item, v, &(*accs)[i]));
-        }
+        DHQP_RETURN_NOT_OK(aggs_.Accumulate(r, accs));
       }
+      DHQP_RETURN_NOT_OK(failed);
     }
     FinalizeGroups(&groups);
     if (!parts.is_open()) return Status::OK();
@@ -1963,8 +2210,8 @@ class HashAggregateNode : public ExecNode {
   void FinalizeGroups(GroupMap* groups) {
     for (auto& [key, accs] : *groups) {
       Row out = key;
-      for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-        out.push_back(Finalize(op_->aggregates[i], accs[i]));
+      for (size_t i = 0; i < aggs_.size(); ++i) {
+        out.push_back(aggs_.Finalize(i, accs[i]));
       }
       results_.push_back(std::move(out));
     }
@@ -1975,6 +2222,8 @@ class HashAggregateNode : public ExecNode {
 
   std::unique_ptr<ExecNode> child_;
   ExecContext* ctx_;
+  Aggregates aggs_;
+  std::vector<size_t> group_pos_;
   std::vector<Row> results_;
   OperatorMem mem_;
   size_t pos_ = 0;
@@ -1989,7 +2238,8 @@ class StreamAggregateNode : public ExecNode {
       : ExecNode(std::move(op)),
         child_(std::move(child)),
         ctx_(ctx),
-        input_(child_.get()) {}
+        aggs_(op_->aggregates, *child_),
+        group_pos_(GroupPositions(*op_, *child_)) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(child_->Open());
@@ -1998,12 +2248,7 @@ class StreamAggregateNode : public ExecNode {
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    EvalEnv env;
-    env.col_pos = &child_->col_pos();
-    env.params = &ctx_->params;
-    env.current_date = ctx_->current_date;
-    return FillBatch(out, max_rows,
-                     [&](Row* row) { return NextGroup(env, row); });
+    return FillBatch(out, max_rows, [this](Row* row) { return NextGroup(row); });
   }
 
   Status Restart() override {
@@ -2014,69 +2259,59 @@ class StreamAggregateNode : public ExecNode {
 
  private:
   void Reset() {
-    input_.Reset();
+    aggs_.Bind(*ctx_);
+    batch_.clear();
+    pos_ = 0;
     done_ = false;
-    have_pending_ = false;
     emitted_scalar_ = false;
   }
 
-  /// Accumulates the next run of equal group keys into one output row.
-  Result<bool> NextGroup(EvalEnv& env, Row* out) {
+  /// True when `row`'s group columns equal `key`.
+  bool InGroup(const Row& row, const IndexKey& key) const {
+    for (size_t k = 0; k < group_pos_.size(); ++k) {
+      if (row[group_pos_[k]].Compare(key[k]) != 0) return false;
+    }
+    return true;
+  }
+
+  /// Accumulates the next run of equal group keys into one output row. The
+  /// input is read a batch at a time, its aggregate arguments evaluated per
+  /// batch; a row whose argument failed returns the error when reached.
+  Result<bool> NextGroup(Row* out) {
     if (done_) return false;
     IndexKey current_key;
-    std::vector<Accumulator> accs(op_->aggregates.size());
+    std::vector<Accumulator> accs(aggs_.size());
     bool have_group = false;
-
-    auto accumulate_row = [&](const Row& row) -> Status {
-      env.row = &row;
-      for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-        const AggregateItem& item = op_->aggregates[i];
-        Value v = Value::Int64(1);
-        if (item.arg != nullptr) {
-          DHQP_ASSIGN_OR_RETURN(Value ev, EvalExpr(*item.arg, env));
-          v = std::move(ev);
-        }
-        DHQP_RETURN_NOT_OK(Accumulate(item, v, &accs[i]));
-      }
-      return Status::OK();
-    };
-
-    if (have_pending_) {
-      current_key = KeyOf(pending_);
-      DHQP_RETURN_NOT_OK(accumulate_row(pending_));
-      have_pending_ = false;
-      have_group = true;
-    }
-    Row row;
     while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has,
-                            input_.Next(&row, ctx_->options.batch_rows()));
-      if (!has) {
-        done_ = true;
-        break;
+      if (pos_ >= batch_.rows.size()) {
+        DHQP_ASSIGN_OR_RETURN(
+            bool has, child_->NextBatch(&batch_, ctx_->options.batch_rows()));
+        pos_ = 0;
+        if (!has) {
+          done_ = true;
+          break;
+        }
+        evaluated_ = batch_.rows.size();
+        batch_status_ = aggs_.Eval(batch_.rows, &evaluated_);
       }
-      IndexKey key = KeyOf(row);
+      const Row& row = batch_.rows[pos_];
       if (!have_group) {
-        current_key = key;
+        GroupKey(row, group_pos_, &current_key);
         have_group = true;
-        DHQP_RETURN_NOT_OK(accumulate_row(row));
-        continue;
+      } else if (!InGroup(row, current_key)) {
+        break;  // The row starts the next group.
       }
-      if (CompareKeys(key, current_key) == 0) {
-        DHQP_RETURN_NOT_OK(accumulate_row(row));
-        continue;
-      }
-      pending_ = row;
-      have_pending_ = true;
-      break;
+      if (pos_ == evaluated_) return batch_status_;
+      DHQP_RETURN_NOT_OK(aggs_.Accumulate(pos_, &accs));
+      ++pos_;
     }
     if (!have_group) {
       // Empty input: scalar aggregates still produce one row.
       if (op_->group_by.empty() && !emitted_scalar_) {
         emitted_scalar_ = true;
         out->clear();
-        for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-          out->push_back(Finalize(op_->aggregates[i], Accumulator{}));
+        for (size_t i = 0; i < aggs_.size(); ++i) {
+          out->push_back(aggs_.Finalize(i, Accumulator{}));
         }
         return true;
       }
@@ -2084,25 +2319,20 @@ class StreamAggregateNode : public ExecNode {
     }
     emitted_scalar_ = true;
     *out = current_key;
-    for (size_t i = 0; i < op_->aggregates.size(); ++i) {
-      out->push_back(Finalize(op_->aggregates[i], accs[i]));
+    for (size_t i = 0; i < aggs_.size(); ++i) {
+      out->push_back(aggs_.Finalize(i, accs[i]));
     }
     return true;
   }
 
-  IndexKey KeyOf(const Row& row) const {
-    IndexKey key;
-    for (int g : op_->group_by) {
-      key.push_back(row[static_cast<size_t>(child_->col_pos().at(g))]);
-    }
-    return key;
-  }
-
   std::unique_ptr<ExecNode> child_;
   ExecContext* ctx_;
-  RowCursor input_;
-  Row pending_;
-  bool have_pending_ = false;
+  Aggregates aggs_;
+  std::vector<size_t> group_pos_;
+  RowBatch batch_;          ///< The input batch being grouped.
+  size_t pos_ = 0;          ///< Its next row.
+  size_t evaluated_ = 0;    ///< Its rows whose arguments evaluated.
+  Status batch_status_;     ///< The error of the row at evaluated_.
   bool done_ = false;
   bool emitted_scalar_ = false;
 };

@@ -92,6 +92,11 @@ TEST_F(BatchExecTest, SemanticsCorpusIsBatchSizeInvariant) {
       "SELECT t.id, r.e FROM t, rsrv.db.dbo.r r "
       "WHERE t.id = r.a AND r.e > 150 ORDER BY t.id",
       "SELECT 1 / 0",  // Errors must be batch-size-invariant too.
+      "SELECT id, CASE WHEN v = 10 THEN 0 ELSE 100 / (v - 10) END FROM t",
+      // Row id 1 overflows before row id 4 divides by zero: every batch
+      // size reports the first failing row's error.
+      "SELECT id, CASE WHEN id = 4 THEN 1 / 0 "
+      "ELSE v * 1000000000000000000 END FROM t",
       "SELECT TOP 2 a FROM rsrv.db.dbo.r",
       "SELECT r.a FROM rsrv.db.dbo.r r WHERE r.a > 2 ORDER BY r.a",
   };

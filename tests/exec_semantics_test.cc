@@ -117,6 +117,99 @@ TEST_F(ExecSemanticsTest, DivisionByZeroIsError) {
   EXPECT_EQ(r.status().code(), StatusCode::kExecutionError);
 }
 
+// Integer arithmetic that leaves int64 fails with "arithmetic overflow"
+// instead of wrapping or trapping: +, -, * and unary minus, INT64_MIN / -1,
+// ABS(INT64_MIN), an integer SUM's running total, and a FLOAT cast to INT
+// out of range. x % -1 is 0, and AVG sums in double, so neither fails.
+TEST_F(ExecSemanticsTest, IntegerOverflowIsError) {
+  MustExecute(&engine_, "CREATE TABLE big (a INT, b INT, d FLOAT)");
+  MustExecute(&engine_,
+              "INSERT INTO big VALUES (9223372036854775807, -1, 1.5e22)");
+  const char* kOverflows[] = {
+      "SELECT (-a - 1) / b FROM big",
+      "SELECT a + 1 FROM big",
+      "SELECT a * 2 FROM big",
+      "SELECT -a - 2 FROM big",
+      "SELECT -(-a - 1) FROM big",
+      "SELECT ABS(-a - 1) FROM big",
+      "SELECT a FROM big WHERE a + 1 > 0",
+      "SELECT CAST(d AS INT) FROM big",
+      "SELECT SUM(a) FROM t, big",
+  };
+  for (const char* sql : kOverflows) {
+    auto r = engine_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kExecutionError) << sql;
+    EXPECT_NE(r.status().message().find("arithmetic overflow"),
+              std::string::npos)
+        << sql << ": " << r.status().ToString();
+  }
+  QueryResult r = MustExecute(&engine_, "SELECT (-a - 1) % b FROM big");
+  EXPECT_EQ(RowsToString(r), "(0)");
+  r = MustExecute(&engine_, "SELECT AVG(a) FROM t, big");
+  EXPECT_EQ(RowsToString(r), "(9.22337e+18)");
+  r = MustExecute(&engine_, "SELECT a - 1, -a FROM big");
+  EXPECT_EQ(RowsToString(r), "(9223372036854775806, -9223372036854775807)");
+}
+
+// AND, OR and CASE evaluate their later operands only for the rows that
+// reach them, so a guarded division never divides by zero; unguarded, it
+// fails.
+TEST_F(ExecSemanticsTest, ShortCircuitGuardsEvaluation) {
+  MustExecute(&engine_, "CREATE TABLE sc (id INT, a INT, b INT)");
+  MustExecute(&engine_,
+              "INSERT INTO sc VALUES (1, 10, 0), (2, 10, 5), (3, 7, NULL)");
+  QueryResult r = MustExecute(
+      &engine_,
+      "SELECT id, CASE WHEN b = 0 THEN 0 ELSE a / b END FROM sc ORDER BY id");
+  EXPECT_EQ(RowsToString(r), "(1, 0)(2, 2)(3, NULL)");
+  r = MustExecute(&engine_, "SELECT id FROM sc WHERE b <> 0 AND a / b > 1");
+  EXPECT_EQ(RowsToString(r), "(2)");
+  r = MustExecute(
+      &engine_, "SELECT id FROM sc WHERE b = 0 OR a / b > 1 ORDER BY id");
+  EXPECT_EQ(RowsToString(r), "(1)(2)");
+  auto failed = engine_.Execute("SELECT a / b FROM sc");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kExecutionError);
+  EXPECT_NE(failed.status().message().find("division by zero"),
+            std::string::npos);
+}
+
+// A parameter is cast to the type of the expression it is compared with: a
+// string to a DATE or an INT, a FLOAT to an INT. A NULL parameter qualifies
+// no row, a string that does not parse fails, and an unbound parameter
+// fails once a row reaches it.
+TEST_F(ExecSemanticsTest, ParametersAreCastToTheirExpressionType) {
+  MustExecute(&engine_, "CREATE TABLE dt (id INT, d DATE)");
+  MustExecute(&engine_,
+              "INSERT INTO dt VALUES (1, '1996-01-15'), (2, '1996-07-01')");
+  QueryResult r = MustExecute(&engine_, "SELECT id FROM dt WHERE d < @p",
+                              {{"@p", Value::String("1996-06-01")}});
+  EXPECT_EQ(RowsToString(r), "(1)");
+  r = MustExecute(&engine_, "SELECT id FROM t WHERE v = @p",
+                  {{"@p", Value::String("30")}});
+  EXPECT_EQ(RowsToString(r), "(3)");
+  r = MustExecute(&engine_, "SELECT id FROM t WHERE id = @p",
+                  {{"@p", Value::String("3")}});
+  EXPECT_EQ(RowsToString(r), "(3)");
+  r = MustExecute(&engine_, "SELECT id FROM t WHERE id = @p",
+                  {{"@p", Value::Double(4.5)}});
+  EXPECT_EQ(RowsToString(r), "(4)");
+  r = MustExecute(&engine_, "SELECT id FROM t WHERE v = @p",
+                  {{"@p", Value::Null(DataType::kInt64)}});
+  EXPECT_EQ(r.rowset->rows().size(), 0u);
+  auto bad = engine_.Execute("SELECT id FROM t WHERE v = @p",
+                             {{"@p", Value::String("x")}});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  auto unbound = engine_.Execute("SELECT id FROM t WHERE v = @missing");
+  ASSERT_FALSE(unbound.ok());
+  EXPECT_EQ(unbound.status().code(), StatusCode::kExecutionError);
+  MustExecute(&engine_, "CREATE TABLE none (v INT)");
+  r = MustExecute(&engine_, "SELECT v FROM none WHERE v = @missing");
+  EXPECT_EQ(r.rowset->rows().size(), 0u);
+}
+
 TEST_F(ExecSemanticsTest, ArithmeticWithNullYieldsNull) {
   QueryResult r = MustExecute(
       &engine_, "SELECT id, v + 1 FROM t WHERE id = 2");

@@ -376,7 +376,8 @@ TEST_F(SpillExecTest, ExchangeGrantFollowsQueueDepth) {
 
 // A grant prices each hash-join build entry and hash-aggregate group as
 // the operator charges it, so a statement whose cardinalities are
-// estimated exactly runs without spilling under an ample budget.
+// estimated exactly runs without spilling under an ample budget. Keys are
+// built at their exact size, so a three-column key is priced exactly too.
 TEST_F(SpillExecTest, ExactlyEstimatedHashOperatorsFitTheirGrant) {
   MustExecute(&host_, "CREATE TABLE small (a INT PRIMARY KEY, b INT, c INT)");
   Fill(&host_, "small", 1000, 3);
@@ -386,6 +387,11 @@ TEST_F(SpillExecTest, ExactlyEstimatedHashOperatorsFitTheirGrant) {
        PhysicalOpKind::kHashJoin},
       {"SELECT c, COUNT(*), SUM(b) FROM small GROUP BY c",
        PhysicalOpKind::kHashAggregate},
+      {"SELECT a, b, c, COUNT(*), SUM(b) FROM small GROUP BY a, b, c",
+       PhysicalOpKind::kHashAggregate},
+      {"SELECT big1.a, small.a FROM big1 JOIN small ON big1.c = small.c "
+       "AND big1.b = small.b AND big1.a = small.a",
+       PhysicalOpKind::kHashJoin},
   };
   for (const auto& [sql, kind] : statements) {
     QueryResult r = MustExecute(&host_, sql);
