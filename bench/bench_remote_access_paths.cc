@@ -82,14 +82,14 @@ BENCHMARK(BM_Path_SimpleProvider)
     ->Unit(benchmark::kMillisecond);
 
 // Block fetch vs row-at-a-time at the rowset layer: the same 5000 rows
-// drained through a LinkedRowset pacing one message per row (the OLE DB
-// consumer that never asks for more than one row) vs through NextBatch.
-// Message counts drop by ~the batch size; on an enforced-latency link the
-// wall clock follows.
+// drained through a LinkedRowset in one-row NextBatch calls — one message
+// per row, the OLE DB consumer that never asks for more than one row — vs
+// in 256-row calls. Message counts drop by ~the batch size; on an
+// enforced-latency link the wall clock follows.
 void BM_Path_BlockFetchMicro(benchmark::State& state) {
   constexpr int kMicroRows = 5000;
   const bool block = state.range(0) != 0;
-  const int batch_rows = 256;
+  const int fetch_rows = block ? 256 : 1;
   Schema schema;
   schema.AddColumn(ColumnDef{"a", DataType::kInt64, false});
   std::vector<Row> rows;
@@ -98,30 +98,19 @@ void BM_Path_BlockFetchMicro(benchmark::State& state) {
                  /*enforce_delays=*/true);
   auto inner = std::make_unique<VectorRowset>(schema, rows);
   VectorRowset* source = inner.get();
-  net::LinkedRowset rowset(std::move(inner), &link,
-                           /*batch_rows=*/block ? batch_rows : 1);
+  net::LinkedRowset rowset(std::move(inner), &link);
   double wall_ms = 0;
   for (auto _ : state) {
     if (!source->Restart().ok()) std::abort();
     link.ResetStats();
     auto start = std::chrono::steady_clock::now();
     int64_t n = 0;
-    if (block) {
-      RowBatch batch;
-      while (true) {
-        auto has = rowset.NextBatch(&batch, batch_rows);
-        if (!has.ok()) std::abort();
-        if (!*has) break;
-        n += static_cast<int64_t>(batch.size());
-      }
-    } else {
-      Row row;
-      while (true) {
-        auto has = rowset.Next(&row);
-        if (!has.ok()) std::abort();
-        if (!*has) break;
-        ++n;
-      }
+    RowBatch batch;
+    while (true) {
+      auto has = rowset.NextBatch(&batch, fetch_rows);
+      if (!has.ok()) std::abort();
+      if (!*has) break;
+      n += static_cast<int64_t>(batch.size());
     }
     if (n != kMicroRows) std::abort();
     wall_ms = std::chrono::duration<double, std::milli>(

@@ -119,8 +119,9 @@ class Catalog {
 
   /// Column statistics for cardinality estimation. For remote sources this
   /// goes through the provider's histogram rowsets (§3.2.4) when supported;
-  /// returns NotSupported otherwise. `allow_remote_fetch=false` simulates an
-  /// optimizer configured to ignore remote statistics (ablation E3).
+  /// returns NotSupported otherwise. The ablation that ignores remote
+  /// statistics (E3) is OptimizerOptions::enable_remote_statistics, which
+  /// OptimizerContext::StatsFor checks before calling this.
   Result<ColumnStatistics> GetStatistics(int source_id,
                                          const std::string& table,
                                          const std::string& column);

@@ -485,14 +485,10 @@ Result<std::vector<std::pair<int64_t, Row>>> Engine::MatchDmlRows(
       ScalarExprPtr pred,
       binder.BindSingleTableExpr(*where, table->schema(), table->name(),
                                  column_ids));
-  std::map<int, int> positions;
-  for (size_t i = 0; i < column_ids->size(); ++i) {
-    positions[(*column_ids)[i]] = static_cast<int>(i);
-  }
   std::vector<Row> rows;
   rows.reserve(live.size());
   for (auto& entry : live) rows.push_back(std::move(entry.second));
-  CompiledExpr program(*pred, EvalLayout{&positions});
+  CompiledExpr program(*pred, EvalLayout{column_ids});
   program.Bind(params, options_.current_date);
   SelectionVector pass;
   DHQP_RETURN_NOT_OK(
@@ -552,10 +548,6 @@ Result<QueryResult> Engine::ExecuteUpdate(
   DHQP_ASSIGN_OR_RETURN(auto matched,
                         MatchDmlRows(table, stmt.where, params, &column_ids));
 
-  std::map<int, int> positions;
-  for (size_t i = 0; i < column_ids.size(); ++i) {
-    positions[column_ids[i]] = static_cast<int>(i);
-  }
   // Each assignment is compiled with its cast to the column type, and
   // evaluated over all matched rows; rows before the first failing one are
   // still updated, as row by row.
@@ -567,7 +559,7 @@ Result<QueryResult> Engine::ExecuteUpdate(
   for (const auto& [ord, expr] : assignments) {
     programs.emplace_back(
         *CastForColumn(expr, schema.column(static_cast<size_t>(ord)).type),
-        EvalLayout{&positions});
+        EvalLayout{&column_ids});
     programs.back().Bind(params, options_.current_date);
   }
   size_t n = rows.size();

@@ -98,6 +98,11 @@ void CompiledExpr::Visit(const Out& out, F&& f) {
 // Compilation and binding.
 // ---------------------------------------------------------------------------
 
+int ColumnPosition(const std::vector<int>& cols, int column_id) {
+  auto it = std::find(cols.begin(), cols.end(), column_id);
+  return it == cols.end() ? -1 : static_cast<int>(it - cols.begin());
+}
+
 namespace {
 
 size_t CountNodes(const ScalarExpr& expr) {
@@ -169,14 +174,14 @@ int CompiledExpr::Add(const ScalarExpr& expr, const EvalLayout& layout) {
     switch (expr.kind) {
       case ScalarKind::kColumn: {
         node.op = Op::kColumn;
-        const std::map<int, int>* maps[] = {layout.input, layout.input2};
+        const std::vector<int>* lists[] = {layout.input, layout.input2};
         bool found = false;
         for (int side = 0; side < 2 && !found; ++side) {
-          if (maps[side] == nullptr) continue;
-          auto it = maps[side]->find(expr.column_id);
-          if (it == maps[side]->end()) continue;
+          if (lists[side] == nullptr) continue;
+          const int pos = ColumnPosition(*lists[side], expr.column_id);
+          if (pos < 0) continue;
           node.input = side;
-          node.pos = static_cast<size_t>(it->second);
+          node.pos = static_cast<size_t>(pos);
           found = true;
         }
         if (!found) {

@@ -16,12 +16,17 @@ namespace dhqp {
 /// one.
 using SelectionVector = std::vector<int>;
 
-/// Where a compiled expression finds its columns: the column-id -> position
-/// map of its input and, for a join residual, of its second input.
+/// Where a compiled expression finds its columns: the output column list of
+/// its input (the plan operator's output_cols; column i of a row is column
+/// id list[i]) and, for a join residual, of its second input.
 struct EvalLayout {
-  const std::map<int, int>* input = nullptr;
-  const std::map<int, int>* input2 = nullptr;
+  const std::vector<int>* input = nullptr;
+  const std::vector<int>* input2 = nullptr;
 };
+
+/// Position of column id `column_id` in an output column list, or -1. No
+/// output list repeats a column id, so the first match is the only one.
+int ColumnPosition(const std::vector<int>& cols, int column_id);
 
 /// The rows one run reads, per input: a batch whose rows the selection
 /// indexes, or one row that every selected position reads. An expression

@@ -47,11 +47,7 @@ ExchangeSegment::ExchangeSegment(PhysicalOpPtr op, ExecContext* ctx,
   producers_ = std::max(child.dop, 1);
   consumers_ = std::max(op_->dop, 1);
   for (int key : op_->exchange_keys) {
-    auto it = std::find(child.output_cols.begin(), child.output_cols.end(),
-                        key);
-    key_pos_.push_back(it == child.output_cols.end()
-                           ? 0
-                           : static_cast<int>(it - child.output_cols.begin()));
+    key_pos_.push_back(std::max(0, ColumnPosition(child.output_cols, key)));
   }
   queues_.reserve(static_cast<size_t>(consumers_));
   for (int c = 0; c < consumers_; ++c) {

@@ -40,22 +40,25 @@ bool SliceRows(const std::vector<Row>& rows, size_t* pos, int max_rows,
   return true;
 }
 
-// Row-at-a-time view of a child's batch stream, for the operators that step
-// through their input one row at a time (nested-loops and merge join).
+// Row-at-a-time view of a batch stream — a child node's or a rowset's —
+// for the readers that step one row at a time: nested-loops and merge join
+// over their children, and the inline remote streams over their rowsets.
 // Rows move out of a reused buffer; an empty buffer is refilled with up to
 // `want` rows. A join that may stop before its child's end of data pulls
 // single rows where it stops on its own (merge join, semi/anti inner side)
 // and at most its caller's demand elsewhere, so the rows it reads ahead —
 // and, for a remote child, ships — are bounded by what its caller asked
-// for, not by the batch size. Reset() drops buffered rows; call it
-// whenever the child is opened or restarted.
+// for, not by the batch size. A remote stream asks for fixed provider
+// blocks instead, so its wire messages depend on neither. Reset() drops
+// buffered rows; call it whenever the source is opened or restarted.
+template <typename Source>
 class RowCursor {
  public:
-  explicit RowCursor(ExecNode* child) : child_(child) {}
+  explicit RowCursor(Source* source = nullptr) : source_(source) {}
 
   Result<bool> Next(Row* out, int want) {
     if (pos_ >= batch_.rows.size()) {
-      DHQP_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch_, want));
+      DHQP_ASSIGN_OR_RETURN(bool has, source_->NextBatch(&batch_, want));
       if (!has) return false;
       pos_ = 0;
     }
@@ -69,7 +72,7 @@ class RowCursor {
   }
 
  private:
-  ExecNode* child_;
+  Source* source_;
   RowBatch batch_;
   size_t pos_ = 0;
 };
@@ -427,17 +430,18 @@ class IndexRangeNode : public ExecNode {
 // range, or a remote query ("build remote query" at run time: a command on
 // the provider session with its parameters bound from the context).
 //
-// Bulk streams — a scan, or a query with no parameters — flow through the
-// prefetch pipeline when the context enables it: its producer thread
-// fetches remote_batch_rows-row blocks and pays the link's latency while
-// the consumer works on earlier ones, and its queue never holds a larger
-// batch. A range or a parameterized query stays inline (each rescan
-// returns a handful of rows, so a producer thread per rescan would cost
-// more than the latency it hides), as does every stream with prefetch
-// off. An inline stream is read row by row from the provider's own blocks
-// (LinkedRowset::Next), so its wire messages — and the fault ordinals
-// scripted against them — do not depend on the local batch size or on how
-// many rows the parent asks for at a time.
+// The node chooses every remote block size: one NextBatch on a linked
+// rowset is one wire message. Bulk streams — a scan, or a query with no
+// parameters — flow through the prefetch pipeline when the context enables
+// it: its producer thread fetches remote_batch_rows-row blocks and pays the
+// link's latency while the consumer works on earlier ones, and its queue
+// never holds a larger batch. A range or a parameterized query stays
+// inline (each rescan returns a handful of rows, so a producer thread per
+// rescan would cost more than the latency it hides), as does every stream
+// with prefetch off. An inline stream is read through a row cursor in
+// fixed kProviderBlockRows-row blocks, so its wire messages — and the
+// fault ordinals scripted against them — do not depend on the local batch
+// size or on how many rows the parent asks for at a time.
 class RemoteNode : public ExecNode {
  public:
   RemoteNode(PhysicalOpPtr op, ExecContext* ctx)
@@ -452,16 +456,22 @@ class RemoteNode : public ExecNode {
     DHQP_ASSIGN_OR_RETURN(rowset_, OpenStream());
     profile_->remote_opens++;
     if (prefetch_) {
+      const int block_rows = ctx_->options.remote_batch_rows > 0
+                                 ? ctx_->options.remote_batch_rows
+                                 : kProviderBlockRows;
       rowset_ = std::make_unique<PrefetchingRowset>(
-          std::move(rowset_), ctx_->options, profile_, ctx_->memory);
+          std::move(rowset_), block_rows, ctx_->options, profile_,
+          ctx_->memory);
     }
+    cursor_ = RowCursor<Rowset>(rowset_.get());
     return Status::OK();
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     if (prefetch_) return rowset_->NextBatch(out, max_rows);
-    return FillBatch(out, max_rows,
-                     [this](Row* row) { return rowset_->Next(row); });
+    return FillBatch(out, max_rows, [this](Row* row) {
+      return cursor_.Next(row, kProviderBlockRows);
+    });
   }
 
   // A scan rewinds its stream in place — another round trip's worth of
@@ -471,7 +481,10 @@ class RemoteNode : public ExecNode {
   Status Restart() override {
     if (op_->kind == PhysicalOpKind::kRemoteScan) {
       profile_->remote_opens++;
-      if (rowset_->Restart().ok()) return Status::OK();
+      if (rowset_->Restart().ok()) {
+        cursor_.Reset();
+        return Status::OK();
+      }
     }
     return Open();
   }
@@ -505,11 +518,13 @@ class RemoteNode : public ExecNode {
   const bool prefetch_;
   RangeBounds bounds_;  ///< A remote range's bounds.
   std::unique_ptr<Rowset> rowset_;
+  RowCursor<Rowset> cursor_;  ///< An inline stream's reader.
 };
 
 // Remote fetch (§4.1.2 "remote fetch accesses a remote table via
-// 'bookmark'"): streams (key, bookmark) pairs from the remote index, then
-// fetches each base row by bookmark — one round trip per row.
+// 'bookmark'"): streams (key, bookmark) pairs from the remote index in
+// kProviderBlockRows-row blocks, then fetches each base row by bookmark —
+// one round trip per row.
 class RemoteFetchNode : public ExecNode {
  public:
   RemoteFetchNode(PhysicalOpPtr op, ExecContext* ctx)
@@ -522,6 +537,7 @@ class RemoteFetchNode : public ExecNode {
     DHQP_ASSIGN_OR_RETURN(
         keys_, session_->OpenIndexKeys(op_->table.metadata.name,
                                        op_->index_name, range));
+    key_cursor_ = RowCursor<Rowset>(keys_.get());
     profile_->remote_opens++;
     return Status::OK();
   }
@@ -537,7 +553,8 @@ class RemoteFetchNode : public ExecNode {
   Result<bool> Fetch(Row* out) {
     Row key_row;
     while (true) {
-      DHQP_ASSIGN_OR_RETURN(bool has, keys_->Next(&key_row));
+      DHQP_ASSIGN_OR_RETURN(bool has,
+                            key_cursor_.Next(&key_row, kProviderBlockRows));
       if (!has) return false;
       const Value& bookmark = key_row.back();
       DHQP_ASSIGN_OR_RETURN(
@@ -555,6 +572,7 @@ class RemoteFetchNode : public ExecNode {
   RangeBounds bounds_;
   Session* session_ = nullptr;
   std::unique_ptr<Rowset> keys_;
+  RowCursor<Rowset> key_cursor_;
 };
 
 class ConstTableNode : public ExecNode {
@@ -634,7 +652,7 @@ class FilterNode : public ExecNode {
       : ExecNode(std::move(op)),
         child_(std::move(child)),
         ctx_(ctx),
-        predicate_(*op_->predicate, EvalLayout{&child_->col_pos()}) {}
+        predicate_(*op_->predicate, EvalLayout{&child_->op().output_cols}) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(child_->Open());
@@ -726,7 +744,7 @@ class ProjectNode : public ExecNode {
       : ExecNode(std::move(op)),
         child_(std::move(child)),
         ctx_(ctx),
-        exprs_(Compile(op_->exprs, EvalLayout{&child_->col_pos()})) {}
+        exprs_(Compile(op_->exprs, EvalLayout{&child_->op().output_cols})) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(child_->Open());
@@ -834,13 +852,10 @@ class SortNode : public ExecNode {
  private:
   Status ResolveKeys() {
     keys_.clear();
-    const auto& positions = child_->col_pos();
     for (const auto& [col, asc] : op_->sort_keys) {
-      auto it = positions.find(col);
-      if (it == positions.end()) {
-        return Status::Internal("sort key column not in input");
-      }
-      keys_.emplace_back(it->second, asc);
+      const int pos = ColumnPosition(child_->op().output_cols, col);
+      if (pos < 0) return Status::Internal("sort key column not in input");
+      keys_.emplace_back(pos, asc);
     }
     return Status::OK();
   }
@@ -1292,7 +1307,8 @@ class ConcatNode : public ExecNode {
 class JoinKeys {
  public:
   JoinKeys(const PhysicalOp& op, bool left, const ExecNode& input)
-      : programs_(Compile(Exprs(op, left), EvalLayout{&input.col_pos()})) {}
+      : programs_(
+            Compile(Exprs(op, left), EvalLayout{&input.op().output_cols})) {}
 
   void Bind(const ExecContext& ctx) { dhqp::Bind(&programs_, ctx); }
 
@@ -1375,7 +1391,8 @@ class HashJoinNode : public ExecNode {
         build_keys_(*op_, /*left=*/false, *right_),
         probe_keys_(*op_, /*left=*/true, *left_),
         residual_(Compile(op_->predicate,
-                          EvalLayout{&left_->col_pos(), &right_->col_pos()})) {}
+                          EvalLayout{&left_->op().output_cols,
+                                     &right_->op().output_cols})) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(left_->Open());
@@ -1649,9 +1666,11 @@ class NestedLoopsJoinNode : public ExecNode {
                             op_->join_type == JoinType::kAnti
                         ? 1
                         : ctx->options.batch_rows()),
-        bindings_(Compile(BindingExprs(*op_), EvalLayout{&outer_->col_pos()})),
-        predicate_(Compile(op_->predicate, EvalLayout{&outer_->col_pos(),
-                                                      &inner_->col_pos()})) {}
+        bindings_(Compile(BindingExprs(*op_),
+                          EvalLayout{&outer_->op().output_cols})),
+        predicate_(Compile(op_->predicate,
+                           EvalLayout{&outer_->op().output_cols,
+                                      &inner_->op().output_cols})) {}
 
   Status Open() override {
     DHQP_RETURN_NOT_OK(outer_->Open());
@@ -1758,8 +1777,8 @@ class NestedLoopsJoinNode : public ExecNode {
 
   std::unique_ptr<ExecNode> outer_, inner_;
   ExecContext* ctx_;
-  RowCursor outer_input_;
-  RowCursor inner_input_;  ///< Reset on every inner (re)start.
+  RowCursor<ExecNode> outer_input_;
+  RowCursor<ExecNode> inner_input_;  ///< Reset on every inner (re)start.
   int inner_want_;         ///< Inner rows pulled per refill.
   std::vector<CompiledExpr> bindings_;  ///< One per op_->remote_params.
   std::optional<CompiledExpr> predicate_;
@@ -1782,7 +1801,8 @@ class MergeJoinNode : public ExecNode {
         left_keys_(*op_, /*left=*/true, *left_),
         right_keys_(*op_, /*left=*/false, *right_),
         predicate_(Compile(op_->predicate,
-                           EvalLayout{&left_->col_pos(), &right_->col_pos()})),
+                           EvalLayout{&left_->op().output_cols,
+                                      &right_->op().output_cols})),
         left_input_(left_.get()),
         right_input_(right_.get()) {}
 
@@ -1915,7 +1935,7 @@ class MergeJoinNode : public ExecNode {
   ExecContext* ctx_;
   JoinKeys left_keys_, right_keys_;
   std::optional<CompiledExpr> predicate_;
-  RowCursor left_input_, right_input_;
+  RowCursor<ExecNode> left_input_, right_input_;
   Row left_row_, right_row_;
   bool have_left_ = false, right_ahead_ = false;
   bool right_done_ = false;
@@ -1947,7 +1967,7 @@ class Aggregates {
       Spec spec{FuncOf(item.func), item.distinct, item.type, -1};
       if (item.arg != nullptr) {
         spec.arg = static_cast<int>(args_.size());
-        args_.emplace_back(*item.arg, EvalLayout{&input.col_pos()});
+        args_.emplace_back(*item.arg, EvalLayout{&input.op().output_cols});
       }
       specs_.push_back(spec);
     }
@@ -2054,12 +2074,14 @@ class Aggregates {
   const Value count_star_arg_ = Value::Int64(1);
 };
 
-// Group-column positions in an aggregate's input, resolved once.
+// Group-column positions in an aggregate's input, resolved once. BuildNode
+// has checked that the input produces every group column.
 std::vector<size_t> GroupPositions(const PhysicalOp& op, const ExecNode& input) {
   std::vector<size_t> positions;
   positions.reserve(op.group_by.size());
   for (int g : op.group_by) {
-    positions.push_back(static_cast<size_t>(input.col_pos().at(g)));
+    positions.push_back(
+        static_cast<size_t>(ColumnPosition(input.op().output_cols, g)));
   }
   return positions;
 }
@@ -2477,9 +2499,16 @@ Result<std::unique_ptr<ExecNode>> BuildNode(
       return std::unique_ptr<ExecNode>(new MergeJoinNode(
           plan, std::move(children[0]), std::move(children[1]), ctx));
     case PhysicalOpKind::kHashAggregate:
-      return std::unique_ptr<ExecNode>(
-          new HashAggregateNode(plan, std::move(children[0]), ctx));
     case PhysicalOpKind::kStreamAggregate:
+      for (int g : plan->group_by) {
+        if (ColumnPosition(children[0]->op().output_cols, g) < 0) {
+          return Status::Internal("group column not in input");
+        }
+      }
+      if (plan->kind == PhysicalOpKind::kHashAggregate) {
+        return std::unique_ptr<ExecNode>(
+            new HashAggregateNode(plan, std::move(children[0]), ctx));
+      }
       return std::unique_ptr<ExecNode>(
           new StreamAggregateNode(plan, std::move(children[0]), ctx));
     case PhysicalOpKind::kExchange:

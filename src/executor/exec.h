@@ -33,8 +33,9 @@ struct ExecOptions {
   /// thread so link latency overlaps with local processing.
   bool enable_remote_prefetch = true;
   /// Rows per block fetch (Rowset::NextBatch) on prefetched remote streams
-  /// — the IRowset::GetNextRows cRows argument. Inline remote streams read
-  /// the provider's own blocks.
+  /// — the IRowset::GetNextRows cRows argument; values below 1 mean
+  /// kProviderBlockRows. Inline remote streams read kProviderBlockRows-row
+  /// blocks. RemoteNode chooses both.
   int remote_batch_rows = 512;
   /// Rows per batch in the *local* executor: operators stream RowBatches of
   /// up to this many rows through ExecNode::NextBatch, and predicates and
@@ -113,11 +114,7 @@ struct ExecContext {
 /// mechanism behind parameterized remote queries).
 class ExecNode {
  public:
-  explicit ExecNode(PhysicalOpPtr op) : op_(std::move(op)) {
-    for (size_t i = 0; i < op_->output_cols.size(); ++i) {
-      col_pos_[op_->output_cols[i]] = static_cast<int>(i);
-    }
-  }
+  explicit ExecNode(PhysicalOpPtr op) : op_(std::move(op)) {}
   virtual ~ExecNode() = default;
 
   virtual Status Open() = 0;
@@ -130,9 +127,9 @@ class ExecNode {
 
   const PhysicalOp& op() const { return *op_; }
   /// Shared plan node (the profiling wrapper shares its inner node's op).
+  /// Its output_cols is the node's row layout: column i of every row is
+  /// column id output_cols[i].
   const PhysicalOpPtr& op_ptr() const { return op_; }
-  /// Column-id -> output position.
-  const std::map<int, int>& col_pos() const { return col_pos_; }
 
   /// Attaches this operator occurrence's profile (owned by the context's
   /// profile tree); remote nodes attribute their link traffic through it.
@@ -142,7 +139,7 @@ class ExecNode {
  protected:
   /// NextBatch for operators that produce one row at a time — join and
   /// stream-aggregate state machines, spill-file merges, bookmark fetches,
-  /// and remote cursors whose wire cadence must stay the provider's own.
+  /// and inline remote streams, which step through fixed provider blocks.
   /// Calls `next_row(Row*) -> Result<bool>` until `max_rows` rows are
   /// collected or it reports end of data. A mid-batch error is deferred:
   /// the rows collected so far are returned and the error surfaces on the
@@ -172,7 +169,6 @@ class ExecNode {
   }
 
   PhysicalOpPtr op_;
-  std::map<int, int> col_pos_;
   OperatorProfile* profile_ = nullptr;
 
  private:

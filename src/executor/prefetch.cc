@@ -5,11 +5,13 @@
 namespace dhqp {
 
 PrefetchingRowset::PrefetchingRowset(std::unique_ptr<Rowset> inner,
+                                     int block_rows,
                                      const ExecOptions& options,
                                      OperatorProfile* profile,
                                      MemTracker* query_mem)
     : inner_(std::move(inner)),
       schema_(inner_->schema()),
+      block_rows_(block_rows),
       options_(options),
       profile_(profile),
       query_mem_(query_mem) {
@@ -44,11 +46,9 @@ void PrefetchingRowset::ProducerLoop() {
       profile_ != nullptr ? &profile_->wait_tally : nullptr);
   metrics::Histogram* depth =
       metrics::Registry::Global().GetHistogram("exec.prefetch.queue_depth");
-  const int batch_rows =
-      options_.remote_batch_rows > 0 ? options_.remote_batch_rows : 256;
   while (true) {
     RowBatch batch = queue_->TakeBuffer();
-    Result<bool> has = inner_->NextBatch(&batch, batch_rows);
+    Result<bool> has = inner_->NextBatch(&batch, block_rows_);
     if (!has.ok()) {
       queue_->Fail(has.status());
       return;
@@ -59,13 +59,6 @@ void PrefetchingRowset::ProducerLoop() {
     if (!queue_->Push(std::move(batch))) return;  // Consumer went away.
   }
   queue_->Close();
-}
-
-Result<bool> PrefetchingRowset::Next(Row* out) {
-  DHQP_ASSIGN_OR_RETURN(bool has, queue_->NextBatch(&row_, 1));
-  if (!has) return false;
-  *out = std::move(row_.rows[0]);
-  return true;
 }
 
 Result<bool> PrefetchingRowset::NextBatch(RowBatch* out, int max_rows) {

@@ -16,14 +16,17 @@ namespace dhqp {
 /// link's per-message latency overlaps with local join/aggregate work
 /// instead of being paid inline (§4.1.3's network-cost story, executed).
 ///
-/// Threading contract: Next/NextBatch/Restart are called by one consumer
+/// Threading contract: NextBatch/Restart are called by one consumer
 /// thread; the inner rowset is touched only by the producer thread while it
 /// runs (Restart joins the producer before rewinding the inner rowset).
 /// Producer errors are carried across the queue and surface as the
 /// consumer's Result<> once buffered batches are drained.
 class PrefetchingRowset : public Rowset {
  public:
-  /// `profile` is the owning operator's slot, where this pipeline counts:
+  /// The producer fetches blocks of `block_rows` rows — the cRows argument
+  /// of IRowset::GetNextRows, chosen by the owning RemoteNode — and the
+  /// queue holds `options.queue_depth()` of them. `profile` is the owning
+  /// operator's slot, where this pipeline counts:
   /// the producer thread installs its link-charge sink — so remote traffic
   /// paid on the producer's behalf is attributed to the owning operator —
   /// and counts fetched blocks (`batches`) and consumer stalls
@@ -32,7 +35,8 @@ class PrefetchingRowset : public Rowset {
   /// Either may be null (no counting / no attribution). Starts the
   /// producer immediately; the first batches are usually in flight before
   /// the consumer asks for the first row.
-  PrefetchingRowset(std::unique_ptr<Rowset> inner, const ExecOptions& options,
+  PrefetchingRowset(std::unique_ptr<Rowset> inner, int block_rows,
+                    const ExecOptions& options,
                     OperatorProfile* profile = nullptr,
                     MemTracker* query_mem = nullptr);
   ~PrefetchingRowset() override;
@@ -42,7 +46,6 @@ class PrefetchingRowset : public Rowset {
 
   const Schema& schema() const override { return schema_; }
 
-  Result<bool> Next(Row* out) override;
   Result<bool> NextBatch(RowBatch* out, int max_rows) override;
 
   /// Tears the producer down, rewinds the inner rowset and relaunches —
@@ -61,12 +64,12 @@ class PrefetchingRowset : public Rowset {
 
   std::unique_ptr<Rowset> inner_;
   Schema schema_;  ///< Copied: schema() must not race with the producer.
+  int block_rows_;
   ExecOptions options_;
   OperatorProfile* profile_;
   MemTracker* query_mem_;
 
   std::optional<BatchQueue> queue_;
-  RowBatch row_;  ///< One-row staging batch for Next().
   QueryWorkers producer_;
 };
 

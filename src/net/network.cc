@@ -38,16 +38,25 @@ void Link::Delay(double microseconds) {
   }
 }
 
+void Link::Charge(const LinkStats& charge) {
+  LinkChargeSink* sink = t_charge_sink;
+  auto add = [sink, this](int64_t n, std::atomic<int64_t> LinkChargeSink::*f,
+                          metrics::Counter* mirror) {
+    if (n == 0) return;
+    (totals_.*f).fetch_add(n, std::memory_order_relaxed);
+    mirror->Add(n);
+    if (sink != nullptr) (sink->*f).fetch_add(n, std::memory_order_relaxed);
+  };
+  add(charge.messages, &LinkChargeSink::messages, m_messages_);
+  add(charge.rows, &LinkChargeSink::rows, m_rows_);
+  add(charge.bytes, &LinkChargeSink::bytes, m_bytes_);
+  add(charge.retries, &LinkChargeSink::retries, m_retries_);
+  add(charge.timeouts, &LinkChargeSink::timeouts, m_timeouts_);
+  add(charge.faults, &LinkChargeSink::faults, m_faults_);
+}
+
 void Link::ChargeMessage(size_t bytes) {
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(static_cast<int64_t>(bytes), std::memory_order_relaxed);
-  m_messages_->Increment();
-  m_bytes_->Add(static_cast<int64_t>(bytes));
-  if (LinkChargeSink* sink = t_charge_sink) {
-    sink->messages.fetch_add(1, std::memory_order_relaxed);
-    sink->bytes.fetch_add(static_cast<int64_t>(bytes),
-                          std::memory_order_relaxed);
-  }
+  Charge({.messages = 1, .bytes = static_cast<int64_t>(bytes)});
   Delay(latency_us_ + us_per_kb_ * static_cast<double>(bytes) / 1024.0);
 }
 
@@ -67,20 +76,11 @@ Status Link::SendMessage(size_t bytes) {
   const double wire_us =
       latency_us_ + us_per_kb_ * static_cast<double>(bytes) / 1024.0;
   double backoff_us = policy.backoff_us;
-  LinkChargeSink* sink = t_charge_sink;
   Status last = Status::OK();
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     FaultInjector::Decision d = injector->OnMessage();
     // Every attempt is a round trip on the wire, delivered or not.
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(static_cast<int64_t>(bytes), std::memory_order_relaxed);
-    m_messages_->Increment();
-    m_bytes_->Add(static_cast<int64_t>(bytes));
-    if (sink != nullptr) {
-      sink->messages.fetch_add(1, std::memory_order_relaxed);
-      sink->bytes.fetch_add(static_cast<int64_t>(bytes),
-                            std::memory_order_relaxed);
-    }
+    Charge({.messages = 1, .bytes = static_cast<int64_t>(bytes)});
     {
       // Per-attempt span, renamed to carry the fault attribution when the
       // attempt does not deliver ("link.attempt" -> timeout/fault/down).
@@ -100,14 +100,7 @@ Status Link::SendMessage(size_t bytes) {
             // gives up at deadline_us and treats the message as lost.
             attempt_span.set_name("link.timeout");
             Delay(policy.deadline_us);
-            timeouts_.fetch_add(1, std::memory_order_relaxed);
-            faults_.fetch_add(1, std::memory_order_relaxed);
-            m_timeouts_->Increment();
-            m_faults_->Increment();
-            if (sink != nullptr) {
-              sink->timeouts.fetch_add(1, std::memory_order_relaxed);
-              sink->faults.fetch_add(1, std::memory_order_relaxed);
-            }
+            Charge({.timeouts = 1, .faults = 1});
             last = Status::NetworkError("linked server '" + name_ +
                                         "': message timed out");
             break;
@@ -120,11 +113,7 @@ Status Link::SendMessage(size_t bytes) {
           // sender concludes it was lost.
           attempt_span.set_name("link.fault");
           Delay(wire_us);
-          faults_.fetch_add(1, std::memory_order_relaxed);
-          m_faults_->Increment();
-          if (sink != nullptr) {
-            sink->faults.fetch_add(1, std::memory_order_relaxed);
-          }
+          Charge({.faults = 1});
           last = Status::NetworkError("linked server '" + name_ +
                                       "': message dropped");
           break;
@@ -132,21 +121,13 @@ Status Link::SendMessage(size_t bytes) {
           // Permanent failure: retrying cannot help, fail fast so the
           // caller can tear the session down.
           attempt_span.set_name("link.down");
-          faults_.fetch_add(1, std::memory_order_relaxed);
-          m_faults_->Increment();
-          if (sink != nullptr) {
-            sink->faults.fetch_add(1, std::memory_order_relaxed);
-          }
+          Charge({.faults = 1});
           return Status::NetworkError("linked server '" + name_ +
                                       "' is unreachable (link down)");
       }
     }
     if (attempt < max_attempts) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      m_retries_->Increment();
-      if (sink != nullptr) {
-        sink->retries.fetch_add(1, std::memory_order_relaxed);
-      }
+      Charge({.retries = 1});
       trace::Span backoff_span("link.backoff", name_.c_str());
       waits::WaitScope backoff_wait(waits::WaitType::kRetryBackoff,
                                     waits::CurrentOperatorTally());
@@ -161,19 +142,11 @@ Status Link::SendMessage(size_t bytes) {
 }
 
 void Link::ChargeRows(int64_t n, size_t bytes) {
-  rows_.fetch_add(n, std::memory_order_relaxed);
-  bytes_.fetch_add(static_cast<int64_t>(bytes), std::memory_order_relaxed);
-  m_rows_->Add(n);
-  m_bytes_->Add(static_cast<int64_t>(bytes));
-  if (LinkChargeSink* sink = t_charge_sink) {
-    sink->rows.fetch_add(n, std::memory_order_relaxed);
-    sink->bytes.fetch_add(static_cast<int64_t>(bytes),
-                          std::memory_order_relaxed);
-  }
+  Charge({.rows = n, .bytes = static_cast<int64_t>(bytes)});
   Delay(us_per_kb_ * static_cast<double>(bytes) / 1024.0);
 }
 
-Result<bool> LinkedRowset::Fetch(RowBatch* out, int max_rows) {
+Result<bool> LinkedRowset::NextBatch(RowBatch* out, int max_rows) {
   out->clear();
   DHQP_RETURN_NOT_OK(error_);
   Result<bool> has = inner_->NextBatch(out, max_rows);
@@ -192,31 +165,8 @@ Result<bool> LinkedRowset::Fetch(RowBatch* out, int max_rows) {
   return has;
 }
 
-Result<bool> LinkedRowset::Next(Row* out) {
-  if (pos_ == block_.rows.size()) {
-    pos_ = 0;
-    DHQP_ASSIGN_OR_RETURN(bool has, Fetch(&block_, batch_rows_));
-    if (!has) return false;
-  }
-  *out = std::move(block_.rows[pos_++]);
-  return true;
-}
-
-Result<bool> LinkedRowset::NextBatch(RowBatch* out, int max_rows) {
-  if (pos_ == block_.rows.size()) return Fetch(out, max_rows);
-  // The rest of a block Next() started: already fetched and charged.
-  out->clear();
-  while (pos_ < block_.rows.size() &&
-         static_cast<int>(out->rows.size()) < max_rows) {
-    out->rows.push_back(std::move(block_.rows[pos_++]));
-  }
-  return !out->rows.empty();
-}
-
 Status LinkedRowset::Restart() {
   DHQP_RETURN_NOT_OK(inner_->Restart());
-  block_.clear();
-  pos_ = 0;
   error_ = Status::OK();
   return Status::OK();
 }

@@ -116,12 +116,12 @@ class Link {
   /// has finished (the executor joins its threads before returning).
   LinkStats stats() const {
     LinkStats s;
-    s.messages = messages_.load(std::memory_order_relaxed);
-    s.rows = rows_.load(std::memory_order_relaxed);
-    s.bytes = bytes_.load(std::memory_order_relaxed);
-    s.retries = retries_.load(std::memory_order_relaxed);
-    s.timeouts = timeouts_.load(std::memory_order_relaxed);
-    s.faults = faults_.load(std::memory_order_relaxed);
+    s.messages = totals_.messages.load(std::memory_order_relaxed);
+    s.rows = totals_.rows.load(std::memory_order_relaxed);
+    s.bytes = totals_.bytes.load(std::memory_order_relaxed);
+    s.retries = totals_.retries.load(std::memory_order_relaxed);
+    s.timeouts = totals_.timeouts.load(std::memory_order_relaxed);
+    s.faults = totals_.faults.load(std::memory_order_relaxed);
     return s;
   }
   /// Zeroes the counters one at a time — NOT atomically as a group. Calling
@@ -130,12 +130,12 @@ class Link {
   /// meaningless numbers. Benches and tests must only reset between queries,
   /// after the executor has returned (all worker threads joined).
   void ResetStats() {
-    messages_.store(0, std::memory_order_relaxed);
-    rows_.store(0, std::memory_order_relaxed);
-    bytes_.store(0, std::memory_order_relaxed);
-    retries_.store(0, std::memory_order_relaxed);
-    timeouts_.store(0, std::memory_order_relaxed);
-    faults_.store(0, std::memory_order_relaxed);
+    totals_.messages.store(0, std::memory_order_relaxed);
+    totals_.rows.store(0, std::memory_order_relaxed);
+    totals_.bytes.store(0, std::memory_order_relaxed);
+    totals_.retries.store(0, std::memory_order_relaxed);
+    totals_.timeouts.store(0, std::memory_order_relaxed);
+    totals_.faults.store(0, std::memory_order_relaxed);
   }
 
   double latency_us() const { return latency_us_; }
@@ -176,6 +176,9 @@ class Link {
 
  private:
   void Delay(double microseconds);
+  /// Adds each non-zero field of `charge` to the link's totals, their
+  /// registry mirror and the calling thread's sink.
+  void Charge(const LinkStats& charge);
 
   std::string name_;
   double latency_us_;
@@ -183,12 +186,7 @@ class Link {
   std::atomic<bool> enforce_;
   RetryPolicy retry_policy_;
   std::atomic<FaultInjector*> injector_{nullptr};
-  std::atomic<int64_t> messages_{0};
-  std::atomic<int64_t> rows_{0};
-  std::atomic<int64_t> bytes_{0};
-  std::atomic<int64_t> retries_{0};
-  std::atomic<int64_t> timeouts_{0};
-  std::atomic<int64_t> faults_{0};
+  LinkChargeSink totals_;  ///< The link's own totals (stats()).
   metrics::Counter* m_messages_ = nullptr;
   metrics::Counter* m_rows_ = nullptr;
   metrics::Counter* m_bytes_ = nullptr;
@@ -197,44 +195,30 @@ class Link {
   metrics::Counter* m_faults_ = nullptr;
 };
 
-/// Wraps a provider rowset so that its rows cross a link in blocks. Every
-/// row it hands on came in a block that one SendMessage fetched and charged
-/// — one message carrying the block's bytes, then the block's rows — before
-/// any of the block's rows surfaced. A fetch that fails (the message after
-/// its retries, or the provider) hands on none of its rows, and the stream
-/// keeps failing with that error until Restart: the provider has moved past
-/// the lost block, so serving the next one would skip it. Used by remote
-/// providers to account (and pace) result shipping.
+/// Wraps a provider rowset so that its rows cross a link in blocks. One
+/// NextBatch call fetches, charges and hands on exactly one block: one
+/// SendMessage carrying the block's bytes, then the block's rows, before any
+/// of them surfaces — so the caller's `max_rows` is the wire block. A fetch
+/// that fails (the message after its retries, or the provider) hands on
+/// none of its rows, and the stream keeps failing with that error until
+/// Restart: the provider has moved past the lost block, so serving the next
+/// one would skip it. Used by remote providers to account (and pace) result
+/// shipping.
 class LinkedRowset : public Rowset {
  public:
-  /// `batch_rows` is the provider's fetch block for row-at-a-time reads:
-  /// Next() serves rows from blocks of this many rows.
-  LinkedRowset(std::unique_ptr<Rowset> inner, Link* link, int batch_rows = 64)
-      : inner_(std::move(inner)), link_(link), batch_rows_(batch_rows) {}
+  LinkedRowset(std::unique_ptr<Rowset> inner, Link* link)
+      : inner_(std::move(inner)), link_(link) {}
 
   const Schema& schema() const override { return inner_->schema(); }
 
-  Result<bool> Next(Row* out) override;
-
-  /// Block fetch: serves the rest of the block Next() started, if any, and
-  /// otherwise fetches a block of up to `max_rows` rows in one round trip —
-  /// where batching beats row-at-a-time streaming on a high-latency link.
   Result<bool> NextBatch(RowBatch* out, int max_rows) override;
 
   Status Restart() override;
 
  private:
-  /// Fetches up to `max_rows` rows from the provider into `out` and charges
-  /// them to the link; on any failure leaves `out` empty and fails the
-  /// stream.
-  Result<bool> Fetch(RowBatch* out, int max_rows);
-
   std::unique_ptr<Rowset> inner_;
   Link* link_;
-  int batch_rows_;
-  RowBatch block_;  ///< The block Next() serves from.
-  size_t pos_ = 0;  ///< Next row of block_ to hand on.
-  Status error_;    ///< The failed fetch's error, until Restart.
+  Status error_;  ///< The failed fetch's error, until Restart.
 };
 
 }  // namespace net

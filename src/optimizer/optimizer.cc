@@ -310,17 +310,8 @@ Result<Winner> Optimizer::OptimizeGroup(int gid,
     serial_req.partition_cols.clear();
     auto serial = OptimizeGroup(gid, serial_req);
     if (serial.ok() && ParallelSafe(serial->plan)) {
-      auto ex = NewPhysicalOp(PhysicalOpKind::kExchange);
-      ex->exchange = required.partition_cols.empty()
-                         ? ExchangeKind::kDistribute
-                         : ExchangeKind::kRepartitionHash;
-      ex->exchange_keys = required.partition_cols;
-      ex->dop = required.dop;
-      ex->partition_cols = required.partition_cols;
-      ex->children.push_back(serial->plan);
-      ex->estimated_rows = serial->plan->estimated_rows;
-      AnnotateColumns(ex, serial->plan->output_cols);
-      Consider(ex, gid, required, &best);
+      Consider(PartitioningExchange(required, serial->plan), gid, required,
+               &best);
     }
   }
 
@@ -352,6 +343,21 @@ void Optimizer::AnnotateFromGroup(PhysicalOpBuilder& op, int gid) {
 void Optimizer::AnnotateFromChild(PhysicalOpBuilder& op, int gid) {
   op->estimated_rows = memo_.group(gid).props.cardinality;
   AnnotateColumns(op, op->children.front()->output_cols);
+}
+
+PhysicalOpBuilder Optimizer::PartitioningExchange(
+    const PhysicalProps& required, const PhysicalOpPtr& child) {
+  auto ex = NewPhysicalOp(PhysicalOpKind::kExchange);
+  ex->exchange = required.partition_cols.empty()
+                     ? ExchangeKind::kDistribute
+                     : ExchangeKind::kRepartitionHash;
+  ex->exchange_keys = required.partition_cols;
+  ex->dop = required.dop;
+  ex->partition_cols = required.partition_cols;
+  ex->children.push_back(child);
+  ex->estimated_rows = child->estimated_rows;
+  AnnotateColumns(ex, child->output_cols);
+  return ex;
 }
 
 void Optimizer::AnnotateColumns(PhysicalOpBuilder& op,
@@ -491,16 +497,7 @@ void Optimizer::Consider(PhysicalOpBuilder plan, int gid,
       bool cols_miss = !required.partition_cols.empty() &&
                        delivered.partition_cols != required.partition_cols;
       if (dop_miss || cols_miss) {
-        auto ex = NewPhysicalOp(PhysicalOpKind::kExchange);
-        ex->exchange = required.partition_cols.empty()
-                           ? ExchangeKind::kDistribute
-                           : ExchangeKind::kRepartitionHash;
-        ex->exchange_keys = required.partition_cols;
-        ex->dop = required.dop;
-        ex->partition_cols = required.partition_cols;
-        ex->children.push_back(final);
-        ex->estimated_rows = final->estimated_rows;
-        AnnotateColumns(ex, final->output_cols);
+        PhysicalOpBuilder ex = PartitioningExchange(required, final);
         CostNode(ex);
         final = ex;
         delivered = Delivered(final);

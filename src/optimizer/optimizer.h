@@ -79,6 +79,11 @@ class Optimizer {
   void AnnotateFromChild(PhysicalOpBuilder& op, int gid);
   /// Fills output schema metadata from explicit columns.
   void AnnotateColumns(PhysicalOpBuilder& op, const std::vector<int>& cols);
+  /// The exchange that delivers `required`'s partitioning over `child`
+  /// (uncosted): Distribute fans a serial stream out round-robin;
+  /// RepartitionHash aligns streams on the required hash columns.
+  PhysicalOpBuilder PartitioningExchange(const PhysicalProps& required,
+                                         const PhysicalOpPtr& child);
   /// Computes estimated_cost = local + children (estimated_rows must be set).
   void CostNode(PhysicalOpBuilder& op);
 

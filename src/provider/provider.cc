@@ -1,36 +1,39 @@
 #include "src/provider/provider.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace dhqp {
 
-Result<bool> Rowset::NextBatch(RowBatch* out, int max_rows) {
-  out->clear();
-  Row row;
-  while (static_cast<int>(out->rows.size()) < max_rows) {
-    DHQP_ASSIGN_OR_RETURN(bool has, Next(&row));
-    if (!has) break;
-    out->rows.push_back(std::move(row));
-  }
-  return !out->rows.empty();
+Result<bool> Rowset::Next(Row* out) {
+  RowBatch one;
+  DHQP_ASSIGN_OR_RETURN(bool has, NextBatch(&one, 1));
+  if (has) *out = std::move(one.rows[0]);
+  return has;
 }
 
 Result<int64_t> Rowset::SkipRows(int64_t n) {
-  Row discard;
+  RowBatch discard;
   int64_t skipped = 0;
   while (skipped < n) {
-    DHQP_ASSIGN_OR_RETURN(bool has, Next(&discard));
+    const int64_t want = std::min<int64_t>(n - skipped, kProviderBlockRows);
+    DHQP_ASSIGN_OR_RETURN(bool has,
+                          NextBatch(&discard, static_cast<int>(want)));
     if (!has) break;
-    ++skipped;
+    skipped += static_cast<int64_t>(discard.size());
   }
   return skipped;
 }
 
 Result<std::vector<Row>> DrainRowset(Rowset* rowset) {
   std::vector<Row> rows;
-  Row row;
+  RowBatch batch;
   while (true) {
-    DHQP_ASSIGN_OR_RETURN(bool has, rowset->Next(&row));
+    DHQP_ASSIGN_OR_RETURN(bool has,
+                          rowset->NextBatch(&batch, kProviderBlockRows));
     if (!has) break;
-    rows.push_back(row);
+    rows.insert(rows.end(), std::make_move_iterator(batch.rows.begin()),
+                std::make_move_iterator(batch.rows.end()));
   }
   return rows;
 }

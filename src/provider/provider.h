@@ -15,9 +15,10 @@
 
 namespace dhqp {
 
-/// A block of rows fetched in one provider round trip. Models the row-handle
-/// arrays that OLE DB's IRowset::GetNextRows returns: consumers that fetch
-/// blocks instead of single rows pay one round trip per block.
+/// A block of rows, the unit every rowset and every executor node hands on.
+/// Models the row-handle arrays that OLE DB's IRowset::GetNextRows returns:
+/// over a link, one block is one round trip, so a consumer pays per block,
+/// not per row.
 struct RowBatch {
   std::vector<Row> rows;
 
@@ -26,28 +27,36 @@ struct RowBatch {
   void clear() { rows.clear(); }
 };
 
+/// Rows per block where no consumer chooses the size: the provider fetch
+/// block that RemoteNode reads an inline remote stream in (and a remote
+/// fetch its key stream in), and the block DrainRowset and the default
+/// SkipRows read.
+inline constexpr int kProviderBlockRows = 64;
+
 /// Tabular data stream — the paper's Rowset abstraction (§3.1.2): "a
 /// unifying abstraction that enables OLE DB data providers to expose data in
 /// tabular form". Base tables, query results, index ranges, full-text rank
 /// results and metadata all flow through this interface, which is what lets
-/// the relational engine consume any source uniformly.
+/// the relational engine consume any source uniformly. NextBatch is its one
+/// read, as ExecNode::NextBatch is the executor's; a consumer that steps
+/// row by row keeps its own cursor over the blocks.
 class Rowset {
  public:
   virtual ~Rowset() = default;
 
   virtual const Schema& schema() const = 0;
 
-  /// Advances to the next row. Returns true and fills `out` when a row is
-  /// available, false at end of data.
-  virtual Result<bool> Next(Row* out) = 0;
-
   /// Fetches up to `max_rows` rows into `out` (cleared first) — the OLE DB
   /// IRowset::GetNextRows block-fetch surface. Returns false only at end of
   /// data (out left empty); a partial batch is returned as true and the
-  /// following call reports the end. The base implementation loops Next(),
-  /// so every rowset supports block fetch; materialized and storage rowsets
-  /// override it to fill the block in one call.
-  virtual Result<bool> NextBatch(RowBatch* out, int max_rows);
+  /// following call reports the end. A failing call hands on no rows. The
+  /// caller chooses the block: over a link, one call is one round trip.
+  virtual Result<bool> NextBatch(RowBatch* out, int max_rows) = 0;
+
+  /// A one-row NextBatch. Nothing in the engine reads through it: it stays
+  /// only because perfbench's TimedRowset overrides it, and goes with that
+  /// override.
+  virtual Result<bool> Next(Row* out);
 
   /// Repositions before the first row, if the rowset supports rewinding.
   /// Streaming rowsets (e.g. remote query results) do not; the executor
@@ -57,11 +66,12 @@ class Rowset {
   }
 
   /// Skips up to `n` rows, returning the number actually skipped (< n only
-  /// at end of data). Skipped rows are counted in the unit Next/NextBatch
-  /// serve — rows, not storage positions — so a reader that skips k rows
-  /// and one that reads them land on the same next row. The base
-  /// implementation discards rows through Next(); the storage engine's slot
-  /// cursor advances over slots without copying, counting the live ones.
+  /// at end of data). Skipped rows are counted in the unit NextBatch serves
+  /// — rows, not storage positions — so a reader that skips k rows and one
+  /// that reads them land on the same next row. The base implementation
+  /// reads and discards blocks of at most kProviderBlockRows rows; the
+  /// storage engine's slot cursor advances over slots without copying,
+  /// counting the live ones.
   /// That is what makes block-cyclic partitioned scans cheap (each of `dop`
   /// workers reads every dop-th block and skips the rest) and keeps the
   /// workers' blocks aligned across deleted rows.
@@ -76,12 +86,6 @@ class VectorRowset : public Rowset {
       : schema_(std::move(schema)), rows_(std::move(rows)) {}
 
   const Schema& schema() const override { return schema_; }
-
-  Result<bool> Next(Row* out) override {
-    if (pos_ >= rows_.size()) return false;
-    *out = rows_[pos_++];
-    return true;
-  }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
@@ -107,8 +111,8 @@ class VectorRowset : public Rowset {
   size_t pos_ = 0;
 };
 
-/// Drains a rowset into a vector. Utility shared by tests, spools and the
-/// remote bridge.
+/// Drains a rowset into a vector, reading blocks of kProviderBlockRows rows
+/// and moving their rows out.
 Result<std::vector<Row>> DrainRowset(Rowset* rowset);
 
 /// A key range over a (possibly composite) index: fixed equality prefix plus

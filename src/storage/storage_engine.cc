@@ -183,17 +183,6 @@ class SlotCursor : public Rowset {
 
   const Schema& schema() const override { return table_->schema(); }
 
-  Result<bool> Next(Row* out) override {
-    while (pos_ < end_) {
-      const Row* row = RowAt(pos_++);
-      if (row != nullptr) {
-        *out = *row;
-        return true;
-      }
-    }
-    return false;
-  }
-
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
     const size_t want = max_rows > 0 ? static_cast<size_t>(max_rows) : 0;

@@ -27,8 +27,9 @@ std::vector<Row> IntRows(int n) {
   return rows;
 }
 
-/// Yields `fail_after` rows, then returns a NetworkError from Next() — a
-/// remote stream dying mid-flight. Does not support Restart.
+/// Yields `fail_after` rows, then returns a NetworkError — a remote stream
+/// dying mid-flight: a block that would reach past them fails whole, and so
+/// does every later one. Does not support Restart.
 class FlakyRowset : public Rowset {
  public:
   FlakyRowset(Schema schema, int fail_after)
@@ -36,11 +37,16 @@ class FlakyRowset : public Rowset {
 
   const Schema& schema() const override { return schema_; }
 
-  Result<bool> Next(Row* out) override {
-    if (served_ >= fail_after_) {
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    out->clear();
+    if (max_rows <= 0) return false;
+    if (fail_after_ - served_ < max_rows) {
+      served_ = fail_after_;
       return Status::NetworkError("link dropped mid-stream");
     }
-    *out = {Value::Int64(served_++)};
+    for (int i = 0; i < max_rows; ++i) {
+      out->rows.push_back({Value::Int64(served_++)});
+    }
     return true;
   }
 
@@ -50,9 +56,10 @@ class FlakyRowset : public Rowset {
   int served_ = 0;
 };
 
-ExecOptions SmallBatches() {
+constexpr int kBlockRows = 64;
+
+ExecOptions ShortQueue() {
   ExecOptions options;
-  options.remote_batch_rows = 64;
   options.prefetch_queue_depth = 2;
   return options;
 }
@@ -61,7 +68,7 @@ TEST(PrefetchingRowsetTest, StreamsAllRowsInOrder) {
   OperatorProfile profile;
   PrefetchingRowset rowset(
       std::make_unique<VectorRowset>(OneIntSchema(), IntRows(1000)),
-      SmallBatches(), &profile);
+      kBlockRows, ShortQueue(), &profile);
   auto drained = DrainRowset(&rowset);
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
   ASSERT_EQ(drained->size(), 1000u);
@@ -75,12 +82,12 @@ TEST(PrefetchingRowsetTest, StreamsAllRowsInOrder) {
 TEST(PrefetchingRowsetTest, ProducerErrorReachesConsumerAndSticks) {
   PrefetchingRowset rowset(
       std::make_unique<FlakyRowset>(OneIntSchema(), /*fail_after=*/150),
-      SmallBatches());
-  Row row;
+      kBlockRows, ShortQueue());
+  RowBatch batch;
   int got = 0;
   Status error = Status::OK();
   while (true) {
-    auto has = rowset.Next(&row);
+    auto has = rowset.NextBatch(&batch, 1);
     if (!has.ok()) {
       error = has.status();
       break;
@@ -93,7 +100,7 @@ TEST(PrefetchingRowsetTest, ProducerErrorReachesConsumerAndSticks) {
   EXPECT_EQ(got, 128);
   EXPECT_EQ(error.code(), StatusCode::kNetworkError);
   // The error is sticky: the consumer cannot accidentally read past it.
-  auto again = rowset.Next(&row);
+  auto again = rowset.NextBatch(&batch, 1);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kNetworkError);
 }
@@ -101,10 +108,10 @@ TEST(PrefetchingRowsetTest, ProducerErrorReachesConsumerAndSticks) {
 TEST(PrefetchingRowsetTest, RestartRewindsAndRelaunchesProducer) {
   PrefetchingRowset rowset(
       std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)),
-      SmallBatches());
-  Row row;
+      kBlockRows, ShortQueue());
+  RowBatch batch;
   for (int i = 0; i < 50; ++i) {
-    auto has = rowset.Next(&row);
+    auto has = rowset.NextBatch(&batch, 1);
     ASSERT_TRUE(has.ok());
     ASSERT_TRUE(*has);
   }
@@ -124,9 +131,9 @@ TEST(PrefetchingRowsetTest, RestartRewindsAndRelaunchesProducer) {
 TEST(PrefetchingRowsetTest, RestartOverStreamingInnerReportsNotSupported) {
   PrefetchingRowset rowset(
       std::make_unique<FlakyRowset>(OneIntSchema(), /*fail_after=*/1000000),
-      SmallBatches());
-  Row row;
-  auto has = rowset.Next(&row);
+      kBlockRows, ShortQueue());
+  RowBatch batch;
+  auto has = rowset.NextBatch(&batch, 1);
   ASSERT_TRUE(has.ok());
   // FlakyRowset keeps the base-class Restart; the wrapper must surface that
   // so the executor falls back to reopening the source.
@@ -137,7 +144,7 @@ TEST(PrefetchingRowsetTest, RestartOverStreamingInnerReportsNotSupported) {
 TEST(PrefetchingRowsetTest, NextBatchHandsOverProducerBatches) {
   PrefetchingRowset rowset(
       std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)),
-      SmallBatches());
+      kBlockRows, ShortQueue());
   RowBatch batch;
   int64_t total = 0;
   while (true) {

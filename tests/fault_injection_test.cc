@@ -36,7 +36,8 @@ std::vector<Row> IntRows(int n) {
   return rows;
 }
 
-/// Yields `fail_after` rows, then returns a NetworkError from Next().
+/// Yields `fail_after` rows, then returns a NetworkError: a block that
+/// would reach past them fails whole, and so does every later one.
 class FlakyRowset : public Rowset {
  public:
   FlakyRowset(Schema schema, int fail_after)
@@ -44,11 +45,16 @@ class FlakyRowset : public Rowset {
 
   const Schema& schema() const override { return schema_; }
 
-  Result<bool> Next(Row* out) override {
-    if (served_ >= fail_after_) {
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    out->clear();
+    if (max_rows <= 0) return false;
+    if (fail_after_ - served_ < max_rows) {
+      served_ = fail_after_;
       return Status::NetworkError("link dropped mid-stream");
     }
-    *out = {Value::Int64(served_++)};
+    for (int i = 0; i < max_rows; ++i) {
+      out->rows.push_back({Value::Int64(served_++)});
+    }
     return true;
   }
 
@@ -242,8 +248,7 @@ TEST(LinkedRowsetFaultTest, TransientFaultsChargeMessagesButRowsOnce) {
   net::FaultInjector injector;
   link.set_fault_injector(&injector);
   net::LinkedRowset rowset(
-      std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link,
-      /*batch_rows=*/64);
+      std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link);
 
   // Fault-free drain: 200 rows in 64-row blocks -> 3 full + 1 partial.
   auto drained = DrainRowset(&rowset);
@@ -274,8 +279,7 @@ TEST(LinkedRowsetFaultTest, RestartNextBatchInterleavingsUnderFaults) {
   link.set_fault_injector(&injector);
   injector.FailMessages(/*after=*/2, /*count=*/1);
   net::LinkedRowset rowset(
-      std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link,
-      /*batch_rows=*/64);
+      std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link);
 
   // Block-fetch drain across the faulted ordinal: every row arrives once.
   RowBatch batch;
@@ -293,17 +297,14 @@ TEST(LinkedRowsetFaultTest, RestartNextBatchInterleavingsUnderFaults) {
   // 4 block messages plus the one faulted attempt.
   EXPECT_EQ(stats.messages, 5);
 
-  // Interleave: restart, pull a few rows through Next(), then Restart again
-  // and re-drain in blocks. The first Next() fetched and charged a whole
-  // 64-row provider block before handing on a row, so the abandoned read
-  // pays for that block and the re-drain for every row once more.
+  // Interleave: restart, read one 64-row block and abandon it, then Restart
+  // again and re-drain in blocks. The block was fetched and charged whole
+  // before any of its rows was handed on, so the abandoned read pays for
+  // it and the re-drain for every row once more.
   ASSERT_OK(rowset.Restart());
-  Row row;
-  for (int i = 0; i < 10; ++i) {
-    auto has = rowset.Next(&row);
-    ASSERT_TRUE(has.ok());
-    ASSERT_TRUE(*has);
-  }
+  auto partial = rowset.NextBatch(&batch, 64);
+  ASSERT_TRUE(partial.ok());
+  ASSERT_TRUE(*partial);
   ASSERT_OK(rowset.Restart());
   total = 0;
   while (true) {
@@ -326,8 +327,7 @@ TEST(LinkedRowsetFaultTest, RestartRecoversAfterExhaustedRetries) {
   link.set_retry_policy(policy);
   injector.FailMessages(/*after=*/0, /*count=*/1);
   net::LinkedRowset rowset(
-      std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link,
-      /*batch_rows=*/64);
+      std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link);
   RowBatch batch;
   auto has = rowset.NextBatch(&batch, 64);
   ASSERT_FALSE(has.ok());
@@ -348,9 +348,10 @@ TEST(LinkedRowsetFaultTest, RestartRecoversAfterExhaustedRetries) {
 // early abandon; Restart works after a transient fault).
 // ---------------------------------------------------------------------------
 
-ExecOptions SmallBatches() {
+constexpr int kBlockRows = 64;
+
+ExecOptions ShortQueue() {
   ExecOptions options;
-  options.remote_batch_rows = 64;
   options.prefetch_queue_depth = 2;
   return options;
 }
@@ -364,8 +365,8 @@ TEST(PrefetchFaultTest, ProducerAbsorbsTransientFaultViaRetry) {
     PrefetchingRowset rowset(
         std::make_unique<net::LinkedRowset>(
             std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)),
-            &link, /*batch_rows=*/64),
-        SmallBatches());
+            &link),
+        kBlockRows, ShortQueue());
     auto drained = DrainRowset(&rowset);
     ASSERT_TRUE(drained.ok()) << drained.status().ToString();
     EXPECT_EQ(drained->size(), 200u);
@@ -382,13 +383,12 @@ TEST(PrefetchFaultTest, StickyErrorThenRestartRecoversAfterFaultCleared) {
   injector.LinkDownAfter(/*after=*/1);
   PrefetchingRowset rowset(
       std::make_unique<net::LinkedRowset>(
-          std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link,
-          /*batch_rows=*/64),
-      SmallBatches());
-  Row row;
+          std::make_unique<VectorRowset>(OneIntSchema(), IntRows(200)), &link),
+      kBlockRows, ShortQueue());
+  RowBatch batch;
   Status error = Status::OK();
   while (true) {
-    auto has = rowset.Next(&row);
+    auto has = rowset.NextBatch(&batch, 1);
     if (!has.ok()) {
       error = has.status();
       break;
@@ -397,7 +397,7 @@ TEST(PrefetchFaultTest, StickyErrorThenRestartRecoversAfterFaultCleared) {
   }
   EXPECT_EQ(error.code(), StatusCode::kNetworkError);
   // Sticky until restarted.
-  auto again = rowset.Next(&row);
+  auto again = rowset.NextBatch(&batch, 1);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kNetworkError);
 
@@ -416,9 +416,9 @@ TEST(PrefetchFaultTest, AbandonedConsumerAlwaysJoinsProducer) {
   {
     PrefetchingRowset rowset(
         std::make_unique<VectorRowset>(OneIntSchema(), IntRows(5000)),
-        SmallBatches());
-    Row row;
-    auto has = rowset.Next(&row);
+        kBlockRows, ShortQueue());
+    RowBatch batch;
+    auto has = rowset.NextBatch(&batch, 1);
     ASSERT_TRUE(has.ok());
   }
   EXPECT_EQ(QueryWorkers::live(), 0);
@@ -428,7 +428,7 @@ TEST(PrefetchFaultTest, AbandonedConsumerAlwaysJoinsProducer) {
   {
     PrefetchingRowset rowset(
         std::make_unique<FlakyRowset>(OneIntSchema(), /*fail_after=*/10),
-        SmallBatches());
+        kBlockRows, ShortQueue());
   }
   EXPECT_EQ(QueryWorkers::live(), 0);
 }

@@ -35,8 +35,8 @@ TEST(LinkTest, LinkedRowsetChargesBatches) {
   std::vector<Row> rows;
   for (int i = 0; i < 200; ++i) rows.push_back({Value::Int64(i)});
   net::Link link("l");
-  net::LinkedRowset rowset(
-      std::make_unique<VectorRowset>(schema, rows), &link, /*batch_rows=*/64);
+  net::LinkedRowset rowset(std::make_unique<VectorRowset>(schema, rows),
+                           &link);
   auto drained = DrainRowset(&rowset);
   ASSERT_TRUE(drained.ok());
   EXPECT_EQ(drained->size(), 200u);
@@ -52,8 +52,8 @@ TEST(LinkTest, NextBatchChargesOneMessagePerBatch) {
   std::vector<Row> rows;
   for (int i = 0; i < 200; ++i) rows.push_back({Value::Int64(i)});
   net::Link link("l");
-  net::LinkedRowset rowset(
-      std::make_unique<VectorRowset>(schema, rows), &link, /*batch_rows=*/64);
+  net::LinkedRowset rowset(std::make_unique<VectorRowset>(schema, rows),
+                           &link);
 
   RowBatch batch;
   int batches = 0;
@@ -86,8 +86,8 @@ TEST(LinkTest, NextBatchByteAccountingMatchesWireSize) {
     rows.push_back(std::move(row));
   }
   net::Link link("l");
-  net::LinkedRowset rowset(
-      std::make_unique<VectorRowset>(schema, rows), &link, /*batch_rows=*/64);
+  net::LinkedRowset rowset(std::make_unique<VectorRowset>(schema, rows),
+                           &link);
 
   RowBatch batch;
   auto has = rowset.NextBatch(&batch, 100);
@@ -102,38 +102,40 @@ TEST(LinkTest, NextBatchByteAccountingMatchesWireSize) {
   EXPECT_EQ(link.stats().messages, 1);
 }
 
-TEST(LinkTest, MixedNextAndNextBatchSettlesPartialBatch) {
+TEST(LinkTest, OneNextBatchIsOneMessage) {
   Schema schema;
   schema.AddColumn(ColumnDef{"a", DataType::kInt64, false});
   std::vector<Row> rows;
-  for (int i = 0; i < 10; ++i) rows.push_back({Value::Int64(i)});
-  net::Link link("l");
-  net::LinkedRowset rowset(
-      std::make_unique<VectorRowset>(schema, rows), &link, /*batch_rows=*/64);
+  for (int i = 0; i < 200; ++i) rows.push_back({Value::Int64(i)});
 
-  // The first row-at-a-time pull fetches and charges a provider block (up
-  // to 64 rows: all 10 here) before it hands on any row...
-  Row row;
-  for (int i = 0; i < 3; ++i) {
-    auto has = rowset.Next(&row);
-    ASSERT_TRUE(has.ok());
-    ASSERT_TRUE(*has);
+  // The caller's block is the wire block: every NextBatch call that hands
+  // on rows is one round trip, whatever its size, and the rows and bytes
+  // shipped do not depend on it.
+  struct Case {
+    int block;
+    int64_t messages;
+  };
+  int64_t bytes = -1;
+  for (const Case& c : {Case{1, 200}, Case{64, 4}, Case{200, 1}}) {
+    net::Link link("l");
+    net::LinkedRowset rowset(std::make_unique<VectorRowset>(schema, rows),
+                             &link);
+    RowBatch batch;
+    int64_t calls = 0;
+    while (true) {
+      auto has = rowset.NextBatch(&batch, c.block);
+      ASSERT_TRUE(has.ok()) << has.status().ToString();
+      if (!*has) break;
+      ++calls;
+      EXPECT_EQ(link.stats().messages, calls) << "block " << c.block;
+    }
+    // End of stream adds no message.
+    EXPECT_EQ(link.stats().messages, c.messages) << "block " << c.block;
+    EXPECT_EQ(link.stats().rows, 200) << "block " << c.block;
+    if (bytes < 0) bytes = link.stats().bytes;
+    EXPECT_EQ(link.stats().bytes, bytes) << "block " << c.block;
   }
-  EXPECT_EQ(link.stats().messages, 1);
-  EXPECT_EQ(link.stats().rows, 10);
-  // ...then a block fetch serves the rest of that paid block without
-  // another round trip, so every row lands in exactly one message.
-  RowBatch batch;
-  auto has = rowset.NextBatch(&batch, 100);
-  ASSERT_TRUE(has.ok());
-  ASSERT_TRUE(*has);
-  EXPECT_EQ(batch.size(), 7u);
-  EXPECT_EQ(link.stats().messages, 1);
-  has = rowset.NextBatch(&batch, 100);
-  ASSERT_TRUE(has.ok());
-  EXPECT_FALSE(*has);
-  EXPECT_EQ(link.stats().rows, 10);
-  EXPECT_EQ(link.stats().messages, 1);  // End of stream adds nothing.
+  EXPECT_GT(bytes, 0);
 }
 
 TEST(TpccFederationTest, NewOrderRoutesAndCommits) {

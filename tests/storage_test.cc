@@ -231,14 +231,14 @@ TEST_F(SlotCursorTest, SkipRowsCountsLiveRowsAcrossTombstones) {
   for (int64_t id : {1, 2, 3, 6}) ASSERT_TRUE(table_->Delete(id).ok());
   std::unique_ptr<Rowset> rowset = Open();  // Live: 0 4 5 7 8 9.
   EXPECT_EQ(rowset->SkipRows(2).value(), 2);  // 0 and 4.
-  Row row;
-  ASSERT_TRUE(rowset->Next(&row).value());
-  EXPECT_EQ(row[0].int64_value(), 5);
+  RowBatch batch;
+  ASSERT_TRUE(rowset->NextBatch(&batch, 1).value());
+  EXPECT_EQ(batch.rows[0][0].int64_value(), 5);
   ASSERT_TRUE(table_->Delete(8).ok());
   EXPECT_EQ(rowset->SkipRows(1).value(), 1);  // 7.
   EXPECT_EQ(rowset->SkipRows(5).value(), 1);  // 9, then end of data.
   EXPECT_EQ(rowset->SkipRows(5).value(), 0);
-  EXPECT_FALSE(rowset->Next(&row).value());
+  EXPECT_FALSE(rowset->NextBatch(&batch, 1).value());
 }
 
 TEST_F(SlotCursorTest, NextBatchIsEmptyOnlyAtEndOfData) {

@@ -129,11 +129,13 @@ class GatedRowset : public Rowset {
 
   const Schema& schema() const override { return schema_; }
 
-  Result<bool> Next(Row* out) override {
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    out->clear();
     if (served_ == 0) gate_->Arrive();
-    if (served_ >= 3) return false;
-    *out = {Value::Int64(served_++)};
-    return true;
+    while (served_ < 3 && static_cast<int>(out->rows.size()) < max_rows) {
+      out->rows.push_back({Value::Int64(served_++)});
+    }
+    return !out->rows.empty();
   }
 
  private:
