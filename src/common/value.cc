@@ -104,18 +104,25 @@ size_t Value::Hash() const {
       return std::hash<bool>()(bool_value());
     case DataType::kString:
       return std::hash<std::string>()(string_value());
+    case DataType::kInt64:
+    case DataType::kDate:
     case DataType::kDouble: {
-      double d = double_value();
-      // Hash integral doubles like their int64 counterparts so that
-      // cross-type join keys (int vs double) collide as they compare equal.
-      if (d == std::floor(d) && std::abs(d) < 1e18) {
+      // Compare matches a double against any numeric through AsDouble, so
+      // every numeric hashes by its double value: as the integer it is
+      // when that value is integral and inside int64, else as the double.
+      // An integer within 2^53 of zero is its own double, so it hashes
+      // directly.
+      constexpr int64_t kExact = int64_t{1} << 53;
+      if (type_ != DataType::kDouble) {
+        const int64_t v = std::get<int64_t>(rep_);
+        if (v >= -kExact && v <= kExact) return std::hash<int64_t>()(v);
+      }
+      const double d = AsDouble();
+      if (d == std::floor(d) && d >= -0x1p63 && d < 0x1p63) {
         return std::hash<int64_t>()(static_cast<int64_t>(d));
       }
       return std::hash<double>()(d);
     }
-    case DataType::kInt64:
-    case DataType::kDate:
-      return std::hash<int64_t>()(std::get<int64_t>(rep_));
     default:
       return 0;
   }

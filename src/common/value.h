@@ -76,7 +76,9 @@ class Value {
   bool operator>(const Value& other) const { return Compare(other) > 0; }
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
-  /// Stable hash consistent with operator== for same-typed values.
+  /// Stable hash consistent with operator==: values that Compare equal hash
+  /// alike, across the numeric family too (an int64 and a double key of one
+  /// join or repartitioning exchange).
   size_t Hash() const;
 
   /// Rendering for diagnostics and for the SQL decoder's literal printing

@@ -50,8 +50,8 @@ Schema QueryStatsSchema() {
 Schema OperatorStatsSchema() {
   return Schema({IntCol("query_id"), IntCol("op_id"), IntCol("parent_op_id"),
                  StrCol("operator"), StrCol("link"), DblCol("est_rows"),
-                 IntCol("act_rows"), IntCol("opens"), IntCol("restarts"),
-                 IntCol("batches"), IntCol("exec_batches"),
+                 IntCol("act_rows"), IntCol("rows_read"), IntCol("opens"),
+                 IntCol("restarts"), IntCol("batches"), IntCol("exec_batches"),
                  IntCol("total_ns"),
                  IntCol("link_messages"), IntCol("wire_rows"),
                  IntCol("link_bytes"), IntCol("retries"), IntCol("timeouts"),
@@ -157,6 +157,7 @@ std::vector<Row> FillOperatorStats(Engine* engine) {
                   S(op.link),
                   D(op.estimated_rows),
                   I(op.rows_out.load(std::memory_order_relaxed)),
+                  I(op.rows_read.load(std::memory_order_relaxed)),
                   I(op.opens.load(std::memory_order_relaxed)),
                   I(op.restarts.load(std::memory_order_relaxed)),
                   I(op.batches.load(std::memory_order_relaxed)),

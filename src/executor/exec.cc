@@ -320,52 +320,42 @@ struct PassInput {
 // Scans, remote streams and leaves.
 // ---------------------------------------------------------------------------
 
-// A local table scan.
-class ScanNode : public ExecNode {
+// The rows a local scan or range serves, qualified where they live: the
+// WHERE the optimizer folded into the scan, and for a partitioned scan the
+// worker's block-cyclic slice. Installed as the storage cursor's row
+// filter, so a row that fails or belongs to another worker is never
+// copied. Partition p of P owns the live rows whose ordinal, counted as the
+// cursor hands rows over, falls in a block of kPartitionBlockRows rows
+// whose number mod P is p; a serial scan and a range are partition 0 of 1
+// and own every row. Ownership is decided before the predicate runs, so
+// every worker serves the rows it owns that pass, and the predicate sees
+// each live row once across the workers.
+class StorageFilter {
  public:
-  /// `partition`/`partitions`: block-cyclic slice of the table this instance
-  /// reads (worker p of P owns every P-th kPartitionBlockRows-row block).
-  /// The default 0/1 reads everything — the serial scan, unchanged.
-  ScanNode(PhysicalOpPtr op, ExecContext* ctx, int partition = 0,
-           int partitions = 1)
-      : ExecNode(std::move(op)),
-        ctx_(ctx),
+  StorageFilter(const PhysicalOp& op, int partition, int partitions)
+      : predicate_(Compile(op.predicate, EvalLayout{&op.output_cols})),
         partition_(partition),
         partitions_(partitions) {}
 
-  Status Open() override {
-    DHQP_ASSIGN_OR_RETURN(Session * session,
-                          ctx_->catalog->GetSession(op_->table.source_id));
-    DHQP_ASSIGN_OR_RETURN(rowset_,
-                          session->OpenRowset(op_->table.metadata.name));
-    block_ = 0;
-    block_left_ = 0;
-    return Status::OK();
-  }
-
-  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
-    if (partitions_ > 1) {
-      out->clear();
-      if (max_rows <= 0) return false;
-      DHQP_ASSIGN_OR_RETURN(bool has, EnterOwnedBlock());
-      if (!has) return false;
-      const int n = static_cast<int>(std::min<int64_t>(max_rows, block_left_));
-      DHQP_ASSIGN_OR_RETURN(has, rowset_->NextBatch(out, n));
-      if (!has) return false;
-      block_left_ -= static_cast<int64_t>(out->rows.size());
-      return true;
+  /// Binds the predicate to the context's parameters, restarts the row
+  /// ordinals and installs the filter on `rowset`: at every Open and
+  /// Restart, since a correlated inner rescans with new parameters. A scan
+  /// with nothing to filter installs nothing.
+  Status Install(Rowset* rowset, const ExecContext& ctx,
+                 OperatorProfile* profile) {
+    if (!predicate_.has_value() && partitions_ == 1) return Status::OK();
+    Bind(&predicate_, ctx);
+    profile_ = profile;
+    ordinal_ = 0;
+    Status st = rowset->SetFilter(
+        [this](const std::vector<Row>& rows, std::vector<int>* sel) {
+          return Run(rows, sel);
+        });
+    if (!st.ok()) {
+      return Status::Internal("local rowset declined its row filter: " +
+                              st.ToString());
     }
-    // Forwards the rowset's own block fetch: one virtual call per batch
-    // instead of one per row.
-    return rowset_->NextBatch(out, max_rows);
-  }
-
-  Status Restart() override {
-    block_ = 0;
-    block_left_ = 0;
-    Status st = rowset_->Restart();
-    if (st.ok()) return st;
-    return Open();
+    return Status::OK();
   }
 
  private:
@@ -374,35 +364,77 @@ class ScanNode : public ExecNode {
   /// batch-size knob (the DOP-differential suite crosses the two).
   static constexpr int64_t kPartitionBlockRows = 1024;
 
-  /// Ensures the rowset is positioned inside an owned block with rows left
-  /// to read, skipping unowned blocks in place (SkipRows advances the
-  /// storage cursor without copying). False at end of data.
-  Result<bool> EnterOwnedBlock() {
-    if (block_left_ > 0) return true;
-    while (block_ % partitions_ != partition_) {
-      DHQP_ASSIGN_OR_RETURN(int64_t skipped,
-                            rowset_->SkipRows(kPartitionBlockRows));
-      ++block_;
-      if (skipped < kPartitionBlockRows) return false;
+  Status Run(const std::vector<Row>& rows, std::vector<int>* sel) {
+    if (partitions_ > 1) {
+      size_t kept = 0;
+      for (int slot : *sel) {
+        if ((ordinal_++ / kPartitionBlockRows) % partitions_ == partition_) {
+          (*sel)[kept++] = slot;
+        }
+      }
+      sel->resize(kept);
     }
-    ++block_;
-    block_left_ = kPartitionBlockRows;
-    return true;
+    if (!predicate_.has_value() || sel->empty()) return Status::OK();
+    profile_->rows_read.fetch_add(static_cast<int64_t>(sel->size()),
+                                  std::memory_order_relaxed);
+    DHQP_RETURN_NOT_OK(predicate_->Select(EvalInput{&rows}, sel->data(),
+                                          sel->size(), &pass_));
+    sel->swap(pass_);
+    return Status::OK();
   }
 
-  ExecContext* ctx_;
+  std::optional<CompiledExpr> predicate_;
   int partition_;
   int partitions_;
-  std::unique_ptr<Rowset> rowset_;
-  int64_t block_ = 0;       ///< Next block ordinal to consider.
-  int64_t block_left_ = 0;  ///< Rows left in the current owned block.
+  OperatorProfile* profile_ = nullptr;
+  int64_t ordinal_ = 0;   ///< Live rows handed over since Open or Restart.
+  SelectionVector pass_;  ///< The predicate's passing slots.
 };
 
-// A local index range.
+// A local table scan: forwards the storage cursor's own block fetch, one
+// virtual call per batch instead of one per row.
+class ScanNode : public ExecNode {
+ public:
+  /// `partition`/`partitions`: the block-cyclic slice of the table this
+  /// instance reads (see StorageFilter). The default 0/1 reads everything.
+  ScanNode(PhysicalOpPtr op, ExecContext* ctx, int partition = 0,
+           int partitions = 1)
+      : ExecNode(std::move(op)),
+        ctx_(ctx),
+        filter_(*op_, partition, partitions) {}
+
+  Status Open() override {
+    DHQP_ASSIGN_OR_RETURN(Session * session,
+                          ctx_->catalog->GetSession(op_->table.source_id));
+    DHQP_ASSIGN_OR_RETURN(rowset_,
+                          session->OpenRowset(op_->table.metadata.name));
+    return filter_.Install(rowset_.get(), *ctx_, profile_);
+  }
+
+  Result<bool> NextBatch(RowBatch* out, int max_rows) override {
+    return rowset_->NextBatch(out, max_rows);
+  }
+
+  Status Restart() override {
+    DHQP_RETURN_NOT_OK(rowset_->Restart());
+    return filter_.Install(rowset_.get(), *ctx_, profile_);
+  }
+
+ private:
+  ExecContext* ctx_;
+  StorageFilter filter_;
+  std::unique_ptr<Rowset> rowset_;
+};
+
+// A local index range: bounds evaluated at every Open and Restart, and a
+// residual WHERE run in storage like a scan's.
 class IndexRangeNode : public ExecNode {
  public:
   IndexRangeNode(PhysicalOpPtr op, ExecContext* ctx)
-      : ExecNode(std::move(op)), ctx_(ctx), bounds_(op_->range) {}
+      : ExecNode(std::move(op)),
+        ctx_(ctx),
+        bounds_(op_->range),
+        filter_(*op_, 0, 1) {}
 
   Status Open() override {
     DHQP_ASSIGN_OR_RETURN(Session * session,
@@ -411,7 +443,7 @@ class IndexRangeNode : public ExecNode {
     DHQP_ASSIGN_OR_RETURN(
         rowset_, session->OpenIndexRange(op_->table.metadata.name,
                                          op_->index_name, range));
-    return Status::OK();
+    return filter_.Install(rowset_.get(), *ctx_, profile_);
   }
 
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
@@ -423,6 +455,7 @@ class IndexRangeNode : public ExecNode {
  private:
   ExecContext* ctx_;
   RangeBounds bounds_;
+  StorageFilter filter_;
   std::unique_ptr<Rowset> rowset_;
 };
 

@@ -20,6 +20,10 @@ void RenderInto(const OperatorProfile& p, int indent, std::string* out) {
                 p.estimated_rows, p.rows_out.load(), p.total_ns() / 1e6,
                 p.opens.load());
   out->append(buf);
+  if (int64_t r = p.rows_read.load(); r > 0) {
+    std::snprintf(buf, sizeof(buf), " read=%" PRId64, r);
+    out->append(buf);
+  }
   if (int64_t r = p.restarts.load(); r > 0) {
     std::snprintf(buf, sizeof(buf), " restarts=%" PRId64, r);
     out->append(buf);

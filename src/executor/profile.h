@@ -103,6 +103,10 @@ struct OperatorProfile {
   double estimated_cost = 0;
 
   std::atomic<int64_t> rows_out{0};
+  /// Local scan or range with a predicate: the live rows the predicate was
+  /// run on, summed over workers (showplan's "Actual Rows Read"); rows_out
+  /// counts the ones that passed. 0 on every other operator.
+  std::atomic<int64_t> rows_read{0};
   std::atomic<int64_t> batches{0};   ///< Remote block fetches delivered here.
   std::atomic<int64_t> exec_batches{0};  ///< Local executor NextBatch calls
                                          ///< served; distinct from
@@ -201,8 +205,9 @@ ExecStats FoldExecStats(const OperatorProfile& root);
 
 /// EXPLAIN ANALYZE rendering: one line per operator,
 ///   `#<id> <name>  [est_rows=.. act_rows=.. time_ms=.. opens=..]`
-/// plus restart, remote-link (link=/msgs=/batches=/retries=/timeouts=),
-/// wire-row, peak-memory (mem=) and wait annotations where they apply.
+/// plus rows-read (read=, on a scan with a predicate), restart, remote-link
+/// (link=/msgs=/batches=/retries=/timeouts=), wire-row, peak-memory (mem=)
+/// and wait annotations where they apply.
 std::string RenderOperatorProfile(const OperatorProfile& profile);
 
 /// One operator occurrence of a flattened profile tree: the node plus its

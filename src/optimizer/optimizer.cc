@@ -154,6 +154,39 @@ SargMatch MatchIndex(const std::vector<ScalarExprPtr>& conjuncts,
   return match;
 }
 
+// Folds each Filter that sits directly on a local TableScan or IndexRange
+// into that scan, after plan choice: the scan keeps the filter's estimates
+// and order, so costing and plan choice do not change, and storage runs the
+// predicate over the table's rows in place instead of copying every row
+// for a Filter to drop. Remote access paths keep their Filter: a provider
+// below SQL level cannot run one (§3.3). Subtrees without a fold are
+// shared, not copied.
+PhysicalOpPtr FoldScanFilters(const PhysicalOpPtr& op) {
+  std::vector<PhysicalOpPtr> children;
+  bool changed = false;
+  for (const PhysicalOpPtr& child : op->children) {
+    children.push_back(FoldScanFilters(child));
+    changed = changed || children.back() != child;
+  }
+  if (op->kind == PhysicalOpKind::kFilter) {
+    const PhysicalOp& child = *children.front();
+    if ((child.kind == PhysicalOpKind::kTableScan ||
+         child.kind == PhysicalOpKind::kIndexRange) &&
+        child.predicate == nullptr) {
+      auto scan = std::make_shared<PhysicalOp>(child);
+      scan->predicate = op->predicate;
+      scan->estimated_rows = op->estimated_rows;
+      scan->estimated_cost = op->estimated_cost;
+      scan->sort_keys = op->sort_keys;
+      return scan;
+    }
+  }
+  if (!changed) return op;
+  auto copy = std::make_shared<PhysicalOp>(*op);
+  copy->children = std::move(children);
+  return copy;
+}
+
 }  // namespace
 
 Optimizer::Optimizer(OptimizerContext* ctx)
@@ -203,7 +236,7 @@ Result<OptimizeResult> Optimizer::Optimize(
   ctx_->run_stats()->groups = memo_.num_groups();
   ctx_->run_stats()->group_exprs = memo_.num_exprs();
   ctx_->run_stats()->best_cost = final.cost;
-  result.plan = final.plan;
+  result.plan = FoldScanFilters(final.plan);
   result.stats = *ctx_->run_stats();
   return result;
 }

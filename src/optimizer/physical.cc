@@ -86,6 +86,8 @@ std::string PhysicalOp::Describe() const {
       out += "(" + table.metadata.name;
       if (!table.server_name.empty()) out = out + " @" + table.server_name;
       out += ")";
+      // A local scan's folded WHERE, rendered as its Filter was.
+      if (predicate) out += "[" + predicate->ToString() + "]";
       break;
     case PhysicalOpKind::kIndexRange:
     case PhysicalOpKind::kRemoteRange:
@@ -93,6 +95,7 @@ std::string PhysicalOp::Describe() const {
       out += "(" + table.metadata.name + "." + index_name;
       if (!table.server_name.empty()) out += " @" + table.server_name;
       out += ")";
+      if (predicate) out += "[" + predicate->ToString() + "]";
       break;
     case PhysicalOpKind::kFilter:
     case PhysicalOpKind::kStartupFilter:

@@ -97,7 +97,9 @@ struct PhysicalOp {
   std::string index_name;
   RangeSpec range;
 
-  // kFilter / kStartupFilter / join residual predicate.
+  // kFilter / kStartupFilter / join residual predicate; on a local
+  // kTableScan or kIndexRange, the WHERE folded into it (FoldScanFilters),
+  // which storage runs over the table's rows in place.
   ScalarExprPtr predicate;
 
   // kProject.

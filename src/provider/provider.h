@@ -1,6 +1,7 @@
 #ifndef DHQP_PROVIDER_PROVIDER_H_
 #define DHQP_PROVIDER_PROVIDER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,6 +27,15 @@ struct RowBatch {
   bool empty() const { return rows.empty(); }
   void clear() { rows.clear(); }
 };
+
+/// A row predicate a rowset runs where its rows live, so that the rows it
+/// fails are never copied out — the local analog of sending a predicate to
+/// the source that holds the rows (§4.1.2). `sel` holds ascending
+/// positions in `rows`; the filter narrows it, in order, to the positions
+/// whose rows pass, reading each row in place. A failing filter returns
+/// the error of the first position that fails.
+using RowFilter =
+    std::function<Status(const std::vector<Row>& rows, std::vector<int>* sel)>;
 
 /// Rows per block where no consumer chooses the size: the provider fetch
 /// block that RemoteNode reads an inline remote stream in (and a remote
@@ -58,6 +68,17 @@ class Rowset {
   /// override.
   virtual Result<bool> Next(Row* out);
 
+  /// Installs `filter`, replacing any earlier one: from the next NextBatch
+  /// on, the rowset serves only the rows it passes, and a filter error
+  /// fails the call. A rowset runs the filter over rows it has not copied,
+  /// so one that has no such rows declines with NotSupported — the default,
+  /// kept by every rowset except the storage engine's slot cursor. Restart
+  /// keeps the filter.
+  virtual Status SetFilter(RowFilter filter) {
+    (void)filter;
+    return Status::NotSupported("rowset does not run row filters");
+  }
+
   /// Repositions before the first row, if the rowset supports rewinding.
   /// Streaming rowsets (e.g. remote query results) do not; the executor
   /// inserts a Spool when it needs to rescan them (§4.1.4).
@@ -66,15 +87,12 @@ class Rowset {
   }
 
   /// Skips up to `n` rows, returning the number actually skipped (< n only
-  /// at end of data). Skipped rows are counted in the unit NextBatch serves
-  /// — rows, not storage positions — so a reader that skips k rows and one
-  /// that reads them land on the same next row. The base implementation
-  /// reads and discards blocks of at most kProviderBlockRows rows; the
-  /// storage engine's slot cursor advances over slots without copying,
-  /// counting the live ones.
-  /// That is what makes block-cyclic partitioned scans cheap (each of `dop`
-  /// workers reads every dop-th block and skips the rest) and keeps the
-  /// workers' blocks aligned across deleted rows.
+  /// at end of data). Skipped rows are counted in the unit NextBatch serves,
+  /// so a reader that skips k rows and one that reads them land on the same
+  /// next row. It reads and discards blocks of at most kProviderBlockRows
+  /// rows. Nothing in the engine calls or overrides it: it stays only
+  /// because perfbench's TimedRowset forwards it, and goes with that
+  /// override.
   virtual Result<int64_t> SkipRows(int64_t n);
 };
 

@@ -168,10 +168,12 @@ namespace {
 // rowset binding row handles through accessors (§3.2), not a snapshot. It
 // walks positions [0, end_), fixed at Open: every slot below num_slots() for
 // a scan, or the row ids a B-tree range returned. It copies only the live
-// rows it serves. Each call re-reads the slot through Table::SlotRow and
-// keeps no pointer between calls, so a row inserted after Open is never
-// served, a row deleted before it is served is skipped, and a same-thread
-// Insert that moves the table's rows is safe (DESIGN.md §5 states the rule).
+// rows it serves, and with a row filter installed only those the filter
+// passes, which it runs over the table's own row vector. Each call re-reads
+// the slots it gathers and keeps no row reference between calls, so a row
+// inserted after Open is never served, a row deleted before it is gathered
+// is neither filtered nor served, and a same-thread Insert that moves the
+// table's rows is safe (DESIGN.md §5 states the rule).
 class SlotCursor : public Rowset {
  public:
   /// Scans every slot the table has now.
@@ -183,14 +185,33 @@ class SlotCursor : public Rowset {
 
   const Schema& schema() const override { return table_->schema(); }
 
+  /// Gathers the next `max_rows` live slots, lets the filter narrow them
+  /// and copies the survivors, repeating until one survives or the bound
+  /// is reached: a filtered batch is what a filter over the unfiltered
+  /// batch would keep, and an empty batch still means end of data.
   Result<bool> NextBatch(RowBatch* out, int max_rows) override {
     out->clear();
     const size_t want = max_rows > 0 ? static_cast<size_t>(max_rows) : 0;
-    while (out->rows.size() < want && pos_ < end_) {
-      const Row* row = RowAt(pos_++);
-      if (row != nullptr) out->rows.push_back(*row);
+    while (out->rows.empty() && want > 0 && pos_ < end_) {
+      gathered_.clear();
+      while (gathered_.size() < want && pos_ < end_) {
+        const size_t slot = SlotAt(pos_++);
+        if (table_->SlotRow(slot) != nullptr) {
+          gathered_.push_back(static_cast<int>(slot));
+        }
+      }
+      Status st = Serve(out);
+      if (!st.ok()) {
+        out->clear();  // A failing call hands on no rows.
+        return st;
+      }
     }
     return !out->rows.empty();
+  }
+
+  Status SetFilter(RowFilter filter) override {
+    filter_ = std::move(filter);
+    return Status::OK();
   }
 
   Status Restart() override {
@@ -198,25 +219,43 @@ class SlotCursor : public Rowset {
     return Status::OK();
   }
 
-  Result<int64_t> SkipRows(int64_t n) override {
-    int64_t skipped = 0;
-    while (skipped < n && pos_ < end_) {
-      if (RowAt(pos_++) != nullptr) ++skipped;
-    }
-    return skipped;
+ private:
+  size_t SlotAt(size_t pos) const {
+    return row_ids_.empty() ? pos : static_cast<size_t>(row_ids_[pos]);
   }
 
- private:
-  /// The live row at position `pos`, or nullptr for a tombstone.
-  const Row* RowAt(size_t pos) const {
-    return table_->SlotRow(
-        row_ids_.empty() ? pos : static_cast<size_t>(row_ids_[pos]));
+  /// Copies the gathered rows the filter passes into `out`, in gathered
+  /// order. The filter reads ascending slots, so a range whose key order
+  /// leaves slot order is filtered one ascending run at a time, in key
+  /// order; a failure is then that of the first failing row in key order.
+  Status Serve(RowBatch* out) {
+    const std::vector<Row>& rows = table_->slots();
+    if (!filter_) {
+      for (int slot : gathered_) {
+        out->rows.push_back(rows[static_cast<size_t>(slot)]);
+      }
+      return Status::OK();
+    }
+    for (size_t begin = 0, end = 0; begin < gathered_.size(); begin = end) {
+      end = begin + 1;
+      while (end < gathered_.size() && gathered_[end] > gathered_[end - 1]) {
+        ++end;
+      }
+      sel_.assign(gathered_.begin() + static_cast<ptrdiff_t>(begin),
+                  gathered_.begin() + static_cast<ptrdiff_t>(end));
+      DHQP_RETURN_NOT_OK(filter_(rows, &sel_));
+      for (int slot : sel_) out->rows.push_back(rows[static_cast<size_t>(slot)]);
+    }
+    return Status::OK();
   }
 
   const Table* table_;
   std::vector<int64_t> row_ids_;  ///< Empty for a scan.
   size_t end_;                    ///< Position bound, fixed at Open.
   size_t pos_ = 0;
+  RowFilter filter_;
+  std::vector<int> gathered_;  ///< Live slots of the current gather.
+  std::vector<int> sel_;       ///< The slots the filter passed.
 };
 
 }  // namespace

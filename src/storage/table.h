@@ -75,6 +75,12 @@ class Table {
     return deleted_[slot] ? nullptr : &rows_[slot];
   }
 
+  /// The slots themselves, tombstones included, for a reader that runs a
+  /// predicate over rows in place (the scan cursor's row filter): slot i is
+  /// slots()[i], live when SlotRow(i) is non-null. Good only until the next
+  /// Insert, like SlotRow's pointer.
+  const std::vector<Row>& slots() const { return rows_; }
+
   /// Appends copies of all live rows (with their ids) to `out`: for DML,
   /// which materializes its matches before it writes. Queries read through
   /// StorageSession's slot cursor instead.

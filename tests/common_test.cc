@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "src/common/date.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -57,6 +62,29 @@ TEST(ValueTest, CrossNumericComparison) {
 TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int64(7).Hash(), Value::Double(7.0).Hash());
   EXPECT_EQ(Value::String("abc").Hash(), Value::String("abc").Hash());
+  // Pairs that compare equal only through the double an int64 rounds to,
+  // an integral double at or past 1e18, and the two zeros.
+  const int64_t two53 = int64_t{1} << 53;
+  const std::pair<Value, Value> equal_pairs[] = {
+      {Value::Int64(two53 + 1), Value::Double(static_cast<double>(two53))},
+      {Value::Int64(two53), Value::Double(static_cast<double>(two53))},
+      {Value::Int64(1000000000000000000), Value::Double(1e18)},
+      {Value::Int64(-1000000000000000000), Value::Double(-1e18)},
+      {Value::Int64(INT64_MAX), Value::Double(0x1p63)},
+      {Value::Int64(INT64_MIN), Value::Double(-0x1p63)},
+      {Value::Double(0.0), Value::Double(-0.0)},
+      {Value::Int64(0), Value::Double(-0.0)},
+  };
+  for (const auto& [a, b] : equal_pairs) {
+    ASSERT_EQ(a.Compare(b), 0) << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " vs " << b.ToString();
+  }
+  // Integers within 2^53 and strings keep the hash they always had, so
+  // their exchange routing does not move.
+  for (int64_t v : {int64_t{0}, int64_t{-7}, two53, -two53, int64_t{123456}}) {
+    EXPECT_EQ(Value::Int64(v).Hash(), std::hash<int64_t>()(v));
+  }
+  EXPECT_EQ(Value::String("abc").Hash(), std::hash<std::string>()("abc"));
 }
 
 TEST(ValueTest, Casts) {

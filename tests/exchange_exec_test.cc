@@ -273,6 +273,88 @@ TEST_F(TombstonedExchangeExecTest, OperatorProfileTotalsAreTruthfulUnderDop) {
   ExpectOperatorProfileTotalsAreTruthfulUnderDop(&host_, LiveRows("big1"));
 }
 
+// A WHERE folded into the partitioned scan runs on each worker's own
+// blocks only: the workers' rows_read sum to the table's live rows exactly
+// once, and their act_rows to the rows that pass. EXPLAIN ANALYZE and
+// dm_exec_operator_stats show the same two counts.
+void ExpectFoldedScanCountsAreTruthfulUnderDop(Engine* host,
+                                               int64_t big1_rows) {
+  const std::string sql =
+      "SELECT b, COUNT(*), SUM(c) FROM big1 WHERE c > 300 GROUP BY b";
+  Observation obs = Observe(host, sql, ExecMode{4, 1024});
+  ASSERT_TRUE(obs.ok);
+  ASSERT_GT(obs.exchange_ops, 0) << "query did not parallelize at dop=4";
+
+  QueryResult parallel = MustExecute(host, sql);  // Same mode, kept result.
+  ASSERT_NE(parallel.profile, nullptr);
+  const OperatorProfile* scan = nullptr;
+  for (const FlatOperator& f : FlattenOperatorProfile(*parallel.profile)) {
+    EXPECT_EQ(f.op->name.find("Filter"), std::string::npos) << f.op->name;
+    if (f.op->name.find("TableScan(big1") != std::string::npos) scan = f.op;
+  }
+  ASSERT_NE(scan, nullptr);
+  const int64_t passing =
+      MustExecute(host, "SELECT COUNT(*) FROM big1 WHERE c > 300")
+          .rowset->rows()[0][0]
+          .int64_value();
+  ASSERT_GT(passing, 0);
+  ASSERT_LT(passing, big1_rows);
+  EXPECT_EQ(scan->rows_read.load(), big1_rows);
+  EXPECT_EQ(scan->rows_out.load(), passing);
+
+  const std::string rendered = RenderOperatorProfile(*parallel.profile);
+  EXPECT_NE(rendered.find("act_rows=" + std::to_string(passing) + " "),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find(" read=" + std::to_string(big1_rows) + " "),
+            std::string::npos)
+      << rendered;
+
+  QueryResult dmv = MustExecute(
+      host,
+      "SELECT act_rows FROM sys..dm_exec_operator_stats WHERE rows_read = " +
+          std::to_string(big1_rows));
+  ASSERT_FALSE(dmv.rowset->rows().empty());
+  for (const Row& row : dmv.rowset->rows()) {
+    EXPECT_EQ(row[0].int64_value(), passing);
+  }
+}
+
+TEST_F(ExchangeExecTest, FoldedScanCountsAreTruthfulUnderDop) {
+  ExpectFoldedScanCountsAreTruthfulUnderDop(&host_, kBig1Rows);
+}
+
+TEST_F(TombstonedExchangeExecTest, FoldedScanCountsAreTruthfulUnderDop) {
+  ASSERT_LT(LiveRows("big1"), kBig1Rows);
+  ExpectFoldedScanCountsAreTruthfulUnderDop(&host_, LiveRows("big1"));
+}
+
+// A predicate that fails part-way through the table fails the statement
+// with its first failing row's error at every batch size and dop: storage
+// runs the folded WHERE on the rows a Filter would have seen.
+TEST_F(ExchangeExecTest, FailingScanPredicateFailsAtEveryDopAndBatchSize) {
+  const std::string sql = "SELECT a, c FROM big1 WHERE 10 / (a - 500) > 0";
+  for (int dop : {1, 2, 4}) {
+    for (int batch_rows : {1, 7, 1024}) {
+      const ExecMode mode{dop, batch_rows};
+      host_.options()->execution.dop = dop;
+      host_.options()->execution.exec_batch_rows = batch_rows;
+      auto plan = host_.Prepare(sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(CountOps(plan->plan, PhysicalOpKind::kFilter), 0)
+          << plan->plan->ToString();
+      auto result = host_.Execute(sql);
+      EXPECT_EQ(QueryWorkers::live(), 0) << mode.Label();
+      ASSERT_FALSE(result.ok()) << mode.Label();
+      EXPECT_EQ(result.status().code(), StatusCode::kExecutionError)
+          << mode.Label();
+      EXPECT_NE(result.status().ToString().find("division by zero"),
+                std::string::npos)
+          << mode.Label() << ": " << result.status().ToString();
+    }
+  }
+}
+
 // dm_exec_operator_stats (per-query DMV over the same profile tree) shows
 // the merged per-worker totals too.
 TEST_F(ExchangeExecTest, ExchangeCountersVisibleInMetricsDmv) {

@@ -3,6 +3,10 @@
 // optimizer's plan choices (merge join with duplicate runs, spool rescan
 // behaviour, startup-filter gating, sort stability).
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace dhqp {
@@ -183,6 +187,68 @@ PhysicalOpPtr RangeToFetch(const PhysicalOpPtr& op, int* swapped) {
     child = RangeToFetch(child, swapped);
   }
   return copy;
+}
+
+// A local scan's folded predicate that reads a correlation parameter: the
+// nested-loops join writes the outer row's key into @k before each rescan,
+// and the scan binds its predicate again at every Restart, so each outer
+// row meets only its own matches — the hash join's answer.
+TEST_F(ExecNodesTest, CorrelatedScanPredicateRebindsOnEveryRescan) {
+  Schema schema;
+  schema.AddColumn(ColumnDef{"a", DataType::kInt64, false});
+  schema.AddColumn(ColumnDef{"b", DataType::kInt64, false});
+  Table* t = storage_.CreateTable("t", schema).value();
+  for (int64_t a = 0; a < 50; ++a) ASSERT_TRUE(t->Insert(R2(a, a % 5)).ok());
+
+  auto scan = [&](ScalarExprPtr predicate) {
+    auto op = NewPhysicalOp(PhysicalOpKind::kTableScan);
+    op->table.metadata.name = "t";
+    op->output_cols = {10, 11};
+    op->output_types.assign(2, DataType::kInt64);
+    op->output_names = {"a", "b"};
+    op->predicate = std::move(predicate);
+    return op;
+  };
+  auto join = [&](PhysicalOpKind kind, PhysicalOpPtr inner) {
+    auto op = NewPhysicalOp(kind);
+    op->join_type = JoinType::kInner;
+    op->children = {ConstLeaf({0}, {DataType::kInt64},
+                              {{Value::Int64(1)},
+                               {Value::Int64(3)},
+                               {Value::Int64(3)},
+                               {Value::Int64(7)}}),
+                    std::move(inner)};
+    op->output_cols = {0, 10, 11};
+    op->output_types.assign(3, DataType::kInt64);
+    op->output_names = {"k", "a", "b"};
+    return op;
+  };
+  auto sorted = [](std::vector<Row> rows) {
+    std::vector<std::string> out;
+    for (const Row& row : rows) out.push_back(RowToString(row));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  auto hash = join(PhysicalOpKind::kHashJoin, scan(nullptr));
+  hash->key_pairs.emplace_back(MakeColumn(0, DataType::kInt64, "o.k"),
+                               MakeColumn(11, DataType::kInt64, "t.b"));
+  const std::vector<std::string> want = sorted(RunAll(hash));
+  ASSERT_EQ(want.size(), 30u);
+
+  auto loops = join(PhysicalOpKind::kNestedLoopsJoin,
+                    scan(MakeComparison("=",
+                                        MakeColumn(11, DataType::kInt64, "t.b"),
+                                        MakeParam("@k", DataType::kInt64))));
+  loops->remote_params = {{"@k", MakeColumn(0, DataType::kInt64, "o.k")}};
+  EXPECT_EQ(sorted(RunAll(loops)), want);
+  // One open and three rescans, each reading all 50 rows in storage and
+  // serving its key's 10 (none for 7).
+  const OperatorProfile& inner = *ctx_.profile->children[1];
+  EXPECT_EQ(inner.opens.load(), 1);
+  EXPECT_EQ(inner.restarts.load(), 3);
+  EXPECT_EQ(inner.rows_read.load(), 200);
+  EXPECT_EQ(inner.rows_out.load(), 30);
 }
 
 // Bookmark fetches (§4.1.2 remote fetch) count in the RemoteFetch slot: one

@@ -1,8 +1,14 @@
 // Optimizer feature tests: the remote spool enforcer (§4.1.4), the
 // parameterization rule (§4.1.2), remote access-path selection (§3.3),
 // statistics-driven estimation (§3.2.4), multi-phase search (§4.1.1) and
-// delayed schema validation (§4.1.5).
+// delayed schema validation (§4.1.5), and the fold of each WHERE over a
+// local scan or range into that scan.
 
+#include <functional>
+#include <map>
+#include <string>
+
+#include "src/common/date.h"
 #include "src/workloads/tpch.h"
 #include "tests/test_util.h"
 
@@ -222,6 +228,147 @@ TEST_F(OptimizerFeatureTest, CommutedJoinColumnOrder) {
     expected += row[1].int64_value() * suppliers[row[0].int64_value()];
   }
   EXPECT_EQ(r.rowset->rows()[0][0].int64_value(), expected);
+}
+
+// True when a Filter sits directly on a local TableScan or IndexRange.
+bool FilterOverLocalScan(const PhysicalOp& op) {
+  for (const PhysicalOpPtr& child : op.children) {
+    if (op.kind == PhysicalOpKind::kFilter &&
+        (child->kind == PhysicalOpKind::kTableScan ||
+         child->kind == PhysicalOpKind::kIndexRange)) {
+      return true;
+    }
+    if (FilterOverLocalScan(*child)) return true;
+  }
+  return false;
+}
+
+// Each WHERE over a local scan runs in the scan once the plan is chosen:
+// the TPC-H Q1, Q6 and Q3 shapes keep no Filter directly over a local
+// TableScan or IndexRange at dop 1 or 2, and each scan's EXPLAIN line
+// carries its predicate.
+TEST(ScanFilterFoldTest, TpchShapesFoldTheirWheresIntoTheScans) {
+  workloads::TpchOptions topt;
+  topt.scale_factor = 0.005;
+  Engine tpch;
+  ASSERT_OK(workloads::PopulateTpch(&tpch, topt));
+  const std::map<std::string, Value> params = {
+      {"@d", Value::Date(CivilToDays(1995, 3, 15))},
+      {"@d0", Value::Date(CivilToDays(1994, 1, 1))},
+      {"@d1", Value::Date(CivilToDays(1995, 1, 1))},
+      {"@q", Value::Int64(24)},
+      {"@seg", Value::String("BUILDING")}};
+  const char* kShapes[] = {
+      "SELECT l_linenumber, COUNT(*), SUM(l_quantity), SUM(l_extendedprice), "
+      "AVG(l_extendedprice) FROM lineitem WHERE l_shipdate <= @d "
+      "GROUP BY l_linenumber ORDER BY l_linenumber",
+      "SELECT SUM(l_extendedprice * l_quantity), COUNT(*) FROM lineitem "
+      "WHERE l_shipdate >= @d0 AND l_shipdate < @d1 AND l_quantity < @q",
+      "SELECT TOP 10 o.o_orderkey, o.o_orderdate, "
+      "SUM(l.l_extendedprice) AS revenue "
+      "FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey "
+      "JOIN lineitem l ON l.l_orderkey = o.o_orderkey "
+      "WHERE c.c_mktsegment = @seg AND o.o_orderdate < @d "
+      "AND l.l_shipdate > @d "
+      "GROUP BY o.o_orderkey, o.o_orderdate ORDER BY revenue DESC, "
+      "o.o_orderkey",
+  };
+  for (int dop : {1, 2}) {
+    tpch.options()->execution.dop = dop;
+    for (const char* sql : kShapes) {
+      QueryResult r = MustExecute(&tpch, sql, params);
+      EXPECT_FALSE(FilterOverLocalScan(*r.plan)) << r.plan->ToString();
+      EXPECT_EQ(CountOps(r.plan, PhysicalOpKind::kFilter), 0)
+          << r.plan->ToString();
+      EXPECT_FALSE(r.rowset->rows().empty()) << sql;
+      auto text = tpch.Explain(sql, params);
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      EXPECT_NE(text->find("TableScan(lineitem)[("), std::string::npos)
+          << *text;
+    }
+  }
+
+  // Q6 against the same sum taken over an unfiltered scan.
+  tpch.options()->execution.dop = 1;
+  QueryResult all = MustExecute(
+      &tpch, "SELECT l_extendedprice, l_quantity, l_shipdate FROM lineitem");
+  double sum = 0;
+  int64_t count = 0;
+  for (const Row& row : all.rowset->rows()) {
+    if (row[2].date_value() >= CivilToDays(1994, 1, 1) &&
+        row[2].date_value() < CivilToDays(1995, 1, 1) &&
+        row[1].AsDouble() < 24) {
+      sum += row[0].AsDouble() * row[1].AsDouble();
+      ++count;
+    }
+  }
+  QueryResult q6 = MustExecute(&tpch, kShapes[1], params);
+  ASSERT_EQ(q6.rowset->rows().size(), 1u);
+  EXPECT_NEAR(q6.rowset->rows()[0][0].AsDouble(), sum, 1e-6 * sum);
+  EXPECT_EQ(q6.rowset->rows()[0][1].int64_value(), count);
+}
+
+// A provider below SQL level cannot run a predicate (§3.3): the Filter over
+// its remote scan stays a Filter, evaluated at the host.
+TEST(ScanFilterFoldTest, FilterOverScanOnlyProviderStays) {
+  Engine host;
+  RemoteServer simple = AttachRemoteEngine(&host, "simplesrv", [] {
+    ProviderCapabilities caps = SqlServerCapabilities();
+    caps.supports_command = false;
+    caps.sql_support = SqlSupportLevel::kNone;
+    caps.supports_indexes = false;
+    caps.supports_bookmarks = false;
+    caps.provider_name = "DHQP.Simple";
+    return caps;
+  }());
+  MustExecute(simple.engine.get(), "CREATE TABLE t (a INT PRIMARY KEY, b INT)");
+  MustExecute(simple.engine.get(), "INSERT INTO t VALUES (1,10),(2,20),(3,30)");
+  QueryResult r = MustExecute(&host, "SELECT a FROM simplesrv.d.s.t WHERE b >= 20");
+  EXPECT_EQ(RowsToString(r), "(2)(3)");
+  ASSERT_EQ(CountOps(r.plan, PhysicalOpKind::kFilter), 1) << r.plan->ToString();
+  ASSERT_EQ(CountOps(r.plan, PhysicalOpKind::kRemoteScan), 1);
+  std::function<const PhysicalOp*(const PhysicalOp&)> find_filter =
+      [&](const PhysicalOp& op) -> const PhysicalOp* {
+    if (op.kind == PhysicalOpKind::kFilter) return &op;
+    for (const PhysicalOpPtr& child : op.children) {
+      if (const PhysicalOp* f = find_filter(*child)) return f;
+    }
+    return nullptr;
+  };
+  const PhysicalOp* filter = find_filter(*r.plan);
+  ASSERT_NE(filter, nullptr);
+  EXPECT_EQ(filter->children[0]->kind, PhysicalOpKind::kRemoteScan);
+  EXPECT_EQ(filter->children[0]->predicate, nullptr);
+}
+
+// A local index range with a residual conjunct runs the residual in
+// storage and serves only the rows that pass, in key order, also when key
+// order is not slot order (rows inserted in descending key order).
+TEST(ScanFilterFoldTest, IndexRangeRunsItsResidualInStorage) {
+  Engine host;
+  MustExecute(&host, "CREATE TABLE r (a INT PRIMARY KEY, b INT)");
+  std::string sql = "INSERT INTO r VALUES ";
+  for (int a = 999; a >= 0; --a) {
+    if (a != 999) sql += ",";
+    sql += "(" + std::to_string(a) + "," + std::to_string(a % 7) + ")";
+  }
+  MustExecute(&host, sql);
+  const std::string query =
+      "SELECT a, b FROM r WHERE a >= 100 AND a <= 130 AND b = 3 ORDER BY a";
+  QueryResult q = MustExecute(&host, query);
+  ASSERT_EQ(CountOps(q.plan, PhysicalOpKind::kIndexRange), 1)
+      << q.plan->ToString();
+  EXPECT_EQ(CountOps(q.plan, PhysicalOpKind::kFilter), 0) << q.plan->ToString();
+  EXPECT_EQ(CountOps(q.plan, PhysicalOpKind::kSort), 0) << q.plan->ToString();
+  EXPECT_EQ(RowsToString(q), "(101, 3)(108, 3)(115, 3)(122, 3)(129, 3)");
+  // The residual saw the 31 rows of the range; 5 passed.
+  const OperatorProfile* range = nullptr;
+  for (const FlatOperator& f : FlattenOperatorProfile(*q.profile)) {
+    if (f.op->kind == PhysicalOpKind::kIndexRange) range = f.op;
+  }
+  ASSERT_NE(range, nullptr);
+  EXPECT_EQ(range->rows_read.load(), 31);
+  EXPECT_EQ(range->rows_out.load(), 5);
 }
 
 }  // namespace

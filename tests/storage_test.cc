@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/storage/storage_engine.h"
@@ -225,6 +228,182 @@ TEST_F(SlotCursorTest, RestartServesAgainUnderTheOpenTimeBound) {
   EXPECT_EQ(Ids(DrainRowset(rowset.get()).value()), want);
   // A fresh Open takes a fresh bound.
   EXPECT_EQ(DrainRowset(Open().get())->size(), 10u);
+}
+
+// A row filter over the id column that passes the ids `pass` accepts and
+// appends every id it is shown to `seen`.
+RowFilter IdFilter(std::function<bool(int64_t)> pass,
+                   std::vector<int64_t>* seen) {
+  return [pass, seen](const std::vector<Row>& rows, std::vector<int>* sel) {
+    size_t kept = 0;
+    for (int slot : *sel) {
+      const int64_t id = rows[static_cast<size_t>(slot)][0].int64_value();
+      seen->push_back(id);
+      if (pass(id)) (*sel)[kept++] = slot;
+    }
+    sel->resize(kept);
+    return Status::OK();
+  };
+}
+
+TEST_F(SlotCursorTest, FilterServesOnlyPassingRows) {
+  std::unique_ptr<Rowset> rowset = Open();
+  std::vector<int64_t> seen;
+  ASSERT_TRUE(
+      rowset->SetFilter(IdFilter([](int64_t id) { return id % 2 == 0; }, &seen))
+          .ok());
+  RowBatch batch;
+  // Each call filters the next three live rows, as a Filter over three-row
+  // batches would.
+  ASSERT_TRUE(rowset->NextBatch(&batch, 3).value());
+  EXPECT_EQ(Ids(batch.rows), (std::vector<int64_t>{0, 2}));
+  ASSERT_TRUE(rowset->NextBatch(&batch, 3).value());
+  EXPECT_EQ(Ids(batch.rows), (std::vector<int64_t>{4}));
+  ASSERT_TRUE(rowset->NextBatch(&batch, 3).value());
+  EXPECT_EQ(Ids(batch.rows), (std::vector<int64_t>{6, 8}));
+  // Row 9 fails and is the last: end of data, not an empty batch.
+  EXPECT_FALSE(rowset->NextBatch(&batch, 3).value());
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(seen, Range(0, 10));
+
+  // Gathers that no row passes are read through to the next passing row.
+  seen.clear();
+  ASSERT_TRUE(rowset->Restart().ok());
+  ASSERT_TRUE(
+      rowset->SetFilter(IdFilter([](int64_t id) { return id >= 7; }, &seen))
+          .ok());
+  ASSERT_TRUE(rowset->NextBatch(&batch, 3).value());
+  EXPECT_EQ(Ids(batch.rows), (std::vector<int64_t>{7, 8}));
+  ASSERT_TRUE(rowset->NextBatch(&batch, 3).value());
+  EXPECT_EQ(Ids(batch.rows), (std::vector<int64_t>{9}));
+  EXPECT_FALSE(rowset->NextBatch(&batch, 3).value());
+  EXPECT_EQ(seen, Range(0, 10));
+}
+
+TEST_F(SlotCursorTest, FilterNeverSeesRowDeletedBeforeItsBatch) {
+  std::unique_ptr<Rowset> rowset = Open();
+  std::vector<int64_t> seen;
+  ASSERT_TRUE(
+      rowset->SetFilter(IdFilter([](int64_t) { return true; }, &seen)).ok());
+  RowBatch batch;
+  ASSERT_TRUE(rowset->NextBatch(&batch, 3).value());
+  ASSERT_TRUE(table_->Delete(1).ok());  // Already served: no effect.
+  ASSERT_TRUE(table_->Delete(4).ok());
+  ASSERT_TRUE(table_->Delete(7).ok());
+  std::vector<Row> rest = DrainRowset(rowset.get()).value();
+  EXPECT_EQ(Ids(rest), (std::vector<int64_t>{3, 5, 6, 8, 9}));
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 1, 2, 3, 5, 6, 8, 9}));
+}
+
+TEST_F(SlotCursorTest, FilterReadsRowsInPlaceAfterInsertsMoveThem) {
+  std::unique_ptr<Rowset> rowset = Open();
+  std::vector<int64_t> seen;
+  ASSERT_TRUE(
+      rowset->SetFilter(IdFilter([](int64_t id) { return id != 5; }, &seen))
+          .ok());
+  RowBatch batch;
+  ASSERT_TRUE(rowset->NextBatch(&batch, 4).value());
+  EXPECT_EQ(Ids(batch.rows), Range(0, 4));
+  // Enough inserts to move the table's rows: the filter reads the rows in
+  // their new place, and none of the new rows is below the bound.
+  for (int i = 10; i < 1000; ++i) Insert(i);
+  ASSERT_TRUE(rowset->NextBatch(&batch, 4).value());
+  EXPECT_EQ(Ids(batch.rows), (std::vector<int64_t>{4, 6, 7}));
+  ASSERT_TRUE(rowset->NextBatch(&batch, 4).value());
+  EXPECT_EQ(Ids(batch.rows), (std::vector<int64_t>{8, 9}));
+  EXPECT_FALSE(rowset->NextBatch(&batch, 4).value());
+  EXPECT_EQ(seen, Range(0, 10));
+}
+
+TEST_F(SlotCursorTest, FilterRestartServesAgainUnderTheOpenTimeBound) {
+  std::unique_ptr<Rowset> rowset = Open();
+  std::vector<int64_t> seen;
+  ASSERT_TRUE(
+      rowset->SetFilter(IdFilter([](int64_t id) { return id > 2; }, &seen))
+          .ok());
+  EXPECT_EQ(Ids(DrainRowset(rowset.get()).value()), Range(3, 10));
+  Insert(10);
+  ASSERT_TRUE(table_->Delete(4).ok());
+  seen.clear();
+  // Restart keeps the filter and the bound: row 10 stays unseen.
+  ASSERT_TRUE(rowset->Restart().ok());
+  std::vector<int64_t> want = {3, 5, 6, 7, 8, 9};
+  EXPECT_EQ(Ids(DrainRowset(rowset.get()).value()), want);
+  EXPECT_EQ(seen, (std::vector<int64_t>{0, 1, 2, 3, 5, 6, 7, 8, 9}));
+}
+
+// A range's row ids come in key order, not slot order. The filter is shown
+// ascending slots only, one ascending run of the key order at a time, and
+// the rows come out in key order; a failure is the first failing row's in
+// key order.
+TEST_F(SlotCursorTest, RangeFilterRunsInKeyOrder) {
+  ASSERT_TRUE(engine_.CreateTable("u", TwoCol()).ok());
+  Table* u = engine_.GetTable("u").value();
+  // Key order on `name`: ids 5 6 7 8 9 0 1 2 3 4.
+  for (int64_t id = 0; id < 10; ++id) {
+    const std::string name(1, static_cast<char>('a' + (id + 5) % 10));
+    ASSERT_TRUE(u->Insert({Value::Int64(id), Value::String(name)}).ok());
+  }
+  ASSERT_TRUE(u->CreateIndex("by_name", {"name"}, false).ok());
+  auto open = [&] {
+    auto rowset = session_.OpenIndexRange("u", "by_name", IndexRange{});
+    EXPECT_TRUE(rowset.ok());
+    return std::move(rowset).value();
+  };
+
+  std::unique_ptr<Rowset> range = open();
+  std::vector<std::vector<int>> calls;
+  ASSERT_TRUE(range
+                  ->SetFilter([&](const std::vector<Row>& rows,
+                                  std::vector<int>* sel) {
+                    calls.push_back(*sel);
+                    size_t kept = 0;
+                    for (int slot : *sel) {
+                      if (rows[static_cast<size_t>(slot)][0].int64_value() %
+                              2 ==
+                          1) {
+                        (*sel)[kept++] = slot;
+                      }
+                    }
+                    sel->resize(kept);
+                    return Status::OK();
+                  })
+                  .ok());
+  RowBatch batch;
+  ASSERT_TRUE(range->NextBatch(&batch, 10).value());
+  EXPECT_EQ(Ids(batch.rows), (std::vector<int64_t>{5, 7, 9, 1, 3}));
+  EXPECT_EQ(calls, (std::vector<std::vector<int>>{{5, 6, 7, 8, 9},
+                                                  {0, 1, 2, 3, 4}}));
+
+  // A filter that fails at the ids in `failing`.
+  auto failing_at = [](std::vector<int64_t> failing) {
+    return [failing](const std::vector<Row>& rows, std::vector<int>* sel) {
+      for (int slot : *sel) {
+        const int64_t id = rows[static_cast<size_t>(slot)][0].int64_value();
+        if (std::find(failing.begin(), failing.end(), id) != failing.end()) {
+          return Status::ExecutionError("fail " + std::to_string(id));
+        }
+      }
+      return Status::OK();
+    };
+  };
+  // Rows 2 and 6 fail: 6 comes first in key order, though 2 has the lower
+  // slot.
+  range = open();
+  ASSERT_TRUE(range->SetFilter(failing_at({2, 6})).ok());
+  auto failed = range->NextBatch(&batch, 10);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().ToString().find("fail 6"), std::string::npos)
+      << failed.status().ToString();
+  // Only row 2 fails: the first run's rows passed, but a failing call hands
+  // on no rows.
+  range = open();
+  ASSERT_TRUE(range->SetFilter(failing_at({2})).ok());
+  failed = range->NextBatch(&batch, 10);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().ToString().find("fail 2"), std::string::npos)
+      << failed.status().ToString();
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST_F(SlotCursorTest, SkipRowsCountsLiveRowsAcrossTombstones) {
